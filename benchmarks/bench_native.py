@@ -12,9 +12,9 @@ Two claims are checked, then measured:
    paths), the native engine must run the enumeration phase at least three
    times faster than the iterative kernels.
 
-The native engine has two tiers: a pure-NumPy subtree-vectorised tier
-(always available) and a Numba-compiled tier (picked up automatically when
-``numba`` is importable).  This benchmark measures whichever tier
+The native engine has two tiers: a C-compiled tier (built with ``cc`` on
+first use) and a pure-NumPy subtree-vectorised fallback (no compiler, or
+``REPRO_NATIVE=off``).  This benchmark measures whichever tier
 ``engine="native"`` resolves to on the current machine and records the
 tier in the result file.
 
@@ -270,8 +270,8 @@ def main() -> int:
         help="CI smoke mode: equivalence + regression gate, no result file",
     )
     args = parser.parse_args()
-    compiled = warmup()  # compile/caches the JIT tier once, outside timing
-    print(f"native tier: {'numba-compiled' if compiled else 'numpy-vectorised'}")
+    compiled = warmup()  # builds/loads the C tier once, outside timing
+    print(f"native tier: {'c-compiled' if compiled else 'numpy-vectorised'}")
     if args.quick:
         return run_quick()
 
@@ -301,7 +301,7 @@ def main() -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
-            "native_tier": "numba-compiled" if jit_ready() else "numpy-vectorised",
+            "native_tier": "c-compiled" if jit_ready() else "numpy-vectorised",
         },
         "settings": {
             "repeats": REPEATS,

@@ -91,6 +91,7 @@ from repro.core.engine import (
     is_distance_aware,
 )
 from repro.core.listener import ENGINE_CHOICES, RunConfig
+from repro.core.native import warmup as native_warmup
 from repro.core.query import MIN_HOP_CONSTRAINT, Query
 from repro.core.result import EnumerationStats, Phase, QueryResult
 from repro.errors import BackendError, QuerySpecError, ServiceOverloaded
@@ -1369,6 +1370,10 @@ class Database:
                     "'processes'"
                 )
             self.backend_name = backend
+            # Load (on a cold cache: compile) the compiled tier while
+            # opening, so that cost is set-up and never a query's; forked
+            # workers inherit the loaded library.
+            native_warmup()
             factory = {
                 "inline": InlineBackend,
                 "threads": ThreadsBackend,

@@ -79,6 +79,7 @@ from repro.core.native import (
     jit_required,
     run_dfs_native,
     run_join_native,
+    warmup as native_warmup,
     warn_jit_fallback,
 )
 from repro.core.optimizer import DEFAULT_TAU, Plan, choose_plan
@@ -153,12 +154,12 @@ class _IndexedAlgorithm(Algorithm):
             )
         # Constraint extensions (Appendix E) carry per-level state the flat
         # int frames cannot hold: constrained queries keep the recursive
-        # engines.  Otherwise ``native`` takes the vectorised/compiled
-        # engine (under ``REPRO_NATIVE=jit`` it demands the Numba toolchain
-        # and falls back to ``kernel`` with one warning when absent), and
-        # ``auto`` prefers ``native`` exactly when the JIT tier is ready —
-        # so environments without Numba keep their kernel behaviour
-        # unchanged.
+        # engines.  Otherwise ``native`` takes the compiled/vectorised
+        # engine (under ``REPRO_NATIVE=jit`` it demands the compiled C
+        # library and falls back to ``kernel`` with one warning when
+        # absent), and ``auto`` prefers ``native`` exactly when that library
+        # is loaded — so environments without a C compiler, or with
+        # ``REPRO_NATIVE=off``, keep their kernel behaviour unchanged.
         engine = config.engine
         if constraint is not None:
             engine = "recursive"
@@ -750,6 +751,8 @@ def _process_worker_init(
     _WORKER_STATE["graph_name"] = graph_handle.segment_name
     _WORKER_STATE["init_handle"] = graph_handle
     _WORKER_STATE["epoch_store"] = None
+    # Load the compiled tier now rather than on this worker's first query.
+    native_warmup()
 
 
 #: One-byte cancellation slots per :class:`ExecutorCore` segment; a run's

@@ -616,18 +616,19 @@ class LightWeightIndex:
         a numpy array (``offsets`` keeps its ``(|X|, k + 1)`` shape): the
         native engine gathers candidate ranges with array ops directly, so
         no Python-int mirror is ever materialised.  The only derived array —
-        neighbour *row* ids — is computed once per query and cached.
+        neighbour *row* ids — is computed once per query and cached.  Every
+        array is C-contiguous (a group-fused build's ``_rows`` is a strided
+        view until here), so the compiled loops can take raw pointers.
         """
         if self._native is None:
             neighbor_rows = (
                 self._row_of[self._indices] if len(self._indices) else _EMPTY
             )
-            self._native = (
-                self._rows,
-                self._row_of,
-                neighbor_rows,
-                self._indptr,
-                self._offsets,
+            self._native = tuple(
+                np.ascontiguousarray(array, dtype=np.int64)
+                for array in (
+                    self._rows, self._row_of, neighbor_rows, self._indptr, self._offsets
+                )
             )
         return self._native
 

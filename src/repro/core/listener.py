@@ -86,6 +86,16 @@ class Deadline:
         if time.perf_counter() >= self._expires_at:
             raise EnumerationTimeout()
 
+    def units_until_poll(self) -> Optional[int]:
+        """Work units :meth:`check_every` absorbs before it next reads the
+        clock, or ``None`` when the deadline never fires.
+
+        A compiled loop that runs exactly this many units before returning
+        to call :meth:`check_every` reads the clock where a per-unit caller
+        would.
+        """
+        return None if self._expires_at is None else self._countdown
+
     def remaining(self) -> Optional[float]:
         """Seconds left before expiry, or ``None`` for unlimited deadlines."""
         if self._expires_at is None:
@@ -306,13 +316,13 @@ class RunConfig:
     #: Streaming callback for each result.
     on_result: Optional[Callable[[Path], None]] = None
     #: Enumeration engine selection: ``"auto"`` picks the fastest engine the
-    #: query supports — the compiled/vectorised native engine
-    #: (:mod:`repro.core.native`) when its JIT toolchain is importable, the
-    #: iterative kernels otherwise, and the recursive engines whenever the
-    #: query is constrained.  ``"native"`` / ``"kernel"`` / ``"recursive"``
-    #: force one tier; a forced ``"native"`` run uses the pure-numpy
-    #: vectorised tier when Numba is absent (falling back to ``"kernel"``
-    #: only under ``REPRO_NATIVE=jit``), and constrained specs fall back to
+    #: query supports — the compiled native engine (:mod:`repro.core.native`)
+    #: when its C library is loaded, the iterative kernels otherwise, and the
+    #: recursive engines whenever the query is constrained.  ``"native"`` /
+    #: ``"kernel"`` / ``"recursive"`` force one tier; a forced ``"native"``
+    #: run without the library uses the pure-numpy vectorised DFS and the
+    #: kernel join (falling back to ``"kernel"`` altogether under
+    #: ``REPRO_NATIVE=jit``), and constrained specs fall back to
     #: the recursive engines (forcing ``"kernel"`` on a constrained query
     #: raises, since the constraint protocol is recursive-only).
     engine: str = "auto"

@@ -12,48 +12,54 @@ vertex ever round-trips through a Python int on the fast path.
 
 Two tiers share the entry points:
 
-* **vectorised** (always available, pure numpy) — the DFS expands whole
-  subtrees per call, depth chosen adaptively so the estimated fan-out fits
-  a fixed cap: every level of a subtree is one set of array ops (ragged
-  candidate gather, ancestor-exclusion masks, per-level prefix sums that
-  recover the exact DFS emission order without sorting), so one
-  interpreted step amortises over the subtree's whole path fan-out.
-  Sub-queries run level-synchronously and the join pairs left walks against
-  vectorised per-segment masks.
-* **JIT** (requires Numba, ``pip install repro[native]``) — a resumable
-  scalar DFS core (:func:`_dfs_fill`) written in nopython-compatible form
-  and compiled with ``@njit(cache=True)`` when Numba is importable.  The
-  core fills preallocated output arrays and *returns a status code*
-  (``DFS_DONE`` / ``DFS_OUT_FULL`` / ``DFS_TICKS``); the Python driver
-  flushes the block, polls the deadline with the accumulated tick count and
-  resumes — deadline/limit interruption therefore stays exact even though
-  the inner loop never touches the interpreter.  :func:`warmup` compiles
-  the core ahead of time so first-query latency does not regress serving.
+* **compiled** — the inner loops of IDX-DFS and IDX-JOIN in C
+  (``_cfill.c``, shipped beside this module).  On first use the source is
+  compiled with ``cc -O2 -shared -fPIC`` into
+  ``$XDG_CACHE_HOME/repro/_cfill-<hash>.so`` (``~/.cache/repro`` by
+  default; the hash covers the source, so an edited source rebuilds) and
+  loaded through :mod:`ctypes`, which releases the GIL for every call.
+  Each loop is resumable: it fills preallocated output arrays, keeps its
+  whole search state in one int64 vector and *returns a status code*
+  (``DFS_DONE`` / ``DFS_OUT_FULL`` / ``DFS_TICKS``) instead of calling back;
+  the Python driver flushes the block, polls the deadline and resumes, so
+  result-limit and deadline interruption stay exact.  :func:`warmup` loads
+  (or compiles) the library ahead of time so no query pays for it.
+* **fallback** — without the library, native DFS plans run the
+  subtree-vectorised NumPy expander below and join plans run the iterative
+  :func:`~repro.core.kernels.run_join_kernel`.
 
 Both tiers emit exactly the same paths in exactly the same order as the
-recursive engines and the kernels, and charge the same statistics counters:
-bulk-expanded work is accounted per subtree and — whenever a result-limit
-or response-time probe would fire inside a subtree — the engine re-runs
-that single subtree in scalar (recursive-semantics) form so the interrupt
-lands on exactly the same search-tree step.  The equivalence suite in
+recursive engines and the kernels, and charge the same statistics counters;
 ``tests/core/test_native.py`` asserts this over randomised graphs.
 
 Like the kernels, the native engine does not support path constraints;
 constrained queries fall back to the recursive engines.  The environment
-knob ``REPRO_NATIVE=jit`` makes ``engine="native"`` *strict*: when the JIT
-toolchain is missing the engine then falls back to ``"kernel"`` with a
-one-time warning instead of running the vectorised tier.
+knob ``REPRO_NATIVE`` selects the tier: ``off`` skips the build (``auto``
+then runs the kernels), ``jit`` makes ``engine="native"`` *strict* — when
+the library is missing the engine falls back to ``"kernel"`` with a
+one-time warning instead of running the fallback tier.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import logging
 import os
+import platform
+import shutil
+import subprocess
+import sys
+import tempfile
 import warnings
+from importlib import resources
+from pathlib import Path
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.index import LightWeightIndex
+from repro.core.kernels import KERNEL_CHECK_TICKS, run_join_kernel, run_subquery_kernel
 from repro.core.listener import Deadline, ResultCollector
 from repro.core.result import EnumerationStats
 from repro.errors import EnumerationTimeout
@@ -66,12 +72,13 @@ __all__ = [
     "DFS_TICKS",
     "jit_ready",
     "jit_required",
-    "native_allowed",
     "warmup",
     "run_dfs_native",
     "run_join_native",
     "run_subquery_native",
 ]
+
+logger = logging.getLogger(__name__)
 
 #: Paths buffered before a block is flushed to the collector.
 NATIVE_FLUSH_PATHS = 4096
@@ -90,32 +97,99 @@ _SCALAR_DEPTH = 3
 #: which bounds the transient array memory of the vectorised tier.
 _EXPAND_CAP = 1 << 19
 
-#: Status codes returned by the resumable JIT core.
+#: Status codes returned by the resumable cores.
 DFS_DONE = 0
 DFS_OUT_FULL = 1
 DFS_TICKS = 2
+
+#: ``max_ticks`` of a run whose deadline can never fire.
+_NO_TICKS = 2**62
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
 # --------------------------------------------------------------------- #
-# toolchain introspection
+# the compiled library
 # --------------------------------------------------------------------- #
-_JIT_STATE = {"checked": False, "ready": False}
+_SOURCE = "_cfill.c"
+_CFLAGS = ("-O2", "-shared", "-fPIC")
+_LIB = {"checked": False, "lib": None, "warm": False}
 _WARNED = {"fallback": False}
+
+_P, _I = ctypes.c_void_p, ctypes.c_int64
+_SIGNATURES = {
+    "repro_dfs_fill": (_I, [_P, _P, _P, _I, _P, _I, _I, _I, _P, _P, _P, _P, _P, _P, _P, _P, _I, _P, _I, _I]),
+    "repro_walks_fill": (_I, [_P, _P, _P, _I, _P, _P, _I, _I, _I, _P, _P, _P, _P, _P, _P, _I, _I]),
+    "repro_join_tails": (None, [_P, _I, _I, _I, _P]),
+    "repro_join_pair": (_I, [_P, _I, _I, _P, _I, _P, _P, _P, _I, _I, _P, _P, _P, _I, _P, _I, _I]),
+}
+
+
+def _cache_dir() -> Path:
+    """Where compiled libraries live: the user cache dir's ``repro``."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base) / "repro"
+
+
+def _build(source: bytes) -> Path:
+    """The library compiled from ``source``, building it when absent.
+
+    The file name carries a hash of the source, flags and platform, so it
+    is built once per content.  Concurrent builders each compile into
+    their own temporary name and ``os.replace`` it into place, which is
+    atomic: whichever lands last wins and a reader never sees a partial
+    file.
+    """
+    tag = f"{sys.platform}-{platform.machine()}"
+    digest = hashlib.sha256(source + " ".join(_CFLAGS).encode() + tag.encode()).hexdigest()[:16]
+    target = _cache_dir() / f"_cfill-{digest}.so"
+    if target.exists():
+        return target
+    compiler = shutil.which("cc")
+    if compiler is None:
+        raise OSError("no C compiler (cc) on PATH")
+    target.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=target.parent, prefix=".build-") as scratch:
+        src = Path(scratch) / _SOURCE
+        src.write_bytes(source)
+        built = Path(scratch) / target.name
+        subprocess.run(
+            [compiler, *_CFLAGS, "-o", str(built), str(src)],
+            check=True, capture_output=True, timeout=120,
+        )
+        os.replace(built, target)
+    return target
+
+
+def _library():
+    """The loaded C library, or ``None`` (built, loaded and logged once).
+
+    Deliberately lock-free: a thread that arrives while another is still
+    building sees ``None`` and runs the kernels, whose payloads are
+    identical, and a lock held over a build could be inherited locked by a
+    process forked meanwhile.
+    """
+    if not _LIB["checked"]:
+        _LIB["checked"] = True
+        if os.environ.get("REPRO_NATIVE", "").strip().lower() == "off":
+            logger.info("REPRO_NATIVE=off: compiled native tier disabled")
+            return None
+        try:
+            source = resources.files(__package__).joinpath(_SOURCE).read_bytes()
+            lib = ctypes.CDLL(str(_build(source)))
+            for name, (restype, argtypes) in _SIGNATURES.items():
+                fn = getattr(lib, name)
+                fn.restype = restype
+                fn.argtypes = argtypes
+            _LIB["lib"] = lib
+        except (OSError, subprocess.SubprocessError) as exc:
+            logger.warning("compiled native tier unavailable (%s); using the Python kernels", exc)
+    return _LIB["lib"]
 
 
 def jit_ready() -> bool:
-    """``True`` when the Numba toolchain is importable (checked once)."""
-    if not _JIT_STATE["checked"]:
-        _JIT_STATE["checked"] = True
-        try:
-            import numba  # noqa: F401
-
-            _JIT_STATE["ready"] = True
-        except Exception:
-            _JIT_STATE["ready"] = False
-    return _JIT_STATE["ready"]
+    """``True`` when the compiled C library is loaded (built on first call)."""
+    return _library() is not None
 
 
 def jit_required() -> bool:
@@ -123,27 +197,21 @@ def jit_required() -> bool:
     return os.environ.get("REPRO_NATIVE", "").strip().lower() == "jit"
 
 
-def native_allowed() -> bool:
-    """Whether ``engine="native"`` may run here.
-
-    The vectorised tier needs nothing beyond numpy, so this is ``True``
-    unless the strict knob (``REPRO_NATIVE=jit``) demands the compiled tier
-    on a machine without Numba — in which case callers fall back to
-    ``"kernel"`` after :func:`warn_jit_fallback`.
-    """
-    return jit_ready() or not jit_required()
-
-
 def warn_jit_fallback() -> None:
     """One-time warning for the strict-JIT fallback to the kernels."""
     if not _WARNED["fallback"]:
         _WARNED["fallback"] = True
         warnings.warn(
-            "engine='native' with REPRO_NATIVE=jit requires Numba, which is "
-            "not importable; falling back to engine='kernel'",
+            "engine='native' with REPRO_NATIVE=jit requires the compiled C "
+            "library, which could not be loaded; falling back to engine='kernel'",
             RuntimeWarning,
             stacklevel=3,
         )
+
+
+def _max_ticks(deadline: Optional[Deadline], ticks: int) -> int:
+    """``ticks`` when ``deadline`` can fire, else a bound never reached."""
+    return _NO_TICKS if deadline is None or deadline.units_until_poll() is None else ticks
 
 
 # --------------------------------------------------------------------- #
@@ -221,8 +289,57 @@ class _BlockEmitter:
 
 
 # --------------------------------------------------------------------- #
-# sub-query evaluation (level-synchronous)
+# sub-queries and join (IDX-JOIN, Algorithm 6)
 # --------------------------------------------------------------------- #
+# State-vector slots of ``repro_walks_fill`` / ``repro_join_pair`` that the
+# drivers read (the full layouts are the enums in ``_cfill.c``).
+_W_SLOTS = 14
+_W_EDGES, _W_PARTIAL, _W_TICKS, _W_OUT_LEN = 6, 7, 8, 9
+_P_SLOTS = 12
+_P_INVALID, _P_USED, _P_EMITTED, _P_TICKS, _P_OUT_LEN, _P_OUT_PATHS = 6, 7, 8, 9, 10, 11
+
+
+def _walks(lib, index, start_rows, offset, length, deadline, stats):
+    """Every walk of ``length`` edges from each row of ``start_rows`` in turn.
+
+    Returns ``(data, seg)``: the walks as one flat vertex array of stride
+    ``length + 1`` in :func:`run_subquery_kernel` order, start after start,
+    and ``seg[i]`` = the number of walks before start ``i``.  Counters and
+    deadline polls match one kernel call per start.
+    """
+    vertex_of, _, nbr, indptr, off = index.native_csr()
+    k = index.k
+    width = length + 1
+    starts = np.ascontiguousarray(start_rows, dtype=np.int64)
+    seg = np.zeros(len(starts) + 1, dtype=np.int64)
+    walk, stack_cur, stack_end = (np.zeros(width, dtype=np.int64) for _ in range(3))
+    state = np.zeros(_W_SLOTS, dtype=np.int64)
+    out = np.empty(width * 1024, dtype=np.int64)
+    max_ticks = _max_ticks(deadline, KERNEL_CHECK_TICKS)
+    try:
+        while True:
+            status = lib.repro_walks_fill(
+                nbr.ctypes.data, indptr.ctypes.data, off.ctypes.data, k + 1,
+                vertex_of.ctypes.data, starts.ctypes.data, len(starts),
+                k - offset - 1, length, walk.ctypes.data, stack_cur.ctypes.data,
+                stack_end.ctypes.data, seg.ctypes.data, state.ctypes.data,
+                out.ctypes.data, len(out), max_ticks,
+            )
+            if status == DFS_DONE:
+                break
+            if status == DFS_OUT_FULL:
+                grown = np.empty(2 * len(out), dtype=np.int64)
+                grown[: len(out)] = out
+                out = grown
+            else:
+                deadline.check_every(int(state[_W_TICKS]))
+                state[_W_TICKS] = 0
+    finally:
+        stats.edges_accessed += int(state[_W_EDGES])
+        stats.partial_results_generated += int(state[_W_PARTIAL])
+    return out[: int(state[_W_OUT_LEN])], seg
+
+
 def run_subquery_native(
     index: LightWeightIndex,
     *,
@@ -232,68 +349,23 @@ def run_subquery_native(
     deadline: Optional[Deadline] = None,
     stats: Optional[EnumerationStats] = None,
 ) -> Tuple[np.ndarray, int]:
-    """Vectorised sub-query evaluation (the Search procedure of Algorithm 6).
+    """Sub-query evaluation (the Search procedure of Algorithm 6).
 
     Returns ``(data, width)`` like :func:`repro.core.kernels.run_subquery_kernel`
-    but with ``data`` as one flat int64 array.  Sub-query walks all have the
-    same fixed length, so a level-synchronous expansion — one ragged gather
-    per level over the whole frontier — visits them in exactly the DFS
-    order of the recursive engine while charging the same per-level totals
-    to the counters.
+    but with ``data`` as one flat int64 array: walked in C when the library
+    is loaded, by the kernel otherwise.  Same walks, same counters.
     """
     stats = stats if stats is not None else EnumerationStats()
-    k = index.k
-    vertex_of, row_of, nbr, indptr, off = index.native_csr()
-    width = length + 1
-    start_row = int(row_of[start]) if 0 <= start < len(row_of) else -1
-    if start_row < 0:
-        return (np.asarray([start], dtype=np.int64), width) if length == 0 else (
-            _EMPTY,
-            width,
+    lib = _library()
+    row_of = index.native_csr()[1]
+    if lib is None or length == 0 or not 0 <= start < len(row_of) or row_of[start] < 0:
+        data, width = run_subquery_kernel(
+            index, start=start, offset=offset, length=length, deadline=deadline, stats=stats
         )
-    if length == 0:
-        return np.asarray([start], dtype=np.int64), width
-
-    walks = np.asarray([[start_row]], dtype=np.int64)
-    edges = 0
-    partial = 0
-    check = deadline is not None
-    try:
-        for depth in range(length):
-            budget = k - offset - (depth + 1)
-            if budget < 0 or not len(walks):
-                walks = np.empty((0, depth + 2), dtype=np.int64)
-                break
-            rows = walks[:, -1]
-            widths = off[rows, budget]
-            total = int(widths.sum())
-            edges += total
-            if check:
-                deadline.check_every(total)
-            if total == 0:
-                walks = np.empty((0, depth + 2), dtype=np.int64)
-                break
-            partial += total
-            starts = indptr[rows]
-            cumw = np.cumsum(widths)
-            gather = np.repeat(starts - (cumw - widths), widths) + np.arange(
-                total, dtype=np.int64
-            )
-            children = nbr[gather]
-            walks = np.concatenate(
-                [np.repeat(walks, widths, axis=0), children[:, None]], axis=1
-            )
-    finally:
-        stats.edges_accessed += edges
-        stats.partial_results_generated += partial
-    if not len(walks):
-        return _EMPTY, width
-    return vertex_of[walks].ravel(), width
+        return np.asarray(data, dtype=np.int64), width
+    return _walks(lib, index, [row_of[start]], offset, length, deadline, stats)[0], length + 1
 
 
-# --------------------------------------------------------------------- #
-# join (IDX-JOIN, Algorithm 6)
-# --------------------------------------------------------------------- #
 def run_join_native(
     index: LightWeightIndex,
     cut_position: int,
@@ -302,12 +374,17 @@ def run_join_native(
     deadline: Optional[Deadline] = None,
     stats: Optional[EnumerationStats] = None,
 ) -> int:
-    """Vectorised IDX-JOIN: array sub-queries + per-left-walk masked pairing.
+    """IDX-JOIN with its sub-query walks and its pairing loop in C.
 
     Byte-identical to :func:`repro.core.kernels.run_join_kernel` (and hence
     to the recursive :func:`repro.core.join.run_idx_join`): same paths,
-    same order, same statistics counters.
+    same order, same statistics counters, and the pairing returns to poll
+    the deadline exactly where the kernel's per-left-walk poll would read
+    the clock.  Without the compiled library this *is* the kernel.
     """
+    lib = _library()
+    if lib is None:
+        return run_join_kernel(index, cut_position, collector, deadline=deadline, stats=stats)
     stats = stats if stats is not None else EnumerationStats()
     query = index.query
     s, t, k = query.source, query.target, query.k
@@ -316,38 +393,16 @@ def run_join_native(
     if index.is_empty:
         return 0
     stats.cut_position = cut_position
+    row_of = index.native_csr()[1]
 
-    left_data, lw = run_subquery_native(
-        index, start=s, offset=0, length=cut_position, deadline=deadline, stats=stats
-    )
-    left = left_data.reshape(-1, lw)
-    left_count = len(left)
-
+    lw = cut_position + 1
+    left, _ = _walks(lib, index, [row_of[s]], 0, cut_position, deadline, stats)
+    left_count = len(left) // lw
     # Right sub-queries per cut vertex, ascending — np.unique == sorted(set).
-    cut_vertices = np.unique(left[:, -1]) if left_count else _EMPTY
+    heads = np.unique(left[lw - 1 :: lw])
     rw = k - cut_position + 1
-    segments: List[np.ndarray] = []
-    seg_bounds: dict = {}
-    total_right = 0
-    for v in cut_vertices.tolist():
-        segment, _ = run_subquery_native(
-            index,
-            start=v,
-            offset=cut_position,
-            length=k - cut_position,
-            deadline=deadline,
-            stats=stats,
-        )
-        matrix = segment.reshape(-1, rw)
-        segments.append(matrix)
-        seg_bounds[v] = (total_right, total_right + len(matrix))
-        total_right += len(matrix)
-    right = (
-        np.concatenate(segments, axis=0)
-        if segments
-        else np.empty((0, rw), dtype=np.int64)
-    )
-    right_count = len(right)
+    right, seg = _walks(lib, index, row_of[heads], cut_position, k - cut_position, deadline, stats)
+    right_count = len(right) // rw
 
     stats.peak_partial_result_tuples = max(
         stats.peak_partial_result_tuples, left_count + right_count
@@ -357,113 +412,38 @@ def run_join_native(
         8 * (left_count * lw + right_count * rw),
     )
 
-    # Per-right-walk precompute, vectorised: the tail prefix ends at the
-    # first t (every right walk ends at t, so one exists), and the prefix
-    # must be internally distinct to ever join.
-    if right_count:
-        tails = right[:, 1:]
-        t_pos = np.argmax(tails == t, axis=1).astype(np.int64)
-        tail_ok = np.ones(right_count, dtype=bool)
-        for a in range(rw - 2):
-            for b in range(a + 1, rw - 1):
-                tail_ok &= ~((tails[:, a] == tails[:, b]) & (b <= t_pos))
-    else:
-        tails = np.empty((0, 0), dtype=np.int64)
-        t_pos = _EMPTY
-        tail_ok = np.empty(0, dtype=bool)
-
-    num_vertices = index.graph.num_vertices
-    stamp = np.zeros(max(num_vertices, 1), dtype=bool)
-    used = np.zeros(right_count, dtype=bool)
-    emitted = 0
-    invalid_left = 0
-    emitter = _BlockEmitter(collector)
-    check = deadline is not None
-
-    def _emit_rows(
-        sel_rows: np.ndarray, lwalk_arr: np.ndarray, prefix_stop: int, with_tail: bool
-    ) -> int:
-        """Queue the join results of one left walk (``sel_rows`` into
-        ``right``); returns the number of paths produced."""
-        count = len(sel_rows)
-        if count == 0:
-            return 0
-        if not with_tail:
-            # t inside the left walk: every match joins to the same prefix.
-            lens = np.full(count, prefix_stop, dtype=np.int64)
-            if not emitter.room_for(count):
-                emitter.flush()
-                prefix = tuple(lwalk_arr[:prefix_stop].tolist())
-                for ri in sel_rows.tolist():
-                    used[ri] = True
-                    collector.emit(prefix)
-                emitter.refresh()
-                return count
-            data = np.tile(lwalk_arr[:prefix_stop], count)
-            emitter.append(data, lens)
-            used[sel_rows] = True
-            return count
-        plens = t_pos[sel_rows] + 1
-        lens = lw + plens
-        if not emitter.room_for(count):
-            emitter.flush()
-            lprefix = lwalk_arr.tolist()
-            for idx, ri in enumerate(sel_rows.tolist()):
-                used[ri] = True
-                collector.emit(tuple(lprefix + tails[ri, : int(plens[idx])].tolist()))
-            emitter.refresh()
-            return count
-        bounds = np.cumsum(lens)
-        starts = bounds - lens
-        data = np.empty(int(bounds[-1]), dtype=np.int64)
-        for i in range(lw):
-            data[starts + i] = lwalk_arr[i]
-        sel_tails = tails[sel_rows]
-        for b in range(rw - 1):
-            live = plens > b
-            data[starts[live] + lw + b] = sel_tails[live, b]
-        emitter.append(data, lens)
-        used[sel_rows] = True
-        return count
-
+    plen = np.empty(right_count, dtype=np.int64)
+    lib.repro_join_tails(right.ctypes.data, right_count, rw, t, plen.ctypes.data)
+    used = np.zeros(right_count, dtype=np.uint8)
+    state = np.zeros(_P_SLOTS, dtype=np.int64)
+    out_data = np.empty(NATIVE_FLUSH_PATHS * (k + 1), dtype=np.int64)
+    out_bounds = np.empty(NATIVE_FLUSH_PATHS, dtype=np.int64)
     try:
-        for li in range(left_count):
-            if check:
-                deadline.check_every(1)
-            lwalk = left[li]
-            head = int(lwalk[-1])
-            bounds = seg_bounds.get(head)
-            produced = 0
-            if bounds is not None:
-                lo, hi = bounds
-                lset_size = len(np.unique(lwalk))
-                has_t = bool((lwalk == t).any())
-                if has_t:
-                    stop = int(np.argmax(lwalk == t)) + 1
-                    if len(np.unique(lwalk[:stop])) == stop:
-                        produced = _emit_rows(
-                            np.arange(lo, hi, dtype=np.int64), lwalk, stop, False
-                        )
-                elif lset_size == lw:
-                    seg = np.arange(lo, hi, dtype=np.int64)
-                    stamp[lwalk] = True
-                    seg_tails = tails[lo:hi]
-                    hit = stamp[seg_tails]
-                    hit &= np.arange(rw - 1) <= t_pos[lo:hi, None]
-                    valid = tail_ok[lo:hi] & ~hit.any(axis=1)
-                    stamp[lwalk] = False
-                    produced = _emit_rows(seg[valid], lwalk, lw, True)
-            if produced == 0:
-                invalid_left += 1
-            else:
-                emitted += produced
-        emitter.flush()
-    except EnumerationTimeout:
-        emitter.flush()
-        raise
+        while True:
+            cap = collector.remaining_before_flush()
+            max_paths = NATIVE_FLUSH_PATHS if cap is None else min(NATIVE_FLUSH_PATHS, cap)
+            polls = None if deadline is None else deadline.units_until_poll()
+            status = lib.repro_join_pair(
+                left.ctypes.data, left_count, lw, right.ctypes.data, rw,
+                plen.ctypes.data, heads.ctypes.data, seg.ctypes.data, len(heads), t,
+                used.ctypes.data, state.ctypes.data, out_data.ctypes.data,
+                len(out_data), out_bounds.ctypes.data, max_paths,
+                _NO_TICKS if polls is None else polls,
+            )
+            out_paths = int(state[_P_OUT_PATHS])
+            if out_paths:
+                collector.emit_array_block(
+                    out_data[: int(state[_P_OUT_LEN])].copy(), out_bounds[:out_paths].copy()
+                )
+            if status == DFS_TICKS:
+                deadline.check_every(int(state[_P_TICKS]))
+                state[_P_TICKS] = 0
+            elif status == DFS_DONE:
+                break
     finally:
-        stats.invalid_partial_results += invalid_left
-    stats.invalid_partial_results += right_count - int(used.sum())
+        stats.invalid_partial_results += int(state[_P_INVALID])
+    emitted = int(state[_P_EMITTED])
+    stats.invalid_partial_results += right_count - int(state[_P_USED])
     stats.results_emitted += emitted
     return emitted
 
@@ -798,11 +778,12 @@ def _run_dfs_vectorised(index, collector, *, deadline, stats):
 
 
 # --------------------------------------------------------------------- #
-# DFS — resumable JIT core
+# DFS — resumable core (Python reference of ``repro_dfs_fill``)
 # --------------------------------------------------------------------- #
-# State-vector slots of the resumable core.  Everything the scalar DFS
-# needs to suspend mid-search lives in one int64 array so the compiled
-# function stays a pure array-in/array-out kernel.
+# State-vector slots of the resumable core (the ``ST_*`` enum of
+# ``_cfill.c``).  Everything the scalar DFS needs to suspend mid-search
+# lives in one int64 array so the compiled loop is a pure
+# array-in/array-out function.
 _ST_DEPTH = 0
 _ST_ROW = 1
 _ST_CUR = 2
@@ -846,7 +827,7 @@ def _dfs_fill(
     max_paths,
     max_ticks,
 ):
-    """Resumable scalar IDX-DFS core (nopython-compatible).
+    """Resumable scalar IDX-DFS core, in Python.
 
     Mirrors the iterative kernel's generic loop (including the budget-1
     inline scan) but fills preallocated ``out_data`` / ``out_bounds``
@@ -865,8 +846,9 @@ def _dfs_fill(
       deadline and resumes.
 
     All search state lives in the ``state`` vector (see the ``_ST_*``
-    slots), so the function is trivially resumable and compiles cleanly
-    with ``numba.njit``.
+    slots), so the function is trivially resumable.  ``repro_dfs_fill`` in
+    ``_cfill.c`` is a line-for-line C port; this version is the reference
+    the tests drive it against.
     """
     depth = state[_ST_DEPTH]
     row = state[_ST_ROW]
@@ -1015,27 +997,33 @@ def _dfs_fill(
     return status
 
 
-_FILLER = {"fn": None}
+def _c_dfs_filler(lib):
+    """``repro_dfs_fill`` behind the calling convention of :func:`_dfs_fill`."""
+    fill = lib.repro_dfs_fill
 
+    def filler(
+        nbr, indptr, off, stride, vertex_of, t_row, t_vertex, k, on_path,
+        stack_row, stack_cur, stack_end, stack_found, path_verts, state,
+        out_data, out_bounds, max_paths, max_ticks,
+    ):
+        return fill(
+            nbr.ctypes.data, indptr.ctypes.data, off.ctypes.data, stride,
+            vertex_of.ctypes.data, t_row, t_vertex, k, on_path.ctypes.data,
+            stack_row.ctypes.data, stack_cur.ctypes.data, stack_end.ctypes.data,
+            stack_found.ctypes.data, path_verts.ctypes.data, state.ctypes.data,
+            out_data.ctypes.data, len(out_data), out_bounds.ctypes.data,
+            max_paths, max_ticks,
+        )
 
-def _get_jit_filler():
-    """The resumable DFS core, compiled when the toolchain allows."""
-    if _FILLER["fn"] is None:
-        fn = _dfs_fill
-        if jit_ready():
-            import numba
-
-            fn = numba.njit(cache=True)(_dfs_fill)
-        _FILLER["fn"] = fn
-    return _FILLER["fn"]
+    return filler
 
 
 def _run_dfs_fill_loop(index, collector, *, deadline, stats, filler):
     """Drive the resumable DFS core: fill a block, flush, poll, resume.
 
-    ``filler`` is either the compiled core or — in tests and on the
-    fallback path — the uncompiled :func:`_dfs_fill`, which executes the
-    identical logic in plain Python.
+    ``filler`` is either the compiled core (:func:`_c_dfs_filler`) or — in
+    tests — :func:`_dfs_fill`, which executes the identical logic in plain
+    Python.
     """
     if index.is_empty:
         return 0
@@ -1074,8 +1062,7 @@ def _run_dfs_fill_loop(index, collector, *, deadline, stats, filler):
         state[_ST_EDGES] = state[_ST_END] - state[_ST_CUR]
         state[_ST_BUDGET] = k - 2
     t_row = int(row_of[t])
-    check = deadline is not None
-    max_ticks = NATIVE_CHECK_TICKS if check else 2**62
+    max_ticks = _max_ticks(deadline, NATIVE_CHECK_TICKS)
     start_count = collector.count
     try:
         while True:
@@ -1141,8 +1128,8 @@ def run_dfs_native(
 
     Byte-identical to :func:`repro.core.dfs.run_idx_dfs` and the iterative
     kernel: same paths, same order, same statistics counters, same limit
-    and deadline interruption points.  Dispatches to the compiled resumable
-    core when Numba is importable and to the vectorised subtree expander
+    and deadline interruption points.  Runs the compiled resumable core
+    when the C library is loaded and the vectorised subtree expander
     otherwise.
 
     Returns the number of paths emitted.
@@ -1152,28 +1139,31 @@ def run_dfs_native(
         return 0
     if index.query.k == 1:
         return _run_dfs_trivial(index, collector, deadline=deadline, stats=stats)
-    if jit_ready():
+    lib = _library()
+    if lib is not None:
         return _run_dfs_fill_loop(
-            index, collector, deadline=deadline, stats=stats, filler=_get_jit_filler()
+            index, collector, deadline=deadline, stats=stats, filler=_c_dfs_filler(lib)
         )
     return _run_dfs_vectorised(index, collector, deadline=deadline, stats=stats)
 
 
 def warmup() -> bool:
-    """Compile (and disk-cache) the JIT core on a tiny throwaway query.
+    """Load the C library — compiling it on a cold cache — and run a tiny
+    DFS and join through it.
 
-    No-op without Numba.  Serving setups call this once at start-up so the
-    first native query does not pay the compilation latency.  Returns
-    ``True`` when the compiled tier is ready afterwards.
+    A no-op without a compiler or under ``REPRO_NATIVE=off``.  A local
+    :class:`~repro.api.Database` and ``repro serve`` call this once at
+    start-up, so neither the compile nor the load lands on a query.
+    Returns ``True`` when the compiled tier is ready afterwards.
     """
     if not jit_ready():
         return False
-    from repro.core.query import Query
-    from repro.graph.generators import complete_graph
+    if not _LIB["warm"]:
+        _LIB["warm"] = True
+        from repro.core.query import Query
+        from repro.graph.generators import complete_graph
 
-    graph = complete_graph(4)
-    query = Query(0, 3, 3)
-    index = LightWeightIndex.build(graph, query)
-    collector = ResultCollector(store_paths=False)
-    run_dfs_native(index, collector, stats=EnumerationStats())
+        index = LightWeightIndex.build(complete_graph(4), Query(0, 3, 3))
+        run_dfs_native(index, ResultCollector(store_paths=False))
+        run_join_native(index, 1, ResultCollector(store_paths=False))
     return True

@@ -187,6 +187,12 @@ class QueryService:
         #: --server-stats``) can attribute per-shard health.
         self.shard_id = shard_id
         backend = "process" if processes > 1 else "thread"
+        # Load the native engine's C library before any worker starts — on
+        # a cold cache this compiles it into the user cache dir — so forked
+        # workers inherit it, spawned ones only load it, and no live query
+        # pays the compile (p99 protection).  A no-op without a C compiler
+        # or under REPRO_NATIVE=off.
+        native_warmup()
         self._core = ExecutorCore(
             graph,
             algorithm=algorithm,
@@ -199,11 +205,6 @@ class QueryService:
         self._drive_pool = ThreadPoolExecutor(
             max_workers=max(1, int(max_concurrent_jobs)), thread_name_prefix="repro-job"
         )
-        # Warm the native engine's JIT compile cache before the first job:
-        # compilation writes a disk cache, so worker processes spawned later
-        # load it instead of compiling on a live query (p99 protection).
-        # A no-op without the Numba toolchain.
-        native_warmup()
         self.max_pending_queries = max_pending_queries
         self.max_queue_delay = max_queue_delay
         #: Hardening configured at all?  Gates the expired-in-queue fast

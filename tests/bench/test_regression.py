@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,12 @@ class TestFigureHarnesses:
         assert all(count > 0 for count, _ in points)
 
     def test_result_count_correlates_positively(self, bench_graph, bench_workload, bench_settings):
-        """Figure 11's observation: more results means more enumeration time."""
-        _, fit = result_count_vs_time(bench_graph, bench_workload, settings=bench_settings)
+        """Figure 11's observation: more results means more enumeration time.
+
+        Pinned to the kernel tier: these queries have a few hundred results
+        each, which the compiled tier enumerates in well under 0.1 ms, so
+        its per-query fixed cost, not the result count, would set the time.
+        """
+        settings = dataclasses.replace(bench_settings, engine="kernel")
+        _, fit = result_count_vs_time(bench_graph, bench_workload, settings=settings)
         assert fit.correlation > 0.0

@@ -6,23 +6,32 @@ paths in exactly the same order as the recursive engines, charge the same
 statistics counters, and behave identically under result-limit
 interruption; deadline interruption yields a prefix of the full
 enumeration.  The vectorised tier needs only numpy and is exercised
-everywhere; the Numba-compiled tier's *logic* is additionally driven
-uncompiled (pure Python) so its resumable state machine is covered even on
-machines without the toolchain, and the compiled tier itself runs under a
-``skipif`` when Numba is importable.
+everywhere; the resumable DFS core is additionally driven in its Python
+form (:func:`native._dfs_fill`) and, when the C library loads, compiled —
+the C loops are held to the Python kernels step for step, including where a
+result limit or an expired deadline interrupts them.
 
 Also covered here: the engine-selection matrix around ``"native"`` (auto
-preference, strict-JIT fallback with a single warning, constrained-query
-fallback), the group-fused index build, and CSR-mirror memoisation.
+preference, strict fallback with a single warning, constrained-query
+fallback), building and loading the library (concurrent builders, no
+compiler, an unusable cache dir, ``REPRO_NATIVE=off``), the group-fused
+index build, and CSR-mirror memoisation.
 """
 
 from __future__ import annotations
 
+import logging
+import os
 import random
+import subprocess
+import sys
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from repro.api import Database, Q
+from repro.core import engine as engine_module
 from repro.core import native
 from repro.core.dfs import run_idx_dfs
 from repro.core.engine import IdxDfs, IdxJoin, PathEnum
@@ -57,8 +66,8 @@ JOIN_COUNTERS = COUNTERS + (
     "peak_partial_result_bytes",
 )
 
-requires_numba = pytest.mark.skipif(
-    not jit_ready(), reason="Numba toolchain not importable"
+requires_compiled = pytest.mark.skipif(
+    not jit_ready(), reason="compiled C library not loaded (no cc, or REPRO_NATIVE=off)"
 )
 
 
@@ -80,9 +89,21 @@ def _random_cases(count: int, seed: int = 11):
         yield rng, graph, Query(s, t, k)
 
 
+def _fill_loop(filler):
+    return lambda index, collector, *, deadline=None, stats=None: (
+        native._run_dfs_fill_loop(
+            index,
+            collector,
+            deadline=deadline,
+            stats=stats if stats is not None else EnumerationStats(),
+            filler=filler,
+        )
+    )
+
+
 def _dfs_runners():
-    """The native DFS entry points under test: vectorised always, and the
-    resumable fill loop driven uncompiled (the JIT tier's exact logic)."""
+    """The native DFS entry points under test: vectorised always, the
+    resumable fill loop in Python always, and in C when the library loads."""
     yield "vectorised", lambda index, collector, *, deadline=None, stats=None: (
         native._run_dfs_vectorised(
             index,
@@ -91,15 +112,26 @@ def _dfs_runners():
             stats=stats if stats is not None else EnumerationStats(),
         )
     )
-    yield "fill-loop", lambda index, collector, *, deadline=None, stats=None: (
-        native._run_dfs_fill_loop(
-            index,
-            collector,
-            deadline=deadline,
-            stats=stats if stats is not None else EnumerationStats(),
-            filler=native._dfs_fill,
-        )
-    )
+    yield "fill-loop", _fill_loop(native._dfs_fill)
+    if jit_ready():
+        yield "compiled", _fill_loop(native._c_dfs_filler(native._library()))
+
+
+@pytest.fixture
+def without_library(monkeypatch):
+    """Run the test as on a machine where the C library cannot load."""
+    monkeypatch.setitem(native._LIB, "checked", True)
+    monkeypatch.setitem(native._LIB, "lib", None)
+
+
+@pytest.fixture
+def fresh_library_state(monkeypatch):
+    """Make the next :func:`jit_ready` call build/load from scratch; the
+    real state comes back after the test."""
+    monkeypatch.delenv("REPRO_NATIVE", raising=False)
+    monkeypatch.setitem(native._LIB, "checked", False)
+    monkeypatch.setitem(native._LIB, "lib", None)
+    monkeypatch.setitem(native._LIB, "warm", False)
 
 
 class TestDfsNativeEquivalence:
@@ -309,9 +341,13 @@ class TestEngineSelection:
         result = IdxDfs().run(paper_graph, paper_query, RunConfig(engine="native"))
         assert result.path_buffer is not None
 
-    def test_auto_without_numba_keeps_kernel_tier(self, paper_graph, paper_query):
-        if jit_ready():
-            pytest.skip("Numba installed: auto legitimately selects native")
+    def test_auto_without_library_keeps_kernel_tier(
+        self, paper_graph, paper_query, without_library, monkeypatch
+    ):
+        def native_must_not_run(*args, **kwargs):
+            raise AssertionError("auto chose native without the library")
+
+        monkeypatch.setattr(engine_module, "run_dfs_native", native_must_not_run)
         kernel = IdxDfs().run(paper_graph, paper_query, RunConfig(engine="kernel"))
         auto = IdxDfs().run(paper_graph, paper_query, RunConfig())
         assert auto.paths == kernel.paths
@@ -328,10 +364,8 @@ class TestEngineSelection:
         assert constrained.paths == plain.paths
 
     def test_strict_jit_fallback_warns_once(
-        self, paper_graph, paper_query, monkeypatch
+        self, paper_graph, paper_query, without_library, monkeypatch
     ):
-        if jit_ready():
-            pytest.skip("Numba installed: the strict knob is satisfied")
         monkeypatch.setenv("REPRO_NATIVE", "jit")
         monkeypatch.setitem(native._WARNED, "fallback", False)
         with pytest.warns(RuntimeWarning, match="falling back to engine='kernel'"):
@@ -352,7 +386,24 @@ class TestEngineSelection:
         assert warmup() is jit_ready()
 
 
-@requires_numba
+def _expired(poll_interval):
+    """A deadline that raises at its first clock read: after exactly
+    ``poll_interval`` work units, so where it fires is deterministic."""
+    return Deadline(0.0, poll_interval=poll_interval)
+
+
+def _join_run(join, index, cut, *, limit=None, deadline=None):
+    """``(paths, counters, raised)`` of one join run."""
+    collector, stats = ResultCollector(result_limit=limit), EnumerationStats()
+    raised = None
+    try:
+        join(index, cut, collector, deadline=deadline, stats=stats)
+    except (ResultLimitReached, EnumerationTimeout) as exc:
+        raised = type(exc)
+    return _paths_of(collector), [getattr(stats, n) for n in JOIN_COUNTERS], raised
+
+
+@requires_compiled
 class TestCompiledTier:
     def test_compiled_filler_matches_recursive(self):
         assert warmup() is True
@@ -366,12 +417,220 @@ class TestCompiledTier:
             for name in COUNTERS:
                 assert getattr(stats, name) == getattr(r_stats, name), (query, name)
 
-    def test_auto_selects_native(self, paper_graph, paper_query):
+    def test_auto_selects_native(self, paper_graph, paper_query, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return run_dfs_native(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "run_dfs_native", spy)
         recursive = IdxDfs().run(
             paper_graph, paper_query, RunConfig(engine="recursive")
         )
         auto = IdxDfs().run(paper_graph, paper_query, RunConfig())
         assert auto.paths == recursive.paths
+        assert calls
+
+    def test_compiled_dfs_interrupts_like_the_python_core(self):
+        # Same driver, same tick accounting: an expired deadline must stop
+        # the C core on exactly the step the Python core stops on.
+        python, compiled = _fill_loop(native._dfs_fill), dict(_dfs_runners())["compiled"]
+        for rng, graph, query in _random_cases(20, seed=83):
+            index = LightWeightIndex.build(graph, query)
+            poll = rng.choice([1, 2, 7, 64, 2048, 5000])
+            runs = []
+            for runner in (python, compiled):
+                collector, stats = ResultCollector(), EnumerationStats()
+                try:
+                    runner(index, collector, deadline=_expired(poll), stats=stats)
+                except EnumerationTimeout:
+                    pass
+                runs.append((_paths_of(collector), [getattr(stats, n) for n in COUNTERS]))
+            assert runs[0] == runs[1], (query, poll)
+
+    def test_subquery_walks_match_the_kernel_under_deadlines(self):
+        for rng, graph, query in _random_cases(15, seed=89):
+            index = LightWeightIndex.build(graph, query)
+            for offset in range(query.k):
+                length = rng.randint(1, query.k - offset)
+                poll = rng.choice([1, 3, 50, 1024, 4000])
+                runs = []
+                for walker in (run_subquery_kernel, run_subquery_native):
+                    stats = EnumerationStats()
+                    try:
+                        data = list(walker(
+                            index, start=query.source, offset=offset, length=length,
+                            deadline=_expired(poll), stats=stats,
+                        )[0])
+                    except EnumerationTimeout:
+                        data = None
+                    runs.append((data, [getattr(stats, n) for n in COUNTERS]))
+                assert runs[0] == runs[1], (query, offset, length, poll)
+
+    def test_subquery_walks_resume_after_polls_that_do_not_fire(self):
+        # Thousands of steps per walk set: the C walker returns every 1024
+        # ticks, sometimes between charging a candidate and recording it.
+        graph = erdos_renyi(300, 12.0, seed=3)
+        query = Query(0, 7, 5)
+        index = LightWeightIndex.build(graph, query)
+        for offset in range(query.k):
+            for length in range(1, query.k - offset + 1):
+                walks = [
+                    list(walker(
+                        index, start=0, offset=offset, length=length,
+                        deadline=Deadline(3600.0),
+                    )[0])
+                    for walker in (run_subquery_kernel, run_subquery_native)
+                ]
+                assert walks[0] == walks[1], (offset, length)
+
+
+@requires_compiled
+class TestCompiledJoin:
+    """The C join against :func:`run_join_kernel`: paths, order and every
+    counter, complete and interrupted."""
+
+    CASES = [(rng, graph, query) for rng, graph, query in _random_cases(40, seed=97)]
+
+    def test_complete_runs_identical(self):
+        for _, graph, query in self.CASES:
+            index = LightWeightIndex.build(graph, query)
+            for cut in range(1, query.k):
+                assert _join_run(run_join_native, index, cut) == _join_run(
+                    run_join_kernel, index, cut
+                ), (query, cut)
+
+    def test_result_limits_identical(self):
+        for rng, graph, query in self.CASES:
+            index = LightWeightIndex.build(graph, query)
+            cut = rng.randint(1, query.k - 1)
+            total = len(_join_run(run_join_kernel, index, cut)[0])
+            for limit in {1, 2, total // 2 or 1, max(1, total - 1), total, total + 1}:
+                kernel = _join_run(run_join_kernel, index, cut, limit=limit)
+                assert _join_run(run_join_native, index, cut, limit=limit) == kernel, (
+                    query, cut, limit,
+                )
+
+    def test_expired_deadlines_identical(self):
+        # The kernel polls once per left walk and every 1024 sub-query
+        # steps; the C join returns to poll exactly where those polls read
+        # the clock, so an expired deadline stops both on the same step.
+        for rng, graph, query in self.CASES:
+            index = LightWeightIndex.build(graph, query)
+            cut = rng.randint(1, query.k - 1)
+            for poll in (1, 2, rng.randint(3, 300), 1024, 5000):
+                kernel = _join_run(run_join_kernel, index, cut, deadline=_expired(poll))
+                native_run = _join_run(run_join_native, index, cut, deadline=_expired(poll))
+                assert native_run == kernel, (query, cut, poll)
+
+    def test_large_join_crosses_block_boundaries(self):
+        # Thousands of walks per sub-query: the C loops suspend and resume
+        # for full output arrays and for deadline polls that do not fire.
+        index = LightWeightIndex.build(complete_graph(12), Query(0, 11, 6))
+        for limit in (None, 4095, 4096, 4097, 20000):
+            for poll in (None, 1, 256):
+                deadline = None if poll is None else Deadline(3600.0, poll_interval=poll)
+                native_run = _join_run(
+                    run_join_native, index, 3, limit=limit, deadline=deadline
+                )
+                assert native_run == _join_run(run_join_kernel, index, 3, limit=limit), (
+                    limit, poll,
+                )
+
+
+def _spec_payloads():
+    """Payload bytes of one spec list over DFS and join plans, limits and
+    deadlines included, on every local engine choice."""
+    graph = erdos_renyi(60, 5.0, seed=5)
+    rng = random.Random(13)
+    specs = []
+    while len(specs) < 16:
+        s, t = rng.sample(range(graph.num_vertices), 2)
+        specs.append(Q(s, t, rng.randint(3, 6)))
+    payloads = []
+    for algorithm in (PathEnum(), IdxDfs(), IdxJoin()):
+        with Database(graph, algorithm=algorithm) as db:
+            for engine in ("auto", "native"):
+                for options in ({}, {"limit": 7}, {"limit": 500}, {"deadline": 60.0}):
+                    payloads.append(db.batch(specs, engine=engine, **options).payload_bytes())
+    return payloads
+
+
+class TestLibraryLifecycle:
+    def test_c_source_ships_with_the_package(self):
+        source = resources.files("repro.core").joinpath("_cfill.c")
+        assert source.is_file()
+        assert b"repro_dfs_fill" in source.read_bytes()
+
+    @requires_compiled
+    def test_payloads_identical_with_library_and_with_native_off(
+        self, fresh_library_state, monkeypatch, caplog
+    ):
+        compiled = _spec_payloads()
+        monkeypatch.setenv("REPRO_NATIVE", "off")
+        monkeypatch.setitem(native._LIB, "checked", False)
+        monkeypatch.setitem(native._LIB, "lib", None)
+        with caplog.at_level(logging.INFO, logger="repro.core.native"):
+            assert not jit_ready()
+            assert warmup() is False
+        assert [r.message for r in caplog.records] == [
+            "REPRO_NATIVE=off: compiled native tier disabled"
+        ]
+        assert _spec_payloads() == compiled
+
+    def test_native_join_without_library_runs_the_kernel(
+        self, paper_graph, paper_query, without_library, monkeypatch
+    ):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return run_join_kernel(*args, **kwargs)
+
+        monkeypatch.setattr(native, "run_join_kernel", spy)
+        result = IdxJoin().run(paper_graph, paper_query, RunConfig(engine="native"))
+        assert calls
+        assert result.paths == IdxJoin().run(
+            paper_graph, paper_query, RunConfig(engine="kernel")
+        ).paths
+
+    def test_unusable_cache_dir_degrades_to_kernel(
+        self, tmp_path, fresh_library_state, monkeypatch, caplog, paper_graph, paper_query
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker / "cache"))
+        with caplog.at_level(logging.WARNING, logger="repro.core.native"):
+            assert not jit_ready()
+        assert len(caplog.records) == 1
+        auto = PathEnum().run(paper_graph, paper_query, RunConfig())
+        kernel = PathEnum().run(paper_graph, paper_query, RunConfig(engine="kernel"))
+        assert auto.paths == kernel.paths
+
+    def test_missing_compiler_degrades_to_kernel(
+        self, tmp_path, fresh_library_state, monkeypatch, caplog
+    ):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setenv("PATH", str(tmp_path / "empty-bin"))
+        with caplog.at_level(logging.WARNING, logger="repro.core.native"):
+            assert not jit_ready()
+            assert warmup() is False
+        assert "no C compiler" in caplog.text
+        assert not list((tmp_path / "cache").glob("*.so"))
+
+    @requires_compiled
+    def test_concurrent_builds_into_an_empty_cache(self, tmp_path):
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("REPRO_NATIVE", None)
+        probe = "from repro.core.native import warmup; raise SystemExit(0 if warmup() else 1)"
+        builders = [
+            subprocess.Popen([sys.executable, "-c", probe], env=env) for _ in range(2)
+        ]
+        assert [b.wait(timeout=120) for b in builders] == [0, 0]
+        assert [p.name for p in (tmp_path / "repro").iterdir()] == [
+            native._library()._name.rsplit("/", 1)[-1]
+        ]
 
 
 class TestGroupFusedIndexBuild:

@@ -20,8 +20,8 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.generators import erdos_renyi
 from repro.live import DeltaOverlay, LiveGraph
 
-requires_numba = pytest.mark.skipif(
-    not jit_ready(), reason="Numba toolchain not importable"
+requires_compiled = pytest.mark.skipif(
+    not jit_ready(), reason="compiled C library not loaded (no cc, or REPRO_NATIVE=off)"
 )
 
 
@@ -163,9 +163,9 @@ class TestPayloadEquivalence:
             fresh, specs, engine="recursive"
         )
 
-    @requires_numba
+    @requires_compiled
     @pytest.mark.parametrize("engine", ["kernel", "native"])
-    def test_payloads_identical_jit_engines(self, base_graph, mutated_pair, engine):
+    def test_payloads_identical_compiled_engines(self, base_graph, mutated_pair, engine):
         database, fresh = mutated_pair
         specs = _queries(base_graph)
         assert _payload(database, specs, engine=engine) == _payload(
