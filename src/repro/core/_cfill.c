@@ -1,25 +1,181 @@
-/* Compiled inner loops of the native enumeration engine (repro.core.native).
+/* Compiled loops of the native tier (built and loaded by repro._clib).
  *
- * Three resumable scalar loops over int64 CSR arrays, each a direct port of
- * a Python reference in the same package:
+ * Scalar loops over int64 CSR arrays, each a direct port of a Python
+ * reference in the same package:
  *
+ *   repro_sweep         bounded BFS             <- traversal._bfs_levels_vectorised
+ *   repro_index_build   Algorithm 3's CSR fill  <- index.LightWeightIndex.build
  *   repro_dfs_fill      IDX-DFS (Algorithm 4)   <- native._dfs_fill
  *   repro_walks_fill    sub-query walks         <- kernels.run_subquery_kernel
  *   repro_join_pair     IDX-JOIN pairing        <- kernels.run_join_kernel
  *
- * None of them calls back into Python.  All search state lives in a caller-
- * owned int64 state vector and every function returns a status code: DONE,
- * OUT_FULL (the output arrays are full, or the path limit was reached) or
- * TICKS (the deadline must be polled).  The Python driver flushes, polls and
- * calls again, so result-limit and deadline interruption land on the same
- * search-tree step as the Python kernels.  Built with `cc -O2 -shared -fPIC`
- * and loaded through ctypes, which releases the GIL for the call.
+ * None of them calls back into Python.  The three enumeration loops are
+ * resumable: all search state lives in a caller-owned int64 state vector and
+ * every call returns a status code: DONE, OUT_FULL (the output arrays are
+ * full, or the path limit was reached) or TICKS (the deadline must be
+ * polled).  The Python driver flushes, polls and calls again, so
+ * result-limit and deadline interruption land on the same search-tree step
+ * as the Python kernels.  The sweep and the index build read graph CSR
+ * arrays straight from a store, so they bounds-check every offset and
+ * neighbour id they read and return CORRUPT instead of reading past them.
+ * Built with `cc -O2 -shared -fPIC` and loaded through ctypes, which
+ * releases the GIL for the call.
  */
+#include <stddef.h>
 #include <stdint.h>
 
 #define DONE 0
 #define OUT_FULL 1
 #define TICKS 2
+#define CORRUPT 3
+
+/* ------------------------------------------------------------------ */
+/* Bounded BFS sweep (v.s and v.t of Algorithm 3)                     */
+/* ------------------------------------------------------------------ */
+/* dist[0..n) := hop distance from `source` along the CSR, -1 when
+ * unreachable.  A vertex at distance < cutoff is expanded unless it is
+ * `no_expand` (the source itself always is); `excluded` never receives a
+ * distance, and an excluded source leaves every vertex unreachable.  Pass -1
+ * for no excluded / no_expand vertex.  `queue` holds n entries. */
+int64_t repro_sweep(
+    const int64_t *indptr, const int64_t *indices, int64_t n, int64_t nnz,
+    int64_t source, int64_t cutoff, int64_t excluded, int64_t no_expand,
+    int64_t *dist, int64_t *queue)
+{
+    for (int64_t v = 0; v < n; v++) dist[v] = -1;
+    if (source == excluded) return DONE;
+    int64_t head = 0, tail = 0;
+    dist[source] = 0;
+    queue[tail++] = source;
+    while (head < tail) {
+        int64_t v = queue[head++], d = dist[v];
+        if (d >= cutoff) break; /* FIFO order: every later vertex is as deep */
+        if (v == no_expand && v != source) continue;
+        int64_t lo = indptr[v], hi = indptr[v + 1];
+        if (lo < 0 || hi < lo || hi > nnz) return CORRUPT;
+        for (int64_t i = lo; i < hi; i++) {
+            int64_t w = indices[i];
+            if ((uint64_t)w >= (uint64_t)n) return CORRUPT;
+            if (dist[w] < 0 && w != excluded) {
+                dist[w] = d + 1;
+                queue[tail++] = w;
+            }
+        }
+    }
+    return DONE;
+}
+
+/* ------------------------------------------------------------------ */
+/* The light-weight index (Algorithm 3) from the two distance arrays  */
+/* ------------------------------------------------------------------ */
+/* X = {v : v.s + v.t <= k}; row r of the index is the r-th vertex of X in
+ * ascending id order.  Row v keeps the out-neighbours w != s with
+ * v.s + w.t + 1 <= k, stably sorted by w.t (ties keep adjacency order), and
+ * t's row is its single self-loop.  offsets[r * (k+1) + b] counts the kept
+ * neighbours with w.t <= b.  Vertex v is a candidate at positions
+ * v.s .. k - v.t; part_members lists each position's candidates in
+ * ascending id order.  gamma[i] is the mean of offsets[., k-1-i] over the
+ * candidates at position i, summed in ascending row order as np.bincount
+ * sums it, so the doubles are bit-identical to the NumPy build.
+ *
+ * Two calls.  The count call (rows == NULL) writes row_of[0..n) (-1
+ * outside X), part_indptr[0..k+1] and sizes = {|X|, index edges}.  The fill
+ * call, handed the count call's row_of and part_indptr and output arrays of
+ * exactly those sizes, writes rows, out_indptr, out_indices, offsets,
+ * part_members and gamma.  scratch holds 2 * (k + 1) entries. */
+static inline int kept(const int64_t *dt, int64_t w, int64_t s, int64_t budget)
+{
+    return w != s && dt[w] >= 0 && dt[w] <= budget;
+}
+
+int64_t repro_index_build(
+    const int64_t *indptr, const int64_t *indices, int64_t n, int64_t nnz,
+    const int64_t *ds, const int64_t *dt, int64_t s, int64_t t, int64_t k,
+    int64_t *row_of, int64_t *part_indptr, int64_t *sizes,
+    int64_t *rows, int64_t *out_indptr, int64_t *out_indices, int64_t *offsets,
+    int64_t *part_members, double *gamma, int64_t *scratch)
+{
+    const int64_t stride = k + 1;
+    int64_t *cursor = scratch, *bucket = scratch + stride;
+
+    if (rows == NULL) {
+        int64_t nx = 0, ne = 0;
+        for (int64_t p = 0; p <= k; p++) cursor[p] = 0;
+        for (int64_t v = 0; v < n; v++) {
+            int64_t a = ds[v], b = dt[v];
+            if (a < 0 || b < 0 || a > k || b > k - a) {
+                row_of[v] = -1;
+                continue;
+            }
+            row_of[v] = nx++;
+            for (int64_t p = a; p <= k - b; p++) cursor[p]++;
+            if (v == t) {
+                ne++;
+                continue;
+            }
+            int64_t lo = indptr[v], hi = indptr[v + 1];
+            if (lo < 0 || hi < lo || hi > nnz) return CORRUPT;
+            for (int64_t i = lo; i < hi; i++) {
+                int64_t w = indices[i];
+                if ((uint64_t)w >= (uint64_t)n) return CORRUPT;
+                ne += kept(dt, w, s, k - 1 - a);
+            }
+        }
+        part_indptr[0] = 0;
+        for (int64_t p = 0; p <= k; p++) part_indptr[p + 1] = part_indptr[p] + cursor[p];
+        sizes[0] = nx;
+        sizes[1] = ne;
+        return DONE;
+    }
+
+    int64_t r = 0, e = 0;
+    for (int64_t p = 0; p <= k; p++) cursor[p] = part_indptr[p];
+    for (int64_t p = 0; p < k; p++) gamma[p] = 0.0;
+    out_indptr[0] = 0;
+    for (int64_t v = 0; v < n; v++) {
+        if (row_of[v] < 0) continue;
+        int64_t a = ds[v], b = dt[v], budget = k - 1 - a;
+        int64_t lo = 0, hi = 0, *off = offsets + r * stride;
+        rows[r] = v;
+        for (int64_t j = 0; j <= k; j++) bucket[j] = 0;
+        if (v == t) {
+            bucket[b]++;
+        } else {
+            lo = indptr[v];
+            hi = indptr[v + 1];
+            if (lo < 0 || hi < lo || hi > nnz) return CORRUPT;
+            for (int64_t i = lo; i < hi; i++) {
+                int64_t w = indices[i];
+                if ((uint64_t)w >= (uint64_t)n) return CORRUPT;
+                if (kept(dt, w, s, budget)) bucket[dt[w]]++;
+            }
+        }
+        /* Counting sort: bucket[j] becomes the first slot of distance j. */
+        int64_t total = 0;
+        for (int64_t j = 0; j <= k; j++) {
+            int64_t c = bucket[j];
+            bucket[j] = e + total;
+            total += c;
+            off[j] = total;
+        }
+        if (v == t) out_indices[bucket[b]++] = t;
+        for (int64_t i = lo; i < hi; i++) {
+            int64_t w = indices[i];
+            if (kept(dt, w, s, budget)) out_indices[bucket[dt[w]]++] = w;
+        }
+        e += total;
+        out_indptr[++r] = e;
+        for (int64_t p = a; p <= k - b; p++) {
+            part_members[cursor[p]++] = v;
+            if (p < k) gamma[p] += (double)off[k - 1 - p];
+        }
+    }
+    for (int64_t p = 0; p < k; p++) {
+        int64_t c = part_indptr[p + 1] - part_indptr[p];
+        gamma[p] = c ? gamma[p] / (double)c : 0.0;
+    }
+    return DONE;
+}
 
 /* ------------------------------------------------------------------ */
 /* IDX-DFS                                                            */

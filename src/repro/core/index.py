@@ -52,11 +52,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro._clib import CORRUPT, _library, int64_ready
 from repro.core.listener import Deadline
 from repro.core.query import Query
 from repro.core.result import EnumerationStats, Phase
+from repro.errors import GraphError
 from repro.graph.digraph import DiGraph, ragged_gather
-from repro.graph.traversal import UNREACHABLE, bfs_distances_bounded
+from repro.graph.traversal import UNREACHABLE, _corrupt_csr, bfs_distances_bounded
 
 __all__ = ["LightWeightIndex"]
 
@@ -185,159 +187,26 @@ class LightWeightIndex:
         if deadline is not None:
             deadline.check()
 
-        ds = dist_from_s
-        dt = dist_to_t
-
-        # Partition X: vertices with v.s + v.t <= k (Lines 2-4 of Algorithm 3).
-        in_x = (ds != UNREACHABLE) & (dt != UNREACHABLE) & (ds + dt <= k)
-        rows = np.flatnonzero(in_x).astype(np.int64)
-        num_rows = len(rows)
-        row_of = np.full(graph.num_vertices, -1, dtype=np.int64)
-        row_of[rows] = np.arange(num_rows, dtype=np.int64)
-
-        # Candidate edges: one ragged gather over the graph CSR restricted to
-        # the member sources (t is handled by its padding self-loop below).
-        out_indptr, out_indices = graph.out_csr()
-        edge_src, edge_dst = ragged_gather(out_indptr, out_indices, rows[rows != t])
-        if len(edge_src):
-            dt_dst = dt[edge_dst]
-            keep = (
-                (edge_dst != s)
-                & (dt_dst != UNREACHABLE)
-                & (ds[edge_src] + dt_dst + 1 <= k)
+        lib = _native_builder(graph) if edge_filter is None else None
+        if lib is not None:
+            arrays = _build_arrays_native(lib, graph, query, dist_from_s, dist_to_t)
+        else:
+            arrays = _build_arrays_numpy(
+                graph, query, dist_from_s, dist_to_t, edge_filter, deadline
             )
-            edge_src = edge_src[keep]
-            edge_dst = edge_dst[keep]
-        if edge_filter is not None and len(edge_src):
-            kept = np.fromiter(
-                (edge_filter(int(u), int(v)) for u, v in zip(edge_src, edge_dst)),
-                dtype=bool,
-                count=len(edge_src),
-            )
-            edge_src = edge_src[kept]
-            edge_dst = edge_dst[kept]
-        if deadline is not None:
-            deadline.check()
-
-        # The target keeps a single self-loop so that join padding works
-        # (Line 10 of Algorithm 3, property (3) of the join model).  Feeding
-        # it through the shared sort keeps every row in one layout.
-        if in_x[t]:
-            edge_src = np.concatenate([edge_src, np.asarray([t], dtype=np.int64)])
-            edge_dst = np.concatenate([edge_dst, np.asarray([t], dtype=np.int64)])
-
-        # Sort rows by (source, neighbour distance to t); the stable lexsort
-        # reproduces the paper's tie order (graph adjacency order).
-        if len(edge_src):
-            order = np.lexsort((dt[edge_dst], edge_src))
-            edge_src = edge_src[order]
-            edge_dst = edge_dst[order]
-
-        index = cls._assemble(
+        index = cls(
             graph,
             query,
             dist_from_s,
             dist_to_t,
-            rows,
-            row_of,
-            edge_src,
-            edge_dst,
-            bfs_seconds=bfs_seconds,
-            started=started,
-            used_cache=used_cache,
+            *arrays,
+            time.perf_counter() - started,
+            bfs_seconds,
+            used_cached_distances=used_cache,
         )
         if stats is not None:
             index.record_stats(stats)
         return index
-
-    @classmethod
-    def _assemble(
-        cls,
-        graph: DiGraph,
-        query: Query,
-        dist_from_s: np.ndarray,
-        dist_to_t: np.ndarray,
-        rows: np.ndarray,
-        row_of: np.ndarray,
-        edge_src: np.ndarray,
-        edge_dst: np.ndarray,
-        *,
-        bfs_seconds: float,
-        started: float,
-        used_cache: bool,
-    ) -> "LightWeightIndex":
-        """Assemble an index from presorted candidate edges.
-
-        Shared tail of :meth:`build` and :meth:`build_group`: ``edge_src`` /
-        ``edge_dst`` must already be filtered and sorted by
-        ``(source, neighbour distance to t)``.
-        """
-        ds = dist_from_s
-        dt = dist_to_t
-        k = query.k
-        num_rows = len(rows)
-        edge_rows = row_of[edge_src]
-
-        indptr = np.zeros(num_rows + 1, dtype=np.int64)
-        offsets = np.zeros((num_rows, k + 1), dtype=np.int64)
-        if len(edge_rows):
-            np.cumsum(np.bincount(edge_rows, minlength=num_rows), out=indptr[1:])
-            # Offset matrix: a (row, distance) histogram cumulated over the
-            # distance axis gives ends[b] = #neighbours with distance <= b.
-            histogram = np.bincount(
-                edge_rows * (k + 1) + dt[edge_dst], minlength=num_rows * (k + 1)
-            ).reshape(num_rows, k + 1)
-            np.cumsum(histogram, axis=1, out=offsets)
-
-        # Candidate partitions C_i: vertex v belongs to positions
-        # v.s .. k - v.t, again one ragged expansion plus a stable sort.
-        if num_rows:
-            first = ds[rows]
-            span = (k - dt[rows]) - first + 1
-            total = int(span.sum())
-            shifts = np.cumsum(span) - span
-            flat_positions = (
-                np.repeat(first - shifts, span) + np.arange(total, dtype=np.int64)
-            )
-            flat_vertices = np.repeat(rows, span)
-            part_order = np.argsort(flat_positions, kind="stable")
-            part_members = flat_vertices[part_order]
-            part_indptr = np.zeros(k + 2, dtype=np.int64)
-            np.cumsum(np.bincount(flat_positions, minlength=k + 1), out=part_indptr[1:])
-        else:
-            flat_positions = flat_vertices = _EMPTY
-            part_members = _EMPTY
-            part_indptr = np.zeros(k + 2, dtype=np.int64)
-
-        # gamma_hat_i statistics for the preliminary estimator (Eq. 5):
-        # the mean branching factor offsets[., k - i - 1] over C_i.
-        gamma = np.zeros(max(k, 0), dtype=np.float64)
-        if num_rows and k > 0:
-            interior = flat_positions < k
-            positions = flat_positions[interior]
-            branch = offsets[row_of[flat_vertices[interior]], k - 1 - positions]
-            sums = np.bincount(positions, weights=branch, minlength=k)[:k]
-            counts = np.bincount(positions, minlength=k)[:k]
-            np.divide(sums, counts, out=gamma, where=counts > 0)
-
-        build_seconds = time.perf_counter() - started
-        return cls(
-            graph,
-            query,
-            dist_from_s,
-            dist_to_t,
-            rows,
-            row_of,
-            indptr,
-            edge_dst,
-            offsets,
-            part_indptr,
-            part_members,
-            gamma,
-            build_seconds,
-            bfs_seconds,
-            used_cached_distances=used_cache,
-        )
 
     @classmethod
     def build_group(
@@ -358,7 +227,9 @@ class LightWeightIndex:
         neighbour gather, the edge filtering and the ``(source, distance)``
         sort all run once over the whole group with a query-id sort column;
         each query's segment then assembles into an index byte-identical to
-        what :meth:`build` would have produced from the same distances.
+        what :meth:`build` would have produced from the same distances.  With
+        the C library loaded each query is instead one compiled build from
+        its own row, which costs less than the fused NumPy pass.
         """
         if not len(queries):
             return []
@@ -368,6 +239,17 @@ class LightWeightIndex:
             if query.target != t or query.k != k:
                 raise ValueError("build_group requires a target- and k-sharing group")
             query.validate(graph)
+        lib = _native_builder(graph)
+        if lib is not None:
+            indexes = []
+            for query, dist_from_s in zip(queries, dist_from_s_rows):
+                started = time.perf_counter()
+                arrays = _build_arrays_native(lib, graph, query, dist_from_s, dist_to_t)
+                indexes.append(cls(
+                    graph, query, dist_from_s, dist_to_t, *arrays,
+                    time.perf_counter() - started, 0.0, used_cached_distances=True,
+                ))
+            return indexes
         started = time.perf_counter()
         m = len(queries)
         ds_m = dist_from_s_rows
@@ -439,21 +321,20 @@ class LightWeightIndex:
         for i, query in enumerate(queries):
             q_started = time.perf_counter()
             lo, hi = int(edge_bounds[i]), int(edge_bounds[i + 1])
-            index = cls._assemble(
-                graph,
-                query,
+            arrays = _assemble_arrays(
+                k,
                 ds_m[i],
                 dt,
                 rows_flat[row_bounds[i] : row_bounds[i + 1]],
                 row_of_m[i],
                 edge_src[lo:hi],
                 edge_dst[lo:hi],
-                bfs_seconds=0.0,
-                started=q_started,
-                used_cache=True,
             )
-            index.build_seconds += shared_share
-            indexes.append(index)
+            indexes.append(cls(
+                graph, query, ds_m[i], dt, *arrays,
+                time.perf_counter() - q_started + shared_share, 0.0,
+                used_cached_distances=True,
+            ))
         return indexes
 
     def record_stats(self, stats: EnumerationStats) -> None:
@@ -744,3 +625,179 @@ class LightWeightIndex:
     def degree_sequence(self) -> Sequence[int]:
         """Index out-degrees, handy for ablation analysis."""
         return np.diff(self._indptr).tolist()
+
+
+# ---------------------------------------------------------------------- #
+# Algorithm 3's arrays: compiled, and the NumPy reference
+# ---------------------------------------------------------------------- #
+# Both return ``(rows, row_of, indptr, indices, offsets, part_indptr,
+# part_members, gamma)``, the constructor's array arguments in order.
+def _native_builder(graph: DiGraph):
+    """The C library when it can build indexes over ``graph``'s CSR, else
+    ``None`` (not loaded, or a store whose neighbour array is not flat int64,
+    such as the compressed one)."""
+    lib = _library()
+    return lib if lib is not None and int64_ready(*graph.out_csr()) else None
+
+
+def _build_arrays_native(lib, graph: DiGraph, query: Query, ds, dt) -> tuple:
+    """Algorithm 3 in two ``repro_index_build`` calls.
+
+    The first sizes ``X``, the edge set and the partitions, the second
+    fills arrays of exactly those sizes, so no array is a view of a larger
+    buffer.  Lengths are checked once here; the C loop checks every offset
+    and neighbour id it reads.
+    """
+    indptr, indices = graph.out_csr()
+    n = graph.num_vertices
+    ds = np.ascontiguousarray(ds, dtype=np.int64)
+    dt = np.ascontiguousarray(dt, dtype=np.int64)
+    if len(ds) != n or len(dt) != n or len(indptr) != n + 1:
+        raise GraphError("distance arrays do not match the graph's vertex count")
+    k = int(query.k)
+    row_of = np.empty(n, dtype=np.int64)
+    part_indptr = np.empty(k + 2, dtype=np.int64)
+    sizes = np.empty(2, dtype=np.int64)
+    scratch = np.empty(2 * (k + 1), dtype=np.int64)
+    head = (
+        indptr.ctypes.data, indices.ctypes.data, n, len(indices),
+        ds.ctypes.data, dt.ctypes.data, int(query.source), int(query.target), k,
+        row_of.ctypes.data, part_indptr.ctypes.data, sizes.ctypes.data,
+    )
+    if lib.repro_index_build(*head, *(None,) * 6, scratch.ctypes.data) == CORRUPT:
+        raise _corrupt_csr()
+    num_rows, num_edges = int(sizes[0]), int(sizes[1])
+    rows = np.empty(num_rows, dtype=np.int64)
+    csr_indptr = np.empty(num_rows + 1, dtype=np.int64)
+    csr_indices = np.empty(num_edges, dtype=np.int64)
+    offsets = np.empty((num_rows, k + 1), dtype=np.int64)
+    part_members = np.empty(int(part_indptr[-1]), dtype=np.int64)
+    gamma = np.empty(k, dtype=np.float64)
+    status = lib.repro_index_build(
+        *head, rows.ctypes.data, csr_indptr.ctypes.data, csr_indices.ctypes.data,
+        offsets.ctypes.data, part_members.ctypes.data, gamma.ctypes.data,
+        scratch.ctypes.data,
+    )
+    if status == CORRUPT:
+        raise _corrupt_csr()
+    return rows, row_of, csr_indptr, csr_indices, offsets, part_indptr, part_members, gamma
+
+
+def _build_arrays_numpy(
+    graph: DiGraph,
+    query: Query,
+    ds: np.ndarray,
+    dt: np.ndarray,
+    edge_filter: Optional[EdgeFilter],
+    deadline: Optional[Deadline],
+) -> tuple:
+    """Algorithm 3 vectorised: the reference of :func:`_build_arrays_native`
+    and the only path for edge-filtered (constrained) builds."""
+    s, t, k = query.source, query.target, query.k
+
+    # Partition X: vertices with v.s + v.t <= k (Lines 2-4 of Algorithm 3).
+    in_x = (ds != UNREACHABLE) & (dt != UNREACHABLE) & (ds + dt <= k)
+    rows = np.flatnonzero(in_x).astype(np.int64)
+    row_of = np.full(graph.num_vertices, -1, dtype=np.int64)
+    row_of[rows] = np.arange(len(rows), dtype=np.int64)
+
+    # Candidate edges: one ragged gather over the graph CSR restricted to
+    # the member sources (t is handled by its padding self-loop below).
+    out_indptr, out_indices = graph.out_csr()
+    edge_src, edge_dst = ragged_gather(out_indptr, out_indices, rows[rows != t])
+    if len(edge_src):
+        dt_dst = dt[edge_dst]
+        keep = (
+            (edge_dst != s)
+            & (dt_dst != UNREACHABLE)
+            & (ds[edge_src] + dt_dst + 1 <= k)
+        )
+        edge_src = edge_src[keep]
+        edge_dst = edge_dst[keep]
+    if edge_filter is not None and len(edge_src):
+        kept = np.fromiter(
+            (edge_filter(int(u), int(v)) for u, v in zip(edge_src, edge_dst)),
+            dtype=bool,
+            count=len(edge_src),
+        )
+        edge_src = edge_src[kept]
+        edge_dst = edge_dst[kept]
+    if deadline is not None:
+        deadline.check()
+
+    # The target keeps a single self-loop so that join padding works
+    # (Line 10 of Algorithm 3, property (3) of the join model).  Feeding
+    # it through the shared sort keeps every row in one layout.
+    if in_x[t]:
+        edge_src = np.concatenate([edge_src, np.asarray([t], dtype=np.int64)])
+        edge_dst = np.concatenate([edge_dst, np.asarray([t], dtype=np.int64)])
+
+    # Sort rows by (source, neighbour distance to t); the stable lexsort
+    # reproduces the paper's tie order (graph adjacency order).
+    if len(edge_src):
+        order = np.lexsort((dt[edge_dst], edge_src))
+        edge_src = edge_src[order]
+        edge_dst = edge_dst[order]
+    return _assemble_arrays(k, ds, dt, rows, row_of, edge_src, edge_dst)
+
+
+def _assemble_arrays(
+    k: int,
+    ds: np.ndarray,
+    dt: np.ndarray,
+    rows: np.ndarray,
+    row_of: np.ndarray,
+    edge_src: np.ndarray,
+    edge_dst: np.ndarray,
+) -> tuple:
+    """Index arrays from presorted candidate edges.
+
+    Shared tail of the NumPy :meth:`LightWeightIndex.build` and
+    :meth:`LightWeightIndex.build_group`: ``edge_src`` / ``edge_dst`` must
+    already be filtered and sorted by ``(source, neighbour distance to t)``.
+    """
+    num_rows = len(rows)
+    edge_rows = row_of[edge_src]
+
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    offsets = np.zeros((num_rows, k + 1), dtype=np.int64)
+    if len(edge_rows):
+        np.cumsum(np.bincount(edge_rows, minlength=num_rows), out=indptr[1:])
+        # Offset matrix: a (row, distance) histogram cumulated over the
+        # distance axis gives ends[b] = #neighbours with distance <= b.
+        histogram = np.bincount(
+            edge_rows * (k + 1) + dt[edge_dst], minlength=num_rows * (k + 1)
+        ).reshape(num_rows, k + 1)
+        np.cumsum(histogram, axis=1, out=offsets)
+
+    # Candidate partitions C_i: vertex v belongs to positions
+    # v.s .. k - v.t, again one ragged expansion plus a stable sort.
+    if num_rows:
+        first = ds[rows]
+        span = (k - dt[rows]) - first + 1
+        total = int(span.sum())
+        shifts = np.cumsum(span) - span
+        flat_positions = (
+            np.repeat(first - shifts, span) + np.arange(total, dtype=np.int64)
+        )
+        flat_vertices = np.repeat(rows, span)
+        part_order = np.argsort(flat_positions, kind="stable")
+        part_members = flat_vertices[part_order]
+        part_indptr = np.zeros(k + 2, dtype=np.int64)
+        np.cumsum(np.bincount(flat_positions, minlength=k + 1), out=part_indptr[1:])
+    else:
+        flat_positions = flat_vertices = _EMPTY
+        part_members = _EMPTY
+        part_indptr = np.zeros(k + 2, dtype=np.int64)
+
+    # gamma_hat_i statistics for the preliminary estimator (Eq. 5):
+    # the mean branching factor offsets[., k - i - 1] over C_i.
+    gamma = np.zeros(max(k, 0), dtype=np.float64)
+    if num_rows and k > 0:
+        interior = flat_positions < k
+        positions = flat_positions[interior]
+        branch = offsets[row_of[flat_vertices[interior]], k - 1 - positions]
+        sums = np.bincount(positions, weights=branch, minlength=k)[:k]
+        counts = np.bincount(positions, minlength=k)[:k]
+        np.divide(sums, counts, out=gamma, where=counts > 0)
+    return rows, row_of, indptr, edge_dst, offsets, part_indptr, part_members, gamma

@@ -13,13 +13,11 @@ vertex ever round-trips through a Python int on the fast path.
 Two tiers share the entry points:
 
 * **compiled** — the inner loops of IDX-DFS and IDX-JOIN in C
-  (``_cfill.c``, shipped beside this module).  On first use the source is
-  compiled with ``cc -O2 -shared -fPIC`` into
-  ``$XDG_CACHE_HOME/repro/_cfill-<hash>.so`` (``~/.cache/repro`` by
-  default; the hash covers the source, so an edited source rebuilds) and
-  loaded through :mod:`ctypes`, which releases the GIL for every call.
-  Each loop is resumable: it fills preallocated output arrays, keeps its
-  whole search state in one int64 vector and *returns a status code*
+  (``_cfill.c``, shipped beside this module), built on first use and
+  loaded through :mod:`ctypes` by :mod:`repro._clib`, which releases the
+  GIL for every call.  Each loop is resumable: it fills preallocated
+  output arrays, keeps its whole search state in one int64 vector and
+  *returns a status code*
   (``DFS_DONE`` / ``DFS_OUT_FULL`` / ``DFS_TICKS``) instead of calling back;
   the Python driver flushes the block, polls the deadline and resumes, so
   result-limit and deadline interruption stay exact.  :func:`warmup` loads
@@ -42,22 +40,11 @@ one-time warning instead of running the fallback tier.
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
-import logging
-import os
-import platform
-import shutil
-import subprocess
-import sys
-import tempfile
-import warnings
-from importlib import resources
-from pathlib import Path
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro._clib import _LIB, _WARNED, _library, jit_ready, jit_required, warn_jit_fallback
 from repro.core.index import LightWeightIndex
 from repro.core.kernels import KERNEL_CHECK_TICKS, run_join_kernel, run_subquery_kernel
 from repro.core.listener import Deadline, ResultCollector
@@ -77,8 +64,6 @@ __all__ = [
     "run_join_native",
     "run_subquery_native",
 ]
-
-logger = logging.getLogger(__name__)
 
 #: Paths buffered before a block is flushed to the collector.
 NATIVE_FLUSH_PATHS = 4096
@@ -106,107 +91,6 @@ DFS_TICKS = 2
 _NO_TICKS = 2**62
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-
-# --------------------------------------------------------------------- #
-# the compiled library
-# --------------------------------------------------------------------- #
-_SOURCE = "_cfill.c"
-_CFLAGS = ("-O2", "-shared", "-fPIC")
-_LIB = {"checked": False, "lib": None, "warm": False}
-_WARNED = {"fallback": False}
-
-_P, _I = ctypes.c_void_p, ctypes.c_int64
-_SIGNATURES = {
-    "repro_dfs_fill": (_I, [_P, _P, _P, _I, _P, _I, _I, _I, _P, _P, _P, _P, _P, _P, _P, _P, _I, _P, _I, _I]),
-    "repro_walks_fill": (_I, [_P, _P, _P, _I, _P, _P, _I, _I, _I, _P, _P, _P, _P, _P, _P, _I, _I]),
-    "repro_join_tails": (None, [_P, _I, _I, _I, _P]),
-    "repro_join_pair": (_I, [_P, _I, _I, _P, _I, _P, _P, _P, _I, _I, _P, _P, _P, _I, _P, _I, _I]),
-}
-
-
-def _cache_dir() -> Path:
-    """Where compiled libraries live: the user cache dir's ``repro``."""
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    return Path(base) / "repro"
-
-
-def _build(source: bytes) -> Path:
-    """The library compiled from ``source``, building it when absent.
-
-    The file name carries a hash of the source, flags and platform, so it
-    is built once per content.  Concurrent builders each compile into
-    their own temporary name and ``os.replace`` it into place, which is
-    atomic: whichever lands last wins and a reader never sees a partial
-    file.
-    """
-    tag = f"{sys.platform}-{platform.machine()}"
-    digest = hashlib.sha256(source + " ".join(_CFLAGS).encode() + tag.encode()).hexdigest()[:16]
-    target = _cache_dir() / f"_cfill-{digest}.so"
-    if target.exists():
-        return target
-    compiler = shutil.which("cc")
-    if compiler is None:
-        raise OSError("no C compiler (cc) on PATH")
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=target.parent, prefix=".build-") as scratch:
-        src = Path(scratch) / _SOURCE
-        src.write_bytes(source)
-        built = Path(scratch) / target.name
-        subprocess.run(
-            [compiler, *_CFLAGS, "-o", str(built), str(src)],
-            check=True, capture_output=True, timeout=120,
-        )
-        os.replace(built, target)
-    return target
-
-
-def _library():
-    """The loaded C library, or ``None`` (built, loaded and logged once).
-
-    Deliberately lock-free: a thread that arrives while another is still
-    building sees ``None`` and runs the kernels, whose payloads are
-    identical, and a lock held over a build could be inherited locked by a
-    process forked meanwhile.
-    """
-    if not _LIB["checked"]:
-        _LIB["checked"] = True
-        if os.environ.get("REPRO_NATIVE", "").strip().lower() == "off":
-            logger.info("REPRO_NATIVE=off: compiled native tier disabled")
-            return None
-        try:
-            source = resources.files(__package__).joinpath(_SOURCE).read_bytes()
-            lib = ctypes.CDLL(str(_build(source)))
-            for name, (restype, argtypes) in _SIGNATURES.items():
-                fn = getattr(lib, name)
-                fn.restype = restype
-                fn.argtypes = argtypes
-            _LIB["lib"] = lib
-        except (OSError, subprocess.SubprocessError) as exc:
-            logger.warning("compiled native tier unavailable (%s); using the Python kernels", exc)
-    return _LIB["lib"]
-
-
-def jit_ready() -> bool:
-    """``True`` when the compiled C library is loaded (built on first call)."""
-    return _library() is not None
-
-
-def jit_required() -> bool:
-    """``True`` when ``REPRO_NATIVE=jit`` demands the compiled tier."""
-    return os.environ.get("REPRO_NATIVE", "").strip().lower() == "jit"
-
-
-def warn_jit_fallback() -> None:
-    """One-time warning for the strict-JIT fallback to the kernels."""
-    if not _WARNED["fallback"]:
-        _WARNED["fallback"] = True
-        warnings.warn(
-            "engine='native' with REPRO_NATIVE=jit requires the compiled C "
-            "library, which could not be loaded; falling back to engine='kernel'",
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
 
 def _max_ticks(deadline: Optional[Deadline], ticks: int) -> int:
@@ -665,8 +549,6 @@ def _run_dfs_vectorised(index, collector, *, deadline, stats):
         return 0
     query = index.query
     s, t, k = query.source, query.target, query.k
-    if k == 1:
-        return _run_dfs_trivial(index, collector, deadline=deadline, stats=stats)
     vertex_of, row_of, nbr, indptr, off = index.native_csr()
     t_row = int(row_of[t])
     s_row = int(row_of[s])
@@ -1031,8 +913,6 @@ def _run_dfs_fill_loop(index, collector, *, deadline, stats, filler):
     s, t, k = query.source, query.target, query.k
     vertex_of, row_of, nbr, indptr, off2 = index.native_csr()
     off = off2.ravel()
-    if k == 1:
-        return _run_dfs_trivial(index, collector, deadline=deadline, stats=stats)
     stride = k + 1
     s_row = int(row_of[s])
     on_path = np.zeros(len(vertex_of), dtype=np.uint8)
@@ -1095,28 +975,6 @@ def _run_dfs_fill_loop(index, collector, *, deadline, stats, filler):
     return emitted
 
 
-def _run_dfs_trivial(index, collector, *, deadline, stats):
-    """The ``k == 1`` search: the root scans column 0 (t or nothing)."""
-    query = index.query
-    s, t = query.source, query.target
-    vertex_of, row_of, nbr, indptr, off = index.native_csr()
-    s_row = int(row_of[s])
-    t_row = int(row_of[t])
-    cur = int(indptr[s_row])
-    end = cur + int(off[s_row, 0])
-    stats.edges_accessed += end - cur
-    emitted = 0
-    for i in range(cur, end):
-        stats.partial_results_generated += 1
-        if deadline is not None:
-            deadline.check_every(1)
-        if int(nbr[i]) == t_row:
-            collector.emit((s, t))
-            emitted += 1
-    stats.results_emitted += emitted
-    return emitted
-
-
 def run_dfs_native(
     index: LightWeightIndex,
     collector: ResultCollector,
@@ -1137,8 +995,6 @@ def run_dfs_native(
     stats = stats if stats is not None else EnumerationStats()
     if index.is_empty:
         return 0
-    if index.query.k == 1:
-        return _run_dfs_trivial(index, collector, deadline=deadline, stats=stats)
     lib = _library()
     if lib is not None:
         return _run_dfs_fill_loop(

@@ -20,6 +20,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro._clib import CORRUPT, _library, int64_ready
+from repro.errors import GraphError
 from repro.graph.digraph import DiGraph, _ragged_positions, ragged_targets
 
 __all__ = [
@@ -81,18 +83,29 @@ def bfs_distances_bounded(
     the fly, which is how predicate constraints restrict the traversal
     without materialising a filtered graph.
 
-    Unfiltered traversals take a vectorised level-synchronous path over the
-    CSR arrays (one ragged gather per BFS level); the per-edge Python loop
-    only remains for the ``edge_filter`` case, where a Python callback has
-    to see every edge anyway.
+    Unfiltered traversals over flat int64 CSR arrays run the compiled queue
+    BFS (``repro_sweep``) when the C library is loaded, and otherwise a
+    vectorised level-synchronous pass over the CSR arrays (one ragged gather
+    per BFS level), which stays the reference; both return the same array.
+    The per-edge Python loop only remains for the ``edge_filter`` case,
+    where a Python callback has to see every edge anyway.  A neighbour id
+    outside the graph (a corrupt store) raises :class:`GraphError`.
     """
     graph._check_vertex(source)
-    if edge_filter is None:
-        return _bfs_levels_vectorised(
-            graph, source, cutoff=cutoff, reverse=reverse,
-            excluded=excluded, no_expand=no_expand,
-        )
     n = graph.num_vertices
+    if edge_filter is None:
+        indptr, indices = graph.in_csr() if reverse else graph.out_csr()
+        lib = _library()
+        if lib is not None and int64_ready(indptr, indices):
+            dist = np.empty(n, dtype=np.int64)
+            _sweep_native(
+                lib, indptr, indices, source, cutoff, excluded, no_expand,
+                dist, np.empty(n, dtype=np.int64),
+            )
+            return dist
+        return _bfs_levels_vectorised(
+            indptr, indices, n, source, cutoff=cutoff, excluded=excluded, no_expand=no_expand
+        )
     dist = np.full(n, UNREACHABLE, dtype=np.int64)
     if excluded is not None and excluded == source:
         return dist
@@ -120,18 +133,49 @@ def bfs_distances_bounded(
     return dist
 
 
+def _vertex_arg(v: Optional[int], n: int) -> int:
+    """``v`` as the C sweep's int64 argument: ``-1`` for ``None`` and for
+    ids outside the graph, which can never match a vertex anyway."""
+    return int(v) if v is not None and 0 <= v < n else -1
+
+
+def _sweep_native(lib, indptr, indices, source, cutoff, excluded, no_expand, dist, queue) -> None:
+    """One ``repro_sweep`` call filling ``dist`` (``queue`` is scratch).
+
+    Lengths are checked once here; the C loop checks every offset and
+    neighbour id it reads and reports a corrupt array instead of reading
+    past it.
+    """
+    n = len(indptr) - 1
+    if len(dist) != n or len(queue) < n or int(indptr[n]) > len(indices):
+        raise GraphError("BFS arrays do not match the graph's CSR shape")
+    status = lib.repro_sweep(
+        indptr.ctypes.data, indices.ctypes.data, n, len(indices), int(source),
+        n if cutoff is None else min(max(int(cutoff), 0), n),
+        _vertex_arg(excluded, n), _vertex_arg(no_expand, n),
+        dist.ctypes.data, queue.ctypes.data,
+    )
+    if status == CORRUPT:
+        raise _corrupt_csr()
+
+
+def _corrupt_csr() -> GraphError:
+    return GraphError(
+        "corrupt graph store: a CSR offset or neighbour id lies outside the graph"
+    )
+
+
 def _bfs_levels_vectorised(
-    graph: DiGraph,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    n: int,
     source: int,
     *,
     cutoff: Optional[int],
-    reverse: bool,
     excluded: Optional[int],
     no_expand: Optional[int],
 ) -> np.ndarray:
     """Level-synchronous BFS over the CSR arrays (no per-edge Python loop)."""
-    indptr, indices = graph.in_csr() if reverse else graph.out_csr()
-    n = graph.num_vertices
     dist = np.full(n, UNREACHABLE, dtype=np.int64)
     if excluded is not None and excluded == source:
         return dist
@@ -146,6 +190,7 @@ def _bfs_levels_vectorised(
         reached = ragged_targets(indptr, indices, frontier)
         if not len(reached):
             break
+        _check_ids(reached, n)
         reached = reached[dist[reached] == UNREACHABLE]
         if excluded is not None:
             reached = reached[reached != excluded]
@@ -153,6 +198,13 @@ def _bfs_levels_vectorised(
         depth += 1
         dist[frontier] = depth
     return dist
+
+
+def _check_ids(ids: np.ndarray, n: int) -> None:
+    """Raise on a neighbour id outside ``[0, n)`` — as unsigned, a negative
+    id is huge, so one reduction covers both ends."""
+    if int(np.asarray(ids, dtype=np.int64).view(np.uint64).max()) >= n:
+        raise _corrupt_csr()
 
 
 #: Sources per sweep of :func:`multi_source_bfs_distances_bounded`.  Chunking
@@ -185,17 +237,25 @@ def multi_source_bfs_distances_bounded(
 
     Sweeps run over ``chunk_sources`` rows at a time (rows are mutually
     independent, so chunking cannot change any row); ``None`` disables
-    chunking.
+    chunking.  With the C library loaded each row is one compiled
+    single-source sweep instead, which is faster still.
     """
     indptr, indices = graph.in_csr() if reverse else graph.out_csr()
     n = graph.num_vertices
     source_array = np.asarray(sources, dtype=np.int64)
     num_sources = len(source_array)
+    for s in source_array:
+        graph._check_vertex(int(s))
+    lib = _library()
+    if lib is not None and int64_ready(indptr, indices):
+        dist = np.empty((num_sources, n), dtype=np.int64)
+        queue = np.empty(n, dtype=np.int64)
+        for row, s in zip(dist, source_array):
+            _sweep_native(lib, indptr, indices, s, cutoff, None, no_expand, row, queue)
+        return dist
     dist = np.full((num_sources, n), UNREACHABLE, dtype=np.int64)
     if num_sources == 0:
         return dist
-    for s in source_array:
-        graph._check_vertex(int(s))
     step = num_sources if chunk_sources is None else max(1, int(chunk_sources))
     for start in range(0, num_sources, step):
         _multi_source_sweep(
@@ -240,6 +300,7 @@ def _multi_source_sweep(
             break
         reached_rows = np.repeat(frontier_rows, degrees)
         reached_cols = indices[positions]
+        _check_ids(reached_cols, dist.shape[1])
         unvisited = dist[reached_rows, reached_cols] == UNREACHABLE
         reached_rows = reached_rows[unvisited]
         reached_cols = reached_cols[unvisited]
