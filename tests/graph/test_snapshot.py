@@ -477,3 +477,43 @@ class TestLifecycle:
         finally:
             packed.close_store()
         assert graph.memory_usage()["resident_bytes"] == graph.memory_usage()["total_bytes"]
+
+
+class TestCorruptNeighbourIds:
+    """A mapped snapshot with one bad neighbour id attaches (the attach
+    checks are O(|V|)), but the first query that reads it raises a typed
+    error on the compiled and on the NumPy sweep alike."""
+
+    @pytest.mark.parametrize("tier", ("compiled", "numpy"))
+    @pytest.mark.parametrize("direction", ("out", "in"))
+    def test_query_over_a_corrupt_id_raises_graph_error(self, tier, direction, tmp_path, monkeypatch):
+        from repro import _clib
+        from repro.graph.snapshot import map_snapshot
+
+        if tier == "compiled" and not _clib.jit_ready():
+            pytest.skip("compiled C library not loaded")
+        if tier == "numpy":
+            monkeypatch.setitem(_clib._LIB, "checked", True)
+            monkeypatch.setitem(_clib._LIB, "lib", None)
+        graph = erdos_renyi(60, 4.0, seed=3)
+        n = graph.num_vertices
+        s = next(v for v in range(n) if graph.out_degree(v))
+        t = next(v for v in range(n) if v != s and graph.in_degree(v))
+        path = save_snapshot(graph, tmp_path / "graph.rsnap")
+        header, mapping = map_snapshot(path)
+        mapping.close()
+        if direction == "out":
+            position, value = int(graph.out_csr()[0][s]), n + 5
+        else:
+            position, value = int(graph.in_csr()[0][t]), -1
+        offset = header["arrays"][f"{direction}_indices"]["offset"] + 8 * position
+        with open(path, "r+b") as handle:
+            handle.seek(offset)
+            handle.write(struct.pack("<q", value))
+        loaded = load_snapshot(path, store="mmap")
+        try:
+            with pytest.raises(GraphError, match="corrupt graph store"):
+                with Database(loaded) as db:
+                    db.query((s, t, 3)).results()
+        finally:
+            loaded.close_store()

@@ -13,15 +13,24 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import _clib
+from repro._clib import jit_ready
 from repro.core.engine import BatchExecutor, PathEnum
 from repro.core.index import LightWeightIndex
 from repro.core.listener import RunConfig
 from repro.core.query import Query
 from repro.graph.builder import GraphBuilder
-from repro.graph.traversal import UNREACHABLE, bfs_distances_bounded
+from repro.graph.digraph import DiGraph
+from repro.graph.traversal import (
+    UNREACHABLE,
+    bfs_distances_bounded,
+    multi_source_bfs_distances_bounded,
+)
 
 from tests.helpers import brute_force_paths
 
@@ -215,3 +224,60 @@ def test_batch_executor_matches_sequential_and_brute_force(case):
         assert set(seq_result.paths) == expected
         assert set(batch_result.paths) == expected
         assert batch_result.count == seq_result.count
+
+
+#: Every array a LightWeightIndex holds.
+INDEX_ARRAYS = (
+    "dist_from_s", "dist_to_t", "_rows", "_row_of", "_indptr", "_indices",
+    "_offsets", "_part_indptr", "_part_members", "_gamma",
+)
+
+
+@st.composite
+def multigraph_and_query(draw):
+    """Random CSR graphs that keep duplicate edges, self-loops and isolated
+    vertices (GraphBuilder drops the first two), with k up to 40."""
+    n = draw(st.integers(min_value=2, max_value=MAX_VERTICES))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pairs = np.asarray(sorted(draw(st.lists(st.tuples(vertex, vertex), max_size=60))), dtype=np.int64)
+    src, dst = pairs.reshape(-1, 2).T
+    out_indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+    in_indptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=n))])
+    graph = DiGraph(
+        n, out_indptr, np.ascontiguousarray(dst), in_indptr,
+        np.ascontiguousarray(src[np.argsort(dst, kind="stable")]),
+    )
+    source = draw(vertex)
+    target = draw(vertex.filter(lambda v: v != source))
+    return graph, Query(source, target, draw(st.integers(min_value=2, max_value=40)))
+
+
+@pytest.mark.skipif(not jit_ready(), reason="compiled C library not loaded")
+@given(case=multigraph_and_query())
+@_SETTINGS
+def test_compiled_index_matches_numpy_index(case):
+    graph, query = case
+    compiled = LightWeightIndex.build(graph, query)
+    saved = dict(_clib._LIB)
+    _clib._LIB.update(checked=True, lib=None)
+    try:
+        reference = LightWeightIndex.build(graph, query)
+        t, k = query.target, query.k
+        sources = [query.source]
+        dist_to_t = bfs_distances_bounded(graph, t, cutoff=k, reverse=True)
+        forward = multi_source_bfs_distances_bounded(graph, sources, cutoff=k, no_expand=t)
+        group_reference = LightWeightIndex.build_group(
+            graph, [query], dist_from_s_rows=forward, dist_to_t=dist_to_t
+        )[0]
+    finally:
+        _clib._LIB.update(saved)
+    group_compiled = LightWeightIndex.build_group(
+        graph, [query],
+        dist_from_s_rows=multi_source_bfs_distances_bounded(graph, sources, cutoff=k, no_expand=t),
+        dist_to_t=bfs_distances_bounded(graph, t, cutoff=k, reverse=True),
+    )[0]
+    for actual, expected in ((compiled, reference), (group_compiled, group_reference)):
+        for name in INDEX_ARRAYS:
+            a, b = getattr(actual, name), getattr(expected, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b), name
