@@ -80,9 +80,12 @@ int64_t repro_sweep(
  *
  * Two calls.  The count call (rows == NULL) writes row_of[0..n) (-1
  * outside X), part_indptr[0..k+1] and sizes = {|X|, index edges}.  The fill
- * call, handed the count call's row_of and part_indptr and output arrays of
- * exactly those sizes, writes rows, out_indptr, out_indices, offsets,
- * part_members and gamma.  scratch holds 2 * (k + 1) entries. */
+ * call, handed the count call's row_of, part_indptr and sizes and output
+ * arrays of exactly those sizes, writes rows, out_indptr, out_indices,
+ * offsets, part_members and gamma.  It never writes past those sizes: a
+ * neighbour array that changed between the two calls (a store mapped from a
+ * file someone rewrote) returns CORRUPT.  scratch holds 2 * (k + 1)
+ * entries. */
 static inline int kept(const int64_t *dt, int64_t w, int64_t s, int64_t budget)
 {
     return w != s && dt[w] >= 0 && dt[w] <= budget;
@@ -128,6 +131,7 @@ int64_t repro_index_build(
         return DONE;
     }
 
+    const int64_t num_rows = sizes[0], num_edges = sizes[1];
     int64_t r = 0, e = 0;
     for (int64_t p = 0; p <= k; p++) cursor[p] = part_indptr[p];
     for (int64_t p = 0; p < k; p++) gamma[p] = 0.0;
@@ -135,6 +139,7 @@ int64_t repro_index_build(
     for (int64_t v = 0; v < n; v++) {
         if (row_of[v] < 0) continue;
         int64_t a = ds[v], b = dt[v], budget = k - 1 - a;
+        if (r >= num_rows || a < 0 || b < 0 || a > k || b > k - a) return CORRUPT;
         int64_t lo = 0, hi = 0, *off = offsets + r * stride;
         rows[r] = v;
         for (int64_t j = 0; j <= k; j++) bucket[j] = 0;
@@ -158,18 +163,33 @@ int64_t repro_index_build(
             total += c;
             off[j] = total;
         }
-        if (v == t) out_indices[bucket[b]++] = t;
+        if (total > num_edges - e) return CORRUPT;
+        int64_t end = e + total, written = 0;
+        if (v == t) {
+            out_indices[bucket[b]++] = t;
+            written++;
+        }
         for (int64_t i = lo; i < hi; i++) {
             int64_t w = indices[i];
-            if (kept(dt, w, s, budget)) out_indices[bucket[dt[w]]++] = w;
+            if ((uint64_t)w >= (uint64_t)n) return CORRUPT;
+            if (!kept(dt, w, s, budget)) continue;
+            int64_t slot = bucket[dt[w]]++;
+            if (slot >= end) return CORRUPT;
+            out_indices[slot] = w;
+            written++;
         }
-        e += total;
+        if (written != total) return CORRUPT;
+        e = end;
         out_indptr[++r] = e;
         for (int64_t p = a; p <= k - b; p++) {
+            if (cursor[p] >= part_indptr[p + 1]) return CORRUPT;
             part_members[cursor[p]++] = v;
             if (p < k) gamma[p] += (double)off[k - 1 - p];
         }
     }
+    if (r != num_rows || e != num_edges) return CORRUPT;
+    for (int64_t p = 0; p <= k; p++)
+        if (cursor[p] != part_indptr[p + 1]) return CORRUPT;
     for (int64_t p = 0; p < k; p++) {
         int64_t c = part_indptr[p + 1] - part_indptr[p];
         gamma[p] = c ? gamma[p] / (double)c : 0.0;

@@ -239,17 +239,11 @@ class LightWeightIndex:
             if query.target != t or query.k != k:
                 raise ValueError("build_group requires a target- and k-sharing group")
             query.validate(graph)
-        lib = _native_builder(graph)
-        if lib is not None:
-            indexes = []
-            for query, dist_from_s in zip(queries, dist_from_s_rows):
-                started = time.perf_counter()
-                arrays = _build_arrays_native(lib, graph, query, dist_from_s, dist_to_t)
-                indexes.append(cls(
-                    graph, query, dist_from_s, dist_to_t, *arrays,
-                    time.perf_counter() - started, 0.0, used_cached_distances=True,
-                ))
-            return indexes
+        if _native_builder(graph) is not None:
+            return [
+                cls.build(graph, query, dist_from_s=row, dist_to_t=dist_to_t)
+                for query, row in zip(queries, dist_from_s_rows)
+            ]
         started = time.perf_counter()
         m = len(queries)
         ds_m = dist_from_s_rows

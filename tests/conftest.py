@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro._clib import jit_ready
 from repro.core.query import Query
 from repro.graph.generators import erdos_renyi, grid_graph, power_law_graph
 
@@ -11,8 +12,22 @@ from tests.helpers import (
     PAPER_FIGURE5_G0_EDGES,
     PAPER_FIGURE5_G1_EDGES,
     build_graph,
+    numpy_reference,
     paper_figure1_graph,
 )
+
+
+@pytest.fixture(params=("compiled", "numpy"))
+def tier(request):
+    """Run the test on the compiled C sweep and index build, then on their
+    NumPy reference (the compiled run is skipped without the library)."""
+    if request.param == "numpy":
+        with numpy_reference():
+            yield request.param
+        return
+    if not jit_ready():
+        pytest.skip("compiled C library not loaded (no cc, or REPRO_NATIVE=off)")
+    yield request.param
 
 
 @pytest.fixture(scope="session")

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro._clib import _library, jit_ready
+from repro.core import index as index_module
 from repro.core.index import LightWeightIndex
 from repro.core.query import Query
 from repro.core.relations import build_relations
 from repro.core.result import EnumerationStats, Phase
+from repro.errors import GraphError
+from repro.graph import traversal
 from repro.graph.builder import from_edges
 from repro.graph.generators import erdos_renyi
+from repro.graph.snapshot import load_snapshot, save_snapshot
+from repro.graph.traversal import bfs_distances_bounded, multi_source_bfs_distances_bounded
 
-from tests.helpers import paper_figure1_graph
+from tests.helpers import assert_same_arrays, paper_figure1_graph
 
 
 @pytest.fixture()
@@ -184,3 +191,68 @@ class TestStatisticsAndTiming:
         assert len(edges) >= paper_index.num_index_edges
         for u, v in edges:
             assert v in paper_index.neighbors_within(u, paper_query.k)
+
+
+class TestTiers:
+    """The compiled build and its NumPy reference, through the public calls."""
+
+    @pytest.mark.parametrize("k", (2, 4, 6))
+    def test_build_group_equals_per_query_build(self, tier, k):
+        graph = erdos_renyi(120, 4.0, seed=9)
+        t = 5
+        queries = [Query(s, t, k) for s in range(0, 120, 7) if s != t]
+        dist_to_t = bfs_distances_bounded(graph, t, cutoff=k, reverse=True)
+        rows = multi_source_bfs_distances_bounded(
+            graph, [q.source for q in queries], cutoff=k, no_expand=t
+        )
+        group = LightWeightIndex.build_group(
+            graph, queries, dist_from_s_rows=rows, dist_to_t=dist_to_t
+        )
+        assert len(group) == len(queries)
+        for query, grouped in zip(queries, group):
+            assert grouped.query == query
+            assert_same_arrays(grouped, LightWeightIndex.build(graph, query, dist_to_t=dist_to_t))
+
+    @pytest.mark.skipif(not jit_ready(), reason="compiled C library not loaded")
+    def test_compressed_store_takes_the_numpy_path(self, tmp_path, monkeypatch):
+        graph = erdos_renyi(120, 4.0, seed=9)
+        query = Query(3, 5, 5)
+        expected = LightWeightIndex.build(graph, query)
+        compressed = load_snapshot(
+            save_snapshot(graph, tmp_path / "graph.rsnap", codec="compressed"),
+            store="compressed",
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compiled path taken over a compressed store")
+
+        monkeypatch.setattr(index_module, "_build_arrays_native", refuse)
+        monkeypatch.setattr(traversal, "_sweep_native", refuse)
+        try:
+            assert_same_arrays(LightWeightIndex.build(compressed, query), expected)
+        finally:
+            compressed.close_store()
+
+    @pytest.mark.skipif(not jit_ready(), reason="compiled C library not loaded")
+    def test_fill_never_writes_past_the_counted_edges(self):
+        """A neighbour array rewritten between the count call and the fill
+        call (a store mapped from a file someone rewrote) raises instead of
+        overflowing the exact-size output arrays."""
+        graph = from_edges([(0, 1), (1, 2), (1, 4), (2, 3)])
+        s, t, isolated = (graph.to_internal(v) for v in (0, 3, 4))
+        query = Query(s, t, 3)
+        index = LightWeightIndex.build(graph, query)
+        indices = graph.out_csr()[1]
+        position = int(np.flatnonzero(indices == isolated)[0])
+        lib = _library()
+
+        class RewriteAfterCount:
+            def repro_index_build(self, *args):
+                status = lib.repro_index_build(*args)
+                indices[position] = t
+                return status
+
+        with pytest.raises(GraphError, match="corrupt graph store"):
+            index_module._build_arrays_native(
+                RewriteAfterCount(), graph, query, index.dist_from_s, index.dist_to_t
+            )

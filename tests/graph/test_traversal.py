@@ -2,23 +2,27 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.graph.builder import from_edges
-from repro.graph.generators import chain_graph, grid_graph
+from repro.graph.generators import chain_graph, erdos_renyi, grid_graph
 from repro.graph.traversal import (
     UNREACHABLE,
     bfs_distances,
     bfs_distances_bounded,
     distance,
     has_path_within,
+    multi_source_bfs_distances_bounded,
     shortest_path,
 )
 
-from tests.helpers import paper_figure1_graph
+from tests.helpers import numpy_reference, paper_figure1_graph
 
 
 class TestBfsDistances:
+    """On the default tier: the compiled sweep when the C library loads."""
+
     def test_chain_distances(self):
         graph = chain_graph(6)
         dist = bfs_distances(graph, 0)
@@ -87,6 +91,39 @@ class TestBfsDistances:
 
         bfs_distances_bounded(graph, 2, reverse=True, edge_filter=record)
         assert (1, 2) in seen and (0, 1) in seen
+
+    def test_no_expand_source_is_still_expanded(self):
+        graph = chain_graph(4)
+        dist = bfs_distances(graph, 0, no_expand=0)
+        assert list(dist) == [0, 1, 2, 3]
+
+    def test_zero_cutoff_reaches_only_the_source(self):
+        graph = chain_graph(4)
+        dist = bfs_distances_bounded(graph, 1, cutoff=0)
+        assert list(dist) == [UNREACHABLE, 0, UNREACHABLE, UNREACHABLE]
+
+    def test_multi_source_rows_equal_single_source_sweeps(self):
+        graph = erdos_renyi(50, 3.0, seed=4)
+        sources = list(range(0, 50, 3))
+        for reverse in (False, True):
+            rows = multi_source_bfs_distances_bounded(
+                graph, sources, cutoff=3, reverse=reverse, no_expand=7
+            )
+            for row, s in zip(rows, sources):
+                expected = bfs_distances_bounded(
+                    graph, s, cutoff=3, reverse=reverse, no_expand=7
+                )
+                assert np.array_equal(row, expected), (reverse, s)
+
+
+class TestBfsDistancesNumpyReference(TestBfsDistances):
+    """Every case above again on the NumPy sweeps, the reference that
+    ``REPRO_NATIVE=off`` selects."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_tier(self):
+        with numpy_reference():
+            yield
 
 
 class TestDistance:

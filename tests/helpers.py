@@ -8,8 +8,12 @@ problem statement directly (simple paths from ``s`` to ``t`` with at most
 
 from __future__ import annotations
 
+import contextlib
 from typing import List, Sequence, Set, Tuple
 
+import numpy as np
+
+from repro import _clib
 from repro.graph.builder import GraphBuilder
 from repro.graph.digraph import DiGraph
 
@@ -74,6 +78,34 @@ def build_graph(edges: Sequence[Tuple[object, object]]) -> DiGraph:
 def paper_figure1_graph() -> DiGraph:
     """The running-example graph of the paper (Figure 1a)."""
     return build_graph(PAPER_FIGURE1_EDGES)
+
+
+#: Every array a LightWeightIndex holds.
+INDEX_ARRAYS = (
+    "dist_from_s", "dist_to_t", "_rows", "_row_of", "_indptr", "_indices",
+    "_offsets", "_part_indptr", "_part_members", "_gamma",
+)
+
+
+def assert_same_arrays(actual, expected) -> None:
+    """Every array of two :class:`LightWeightIndex` objects is equal, dtype
+    and shape included."""
+    for name in INDEX_ARRAYS:
+        a, b = getattr(actual, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+
+
+@contextlib.contextmanager
+def numpy_reference():
+    """Run the enclosed calls on the NumPy / Python reference paths, as under
+    ``REPRO_NATIVE=off``: the compiled library reads as absent."""
+    saved = dict(_clib._LIB)
+    _clib._LIB.update(checked=True, lib=None)
+    try:
+        yield
+    finally:
+        _clib._LIB.update(saved)
 
 
 def brute_force_paths(graph: DiGraph, source: int, target: int, k: int) -> Set[Path]:

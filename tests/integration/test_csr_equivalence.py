@@ -12,27 +12,29 @@ held to the same standard against sequential runs.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import _clib
 from repro._clib import jit_ready
+from repro.api import Database, Q
 from repro.core.engine import BatchExecutor, PathEnum
 from repro.core.index import LightWeightIndex
 from repro.core.listener import RunConfig
 from repro.core.query import Query
 from repro.graph.builder import GraphBuilder
 from repro.graph.digraph import DiGraph
+from repro.graph.generators import power_law_graph
 from repro.graph.traversal import (
     UNREACHABLE,
     bfs_distances_bounded,
     multi_source_bfs_distances_bounded,
 )
 
-from tests.helpers import brute_force_paths
+from tests.helpers import assert_same_arrays, brute_force_paths, numpy_reference
 
 MAX_VERTICES = 12
 
@@ -226,10 +228,10 @@ def test_batch_executor_matches_sequential_and_brute_force(case):
         assert batch_result.count == seq_result.count
 
 
-#: Every array a LightWeightIndex holds.
-INDEX_ARRAYS = (
-    "dist_from_s", "dist_to_t", "_rows", "_row_of", "_indptr", "_indices",
-    "_offsets", "_part_indptr", "_part_members", "_gamma",
+#: Hop bounds below and above the graph sizes: small ones make the
+#: distance cut-offs bite, large ones leave every walk in.
+SMALL_OR_LARGE_HOPS = st.one_of(
+    st.integers(min_value=2, max_value=6), st.integers(min_value=7, max_value=40)
 )
 
 
@@ -239,7 +241,8 @@ def multigraph_and_query(draw):
     vertices (GraphBuilder drops the first two), with k up to 40."""
     n = draw(st.integers(min_value=2, max_value=MAX_VERTICES))
     vertex = st.integers(min_value=0, max_value=n - 1)
-    pairs = np.asarray(sorted(draw(st.lists(st.tuples(vertex, vertex), max_size=60))), dtype=np.int64)
+    edges = st.lists(st.tuples(vertex, vertex), min_size=n, max_size=60)
+    pairs = np.asarray(sorted(draw(edges)), dtype=np.int64)
     src, dst = pairs.reshape(-1, 2).T
     out_indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
     in_indptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=n))])
@@ -249,35 +252,88 @@ def multigraph_and_query(draw):
     )
     source = draw(vertex)
     target = draw(vertex.filter(lambda v: v != source))
-    return graph, Query(source, target, draw(st.integers(min_value=2, max_value=40)))
+    return graph, Query(source, target, draw(SMALL_OR_LARGE_HOPS))
 
 
-@pytest.mark.skipif(not jit_ready(), reason="compiled C library not loaded")
+@st.composite
+def sweep_case(draw):
+    """A multigraph, a source and every option of the bounded sweep,
+    ``no_expand == source`` included."""
+    graph, query = draw(multigraph_and_query())
+    vertex = st.integers(min_value=0, max_value=graph.num_vertices - 1)
+    options = {
+        "cutoff": draw(st.one_of(st.none(), st.just(0), SMALL_OR_LARGE_HOPS)),
+        "reverse": draw(st.booleans()),
+        "excluded": draw(st.one_of(st.none(), vertex)),
+        "no_expand": draw(st.one_of(st.none(), st.just(query.source), vertex)),
+    }
+    return graph, query.source, options
+
+
+requires_compiled = pytest.mark.skipif(not jit_ready(), reason="compiled C library not loaded")
+
+
+@requires_compiled
+@given(case=sweep_case())
+@_SETTINGS
+def test_compiled_sweep_matches_numpy_sweep(case):
+    graph, source, options = case
+    compiled = bfs_distances_bounded(graph, source, **options)
+    with numpy_reference():
+        reference = bfs_distances_bounded(graph, source, **options)
+    assert compiled.dtype == reference.dtype == np.int64
+    assert np.array_equal(compiled, reference)
+
+    # The multi-source sweep over every vertex at once (it takes no
+    # excluded vertex and always a cutoff).
+    every = range(graph.num_vertices)
+    multi = dict(options, cutoff=options["cutoff"] or 0)
+    del multi["excluded"]
+    rows = multi_source_bfs_distances_bounded(graph, every, **multi)
+    with numpy_reference():
+        reference_rows = multi_source_bfs_distances_bounded(graph, every, **multi)
+    assert rows.dtype == reference_rows.dtype and rows.shape == reference_rows.shape
+    assert np.array_equal(rows, reference_rows)
+
+
+@requires_compiled
 @given(case=multigraph_and_query())
 @_SETTINGS
 def test_compiled_index_matches_numpy_index(case):
     graph, query = case
-    compiled = LightWeightIndex.build(graph, query)
-    saved = dict(_clib._LIB)
-    _clib._LIB.update(checked=True, lib=None)
-    try:
-        reference = LightWeightIndex.build(graph, query)
-        t, k = query.target, query.k
-        sources = [query.source]
-        dist_to_t = bfs_distances_bounded(graph, t, cutoff=k, reverse=True)
-        forward = multi_source_bfs_distances_bounded(graph, sources, cutoff=k, no_expand=t)
-        group_reference = LightWeightIndex.build_group(
-            graph, [query], dist_from_s_rows=forward, dist_to_t=dist_to_t
-        )[0]
-    finally:
-        _clib._LIB.update(saved)
-    group_compiled = LightWeightIndex.build_group(
-        graph, [query],
-        dist_from_s_rows=multi_source_bfs_distances_bounded(graph, sources, cutoff=k, no_expand=t),
-        dist_to_t=bfs_distances_bounded(graph, t, cutoff=k, reverse=True),
-    )[0]
-    for actual, expected in ((compiled, reference), (group_compiled, group_reference)):
-        for name in INDEX_ARRAYS:
-            a, b = getattr(actual, name), getattr(expected, name)
-            assert a.dtype == b.dtype and a.shape == b.shape, name
-            assert np.array_equal(a, b), name
+    t, k = query.target, query.k
+
+    def builds():
+        group = LightWeightIndex.build_group(
+            graph, [query],
+            dist_from_s_rows=multi_source_bfs_distances_bounded(
+                graph, [query.source], cutoff=k, no_expand=t
+            ),
+            dist_to_t=bfs_distances_bounded(graph, t, cutoff=k, reverse=True),
+        )
+        return LightWeightIndex.build(graph, query), group[0]
+
+    compiled = builds()
+    with numpy_reference():
+        reference = builds()
+    for actual, expected in zip(compiled, reference):
+        assert_same_arrays(actual, expected)
+
+
+@requires_compiled
+def test_payload_bytes_identical_on_both_tiers():
+    """Many cheap k=4 queries on distinct targets: every one runs both
+    sweeps and an index build, so these bytes cover the compiled tier."""
+    graph = power_law_graph(300, 4.0, exponent=2.1, seed=21)
+    rng = random.Random(21)
+    specs = [Q(*rng.sample(range(graph.num_vertices), 2), rng.randint(2, 5)) for _ in range(60)]
+
+    def payloads():
+        with Database(graph) as db:
+            return [db.query(spec).payload_bytes() for spec in specs] + [
+                db.batch(specs).payload_bytes()
+            ]
+
+    compiled = payloads()
+    with numpy_reference():
+        assert payloads() == compiled
