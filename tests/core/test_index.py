@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -237,7 +239,9 @@ class TestTiers:
     def test_fill_never_writes_past_the_counted_edges(self):
         """A neighbour array rewritten between the count call and the fill
         call (a store mapped from a file someone rewrote) raises instead of
-        overflowing the exact-size output arrays."""
+        overflowing the exact-size output arrays.  The fill call writes its
+        edges into a buffer with a guard region past the counted size, which
+        must come back untouched."""
         graph = from_edges([(0, 1), (1, 2), (1, 4), (2, 3)])
         s, t, isolated = (graph.to_internal(v) for v in (0, 3, 4))
         query = Query(s, t, 3)
@@ -245,11 +249,21 @@ class TestTiers:
         indices = graph.out_csr()[1]
         position = int(np.flatnonzero(indices == isolated)[0])
         lib = _library()
+        sizes_arg, out_indices_arg = 11, 14
+        counted = {}
 
         class RewriteAfterCount:
             def repro_index_build(self, *args):
+                if args[out_indices_arg] is None:
+                    status = lib.repro_index_build(*args)
+                    counted["edges"] = ctypes.c_int64.from_address(args[sizes_arg] + 8).value
+                    indices[position] = t
+                    return status
+                guarded = np.full(counted["edges"] + 8, -7, dtype=np.int64)
+                args = list(args)
+                args[out_indices_arg] = guarded.ctypes.data
                 status = lib.repro_index_build(*args)
-                indices[position] = t
+                assert (guarded[counted["edges"]:] == -7).all(), "fill wrote past the counted edges"
                 return status
 
         with pytest.raises(GraphError, match="corrupt graph store"):
