@@ -889,23 +889,24 @@ def _result_from_frame(frame: Dict[str, object]) -> QueryResult:
 
     The wire carries the payload fields (endpoints, count, paths, plan,
     timeout and cache flags) plus the server-side query time; phase
-    breakdowns and estimator internals stay server-side.
+    breakdowns and estimator internals stay server-side.  A columnar frame
+    becomes a buffer-backed result over the frame's own bytes.
     """
+    from repro.server.protocol import frame_paths
+
     stats = EnumerationStats(
         plan=frame.get("plan"),
         timed_out=bool(frame.get("timed_out", False)),
         bfs_cache_hit=bool(frame.get("bfs_cache_hit", False)),
     )
     stats.add_phase(Phase.TOTAL, float(frame.get("query_ms", 0.0)) / 1e3)
-    raw_paths = frame.get("paths")
-    paths = None if raw_paths is None else [tuple(path) for path in raw_paths]
     return QueryResult(
         source=frame["source"],
         target=frame["target"],
         k=int(frame["k"]),
         algorithm="remote",
         count=int(frame["count"]),
-        paths=paths,
+        paths=frame_paths(frame),
         stats=stats,
     )
 
@@ -1201,8 +1202,10 @@ class ShardMapBackend(ExecutionBackend):
         import asyncio
         import contextlib
 
+        from repro.server.protocol import PROTOCOL_VERSION
+
         try:
-            job = await self._router.submit(triples, wire_opts)
+            job = await self._router.submit(triples, wire_opts, protocol=PROTOCOL_VERSION)
 
             async def watch_cancel() -> None:
                 while not cancelled.is_set():

@@ -16,8 +16,9 @@ emit whole blocks into a :class:`PathBuffer` — two flat int64 columns
 :class:`QueryResult` can be backed by either: ``result.paths`` always reads
 as the familiar list of tuples (materialised lazily from the buffer), while
 ``result.path_buffer`` exposes the columnar form for consumers that can use
-it directly — compact pickling across worker processes and buffer-slice
-serialisation in the query server.
+it directly — compact pickling across worker processes and the query
+server's columnar ``result`` frames, which a remote client wraps back into a
+buffer without a per-path object on either side.
 """
 
 from __future__ import annotations
@@ -238,12 +239,13 @@ class PathBuffer:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PathBuffer(paths={len(self)}, vertices={self.total_vertices})"
 
-    def __getstate__(self):
-        """Pickle as two sealed primitive arrays (compact IPC form).
+    def wire_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The sealed columns in their wire dtype: each one int32 when every
+        value fits, else int64.
 
-        Columns are downcast to int32 when every value fits — for realistic
-        vertex-id ranges that halves the wire size, and unpickling is two
-        buffer copies instead of one object per path.
+        The one downcast rule for everything that ships a buffer — pickling
+        across worker processes and the server's columnar ``result`` frames.
+        For realistic vertex-id ranges it halves the bytes.
         """
         data, indptr = self.arrays()
         if len(data) == 0 or int(data.max()) <= _INT32_MAX:
@@ -251,6 +253,11 @@ class PathBuffer:
         if int(indptr[-1]) <= _INT32_MAX:
             indptr = indptr.astype(np.int32)
         return data, indptr
+
+    def __getstate__(self):
+        """Pickle as the two :meth:`wire_arrays` (compact IPC form):
+        unpickling is two buffer copies instead of one object per path."""
+        return self.wire_arrays()
 
     def __setstate__(self, state) -> None:
         self._data, self._indptr = state

@@ -5,9 +5,10 @@ enumeration; this package turns the engine into a service that can actually
 be measured under open-loop concurrent traffic instead of one-shot CLI
 batches:
 
-* :mod:`repro.server.protocol` — the length-prefixed JSON wire format
+* :mod:`repro.server.protocol` — the length-prefixed wire format
   (``submit`` / streamed ``path`` / ``result`` frames / ``done`` /
-  ``cancel`` / ``stats``), now versioned for fleet rollouts;
+  ``cancel`` / ``stats``), JSON except for the columnar ``result`` frames
+  that version-4 submitters read, versioned for fleet rollouts;
 * :mod:`repro.server.service` — :class:`QueryService`, the asyncio-facing
   core: it owns a shared graph image, a warm reverse-BFS distance cache and
   a persistent worker pool (threads or processes) through

@@ -20,10 +20,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.result import PathBuffer
 from repro.errors import ConnectionLost
 from repro.server.protocol import (
     DEFAULT_PORT,
     PROTOCOL_VERSION,
+    frame_paths,
     negotiate_protocol,
     read_frame,
     write_frame,
@@ -289,13 +291,18 @@ class QueryClient:
         external: bool = False,
         frames: str = "result",
         engine: Optional[str] = None,
+        protocol: Optional[int] = PROTOCOL_VERSION,
     ) -> str:
         """Send one submit frame; returns the job id to stream/collect.
 
         ``engine`` selects the enumeration engine server-side
         (``auto`` / ``kernel`` / ``recursive``), exactly like the ``engine``
         option of a local :class:`~repro.core.listener.RunConfig`; ``None``
-        leaves the server default (``auto``) in place.
+        leaves the server default (``auto``) in place.  ``protocol`` is the
+        frame version announced to the server (``None`` announces none, a
+        version-1 submitter): from 4 on, ``result`` frames may arrive
+        columnar, which :meth:`collect` and
+        :func:`~repro.server.protocol.frame_paths` read transparently.
         """
         self._next_id += 1
         job_id = f"c{self._next_id}"
@@ -314,16 +321,15 @@ class QueryClient:
             opts["frames"] = frames
         if engine is not None:
             opts["engine"] = engine
-        await write_frame(
-            self._writer,
-            {
-                "type": "submit",
-                "id": job_id,
-                "queries": [list(query) for query in queries],
-                "opts": opts,
-            },
-            lock=self._write_lock,
-        )
+        message: Dict[str, object] = {
+            "type": "submit",
+            "id": job_id,
+            "queries": [list(query) for query in queries],
+            "opts": opts,
+        }
+        if protocol is not None:
+            message["protocol"] = protocol
+        await write_frame(self._writer, message, lock=self._write_lock)
         return job_id
 
     async def frames(self, job_id: str):
@@ -356,9 +362,10 @@ class QueryClient:
                 )
             elif kind == "result":
                 position = int(frame["position"])
-                if "paths" in frame:
-                    paths = [tuple(path) for path in frame["paths"]]
-                else:
+                paths = frame_paths(frame)
+                if isinstance(paths, PathBuffer):
+                    paths = paths.to_paths()
+                elif paths is None:
                     paths = pending_paths.pop(position, None)
                 results.append(RemoteResult.from_frame(frame, paths))
             else:

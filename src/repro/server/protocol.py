@@ -1,23 +1,27 @@
-"""The wire format of the query service: length-prefixed JSON frames.
+"""The wire format of the query service: length-prefixed frames.
 
 Every message — in both directions — is one *frame*: a 4-byte big-endian
-unsigned length followed by that many bytes of UTF-8 JSON encoding one
-object.  Framing first keeps the protocol trivially incremental (a stream
-reader never needs to re-scan for delimiters) and JSON keeps it
-inspectable with ``nc`` and a hexdump.
+unsigned length followed by that many bytes of body.  A body is UTF-8 JSON
+encoding one object, except for the columnar ``result`` frame below.
+Framing first keeps the protocol trivially incremental (a stream reader
+never needs to re-scan for delimiters) and JSON keeps it inspectable with
+``nc`` and a hexdump.  Every decoded frame carries a string ``type``.
 
 Client → server messages (``type`` field):
 
 ``submit``
     ``{"type": "submit", "id": <client job id>, "queries": [[s, t, k], ...],
-    "opts": {...}}``.  Recognised options: ``store_paths`` (bool, default
+    "opts": {...}, "protocol"?: <submitter protocol version>}``.
+    Recognised options: ``store_paths`` (bool, default
     true), ``result_limit`` (int), ``time_limit_seconds`` (float),
     ``response_k`` (int), ``external`` (bool — endpoints are external vertex
     ids, translated server-side, results translated back), ``frames``
     (``"result"`` (default) or ``"path"`` — additionally stream one frame
     per emitted path), ``engine`` (``"auto"`` (default), ``"native"``,
     ``"kernel"`` or ``"recursive"`` — enumeration engine selection, see
-    :attr:`repro.core.listener.RunConfig.engine`).
+    :attr:`repro.core.listener.RunConfig.engine`).  ``protocol`` announces
+    the version of frames the submitter reads (absent ⇒ version 1); see
+    *Columnar result frames* below.
 ``cancel``
     ``{"type": "cancel", "id": <job id>}``.
 ``update``
@@ -48,7 +52,8 @@ Server → client messages:
     "bfs_cache_hit"}``.  ``paths`` is omitted when path storage is off or
     per-path frames were requested.  Results of one job stream as each
     query completes — a client sorting frames by ``position`` reconstructs
-    workload order.
+    workload order.  For a version-4 submitter the paths travel as raw
+    columns instead (next section).
 ``done``
     Job completion: ``{"type": "done", "id", "queries", "total_paths",
     "wall_ms"}``.  Always the job's final frame.
@@ -80,12 +85,48 @@ Server → client messages:
     payload likewise includes ``shard_id``, ``server_version`` and
     ``protocol`` so a router can report per-shard health.
 
+Columnar result frames (protocol version 4)
+-------------------------------------------
+
+A ``result`` frame for a version-4 submitter carries the result's
+:class:`~repro.core.result.PathBuffer` columns raw instead of a JSON
+``paths`` list.  Its body is::
+
+    0x01                      marker (a JSON body starts with "{")
+    u32 big-endian            header length H
+    H bytes of UTF-8 JSON     every field of the JSON ``result`` frame except
+                              ``paths``, plus ``paths_dtype`` ("int32" or
+                              "int64"), ``paths_count`` (P) and
+                              ``paths_vertices`` (V)
+    V little-endian ints      ``paths_data``: every vertex of every path
+    P + 1 little-endian ints  ``paths_indptr``: path ``i`` is
+                              ``paths_data[indptr[i]:indptr[i + 1]]``
+
+Both columns share ``paths_dtype``: int32 when every value fits
+(:meth:`PathBuffer.wire_arrays <repro.core.result.PathBuffer.wire_arrays>`,
+the rule pickling uses too), else int64.  :func:`decode_frame` returns the
+header dict with ``paths_data`` / ``paths_indptr`` as read-only arrays over
+the frame's own bytes (the three layout fields are consumed), so nothing
+per path exists between the server's enumeration loop and the client's
+buffer-backed result; :func:`frame_paths` is the one reader of either
+shape.
+
+Negotiation is per job (:func:`sends_columns`): the server sends columns
+only when the submit frame announces ``protocol`` ≥ 4, ``store_paths`` is
+on, ``external`` is off and ``frames`` is not ``"path"``.  Every other
+submit — a raw ``nc``-style JSON submit with no version included — gets
+the JSON ``paths`` list, byte for byte as before.  ``path`` frames,
+external-id results and every other frame type stay JSON.  ``repro route``
+relays its client's announced version to the shards and writes the
+columns back out untouched.
+
 Protocol versioning
 -------------------
 
 :data:`PROTOCOL_VERSION` is bumped whenever the frame vocabulary changes;
 version 2 added the ``pong`` / ``stats`` identity fields above, version 3
-the ``update`` / ``updated`` live-mutation pair.  Servers
+the ``update`` / ``updated`` live-mutation pair, version 4 the columnar
+``result`` frame.  Servers
 stay backward compatible down to :data:`MIN_SUPPORTED_PROTOCOL`, and
 negotiation is pull-based: a client pings, reads the server's ``protocol``
 (a missing field means a version-1 server) and decides with
@@ -98,8 +139,11 @@ import asyncio
 import contextlib
 import json
 import struct
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
+from repro.core.result import PathBuffer
 from repro.testing import faults
 
 __all__ = [
@@ -116,6 +160,9 @@ __all__ = [
     "read_frame",
     "write_frame",
     "render_result_paths",
+    "result_columns",
+    "sends_columns",
+    "frame_paths",
 ]
 
 #: Default TCP port of ``repro serve`` (unassigned range, PATH on a phone pad).
@@ -128,20 +175,30 @@ DEFAULT_ROUTER_PORT = 7285
 #: Version of the frame vocabulary this build speaks.  2 added ``protocol``
 #: / ``server_version`` / ``shard_id`` to ``pong`` and ``stats`` replies and
 #: the ``t`` echo on ``ping``; 3 added the ``update`` / ``updated`` pair
-#: for live edge-batch mutation.
-PROTOCOL_VERSION = 3
+#: for live edge-batch mutation; 4 added columnar ``result`` frames for
+#: submitters that announce it.
+PROTOCOL_VERSION = 4
+
+#: First submitter version that reads columnar ``result`` frames.
+COLUMNAR_PROTOCOL = 4
 
 #: Oldest peer protocol version this build can still talk to.  Version-1
 #: peers simply lack the identity fields — every frame they do send is
 #: understood — so the floor stays at 1 until a breaking change.
 MIN_SUPPORTED_PROTOCOL = 1
 
-#: Upper bound on one frame's JSON body.  Generous — a frame carries at most
+#: Upper bound on one frame's body.  Generous — a frame carries at most
 #: one query's paths — but finite, so a corrupt length prefix cannot make the
 #: reader allocate gigabytes.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
+
+#: First byte of a columnar body; a JSON object body starts with ``{``.
+_COLUMNAR = b"\x01"
+_COLUMNS = ("paths_data", "paths_indptr")
+_LAYOUT = ("paths_dtype", "paths_count", "paths_vertices")
+_WIRE_DTYPES = {"int32": np.dtype("<i4"), "int64": np.dtype("<i8")}
 
 
 class FrameError(ValueError):
@@ -195,9 +252,65 @@ def render_result_paths(result, graph=None, *, external: bool = False) -> Option
     return [list(p) for p in paths]
 
 
+def result_columns(result) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """One result's paths as wire columns ``(paths_data, paths_indptr)``.
+
+    The columnar counterpart of :func:`render_result_paths` (internal ids
+    only): the result's own buffer in its wire dtype, a tuple-backed
+    result packed into one first.  ``None`` when the result stored no
+    paths.
+    """
+    buffer = result.path_buffer
+    if buffer is None:
+        if result.paths is None:
+            return None
+        buffer = PathBuffer.from_paths(result.paths)
+    return buffer.wire_arrays()
+
+
+def sends_columns(submit: Dict[str, object]) -> bool:
+    """Whether a job's ``result`` frames go out columnar (the v4 rule).
+
+    True only when the submit frame announces ``protocol`` ≥
+    :data:`COLUMNAR_PROTOCOL` and asks for stored internal-id paths on
+    ``result`` frames; everything else keeps the JSON ``paths`` list.
+    """
+    version = submit.get("protocol")
+    if not isinstance(version, int) or isinstance(version, bool):
+        return False
+    opts = submit.get("opts")
+    opts = opts if isinstance(opts, dict) else {}
+    return (
+        version >= COLUMNAR_PROTOCOL
+        and bool(opts.get("store_paths", True))
+        and not bool(opts.get("external", False))
+        and opts.get("frames") != "path"
+    )
+
+
+def frame_paths(frame: Dict[str, object]) -> Optional[Union[PathBuffer, List[tuple]]]:
+    """The paths one ``result`` frame carries, in either wire shape.
+
+    A columnar frame yields a :class:`PathBuffer` over its decoded columns
+    (no copy, no per-path object); a JSON frame yields the classic list of
+    tuples; a frame without paths yields ``None``.
+    """
+    if "paths_data" in frame:
+        return PathBuffer(frame["paths_data"], frame["paths_indptr"])
+    raw = frame.get("paths")
+    return None if raw is None else [tuple(path) for path in raw]
+
+
 def encode_frame(message: Dict[str, object]) -> bytes:
-    """Serialise one message to its on-wire bytes (length prefix included)."""
-    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    """Serialise one message to its on-wire bytes (length prefix included).
+
+    A message holding ``paths_data`` / ``paths_indptr`` arrays is written
+    as a columnar frame; every other message as JSON.
+    """
+    if "paths_data" in message:
+        body = _encode_columnar(message)
+    else:
+        body = json.dumps(message, separators=(",", ":")).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise FrameError(
             f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
@@ -205,15 +318,90 @@ def encode_frame(message: Dict[str, object]) -> bytes:
     return _LENGTH.pack(len(body)) + body
 
 
+def _encode_columnar(message: Dict[str, object]) -> bytes:
+    data = np.asarray(message["paths_data"])
+    indptr = np.asarray(message["paths_indptr"])
+    dtype = np.promote_types(data.dtype, indptr.dtype)
+    name = dtype.name
+    if name not in _WIRE_DTYPES or data.ndim != 1 or indptr.ndim != 1 or len(indptr) == 0:
+        raise FrameError(f"unencodable path columns ({data.dtype}, {indptr.dtype})")
+    wire = _WIRE_DTYPES[name]
+    header = {key: value for key, value in message.items() if key not in _COLUMNS}
+    header["paths_dtype"] = name
+    header["paths_count"] = len(indptr) - 1
+    header["paths_vertices"] = len(data)
+    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return b"".join(
+        (
+            _COLUMNAR,
+            _LENGTH.pack(len(head)),
+            head,
+            data.astype(wire, copy=False).tobytes(),
+            indptr.astype(wire, copy=False).tobytes(),
+        )
+    )
+
+
 def decode_frame(body: bytes) -> Dict[str, object]:
-    """Decode one frame *body* (the bytes after the length prefix)."""
+    """Decode one frame *body* (the bytes after the length prefix).
+
+    Raises :class:`FrameError` — never another exception, never an
+    allocation beyond the body — for anything that is not a well-formed
+    JSON object or columnar frame with a string ``type``.
+    """
+    if body[:1] == _COLUMNAR:
+        message = _decode_columnar(body)
+    else:
+        message = _decode_json(body)
+    if not isinstance(message.get("type"), str):
+        raise FrameError("frame has no string 'type'")
+    return message
+
+
+def _decode_json(body: bytes) -> Dict[str, object]:
     try:
         message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
         raise FrameError(f"undecodable frame body: {error}") from None
     if not isinstance(message, dict):
         raise FrameError("frame body must encode a JSON object")
     return message
+
+
+def _decode_columnar(body: bytes) -> Dict[str, object]:
+    start = len(_COLUMNAR) + _LENGTH.size
+    if len(body) < start:
+        raise FrameError("columnar frame truncated inside its header length")
+    (head_length,) = _LENGTH.unpack_from(body, len(_COLUMNAR))
+    end = start + head_length
+    if end > len(body):
+        raise FrameError("columnar header overruns the frame body")
+    header = _decode_json(body[start:end])
+    name, count, vertices = (header.pop(key, None) for key in _LAYOUT)
+    wire = _WIRE_DTYPES.get(name) if isinstance(name, str) else None
+    if wire is None:
+        raise FrameError(f"unknown paths_dtype {name!r}")
+    for field, value in (("paths_count", count), ("paths_vertices", vertices)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise FrameError(f"{field} must be a non-negative integer, got {value!r}")
+    if len(body) - end != (vertices + count + 1) * wire.itemsize:
+        raise FrameError(
+            f"{count} paths over {vertices} vertices do not fill the "
+            f"{len(body) - end} column bytes"
+        )
+    data = np.frombuffer(body, dtype=wire, count=vertices, offset=end)
+    indptr = np.frombuffer(
+        body, dtype=wire, count=count + 1, offset=end + vertices * wire.itemsize
+    )
+    if indptr[0] != 0 or indptr[-1] != vertices:
+        raise FrameError("paths_indptr must run from 0 to len(paths_data)")
+    if count and bool((indptr[1:] < indptr[:-1]).any()):
+        raise FrameError("paths_indptr decreases")
+    if vertices and int(data.min()) < 0:
+        raise FrameError("paths_data holds a negative vertex id")
+    header["paths_data"] = data
+    header["paths_indptr"] = indptr
+    return header
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, object]]:

@@ -337,9 +337,11 @@ class RouterStatsCounters:
 class RouterJob:
     """One routed batch: merged frame queue plus fan-out bookkeeping."""
 
-    def __init__(self, job_id: str, num_queries: int) -> None:
+    def __init__(self, job_id: str, num_queries: int, protocol: Optional[int] = None) -> None:
         self.id = job_id
         self.num_queries = num_queries
+        #: Frame version the consumer reads, announced to the shards.
+        self.protocol = protocol
         self.queue: "asyncio.Queue[Dict[str, object]]" = asyncio.Queue()
         #: Global positions whose result already reached the merged stream —
         #: the exactly-once gate for hedged duplicates and failover retries.
@@ -463,13 +465,25 @@ class ShardRouter:
         return clamp(ordered[rank])
 
     # -- job lifecycle -------------------------------------------------- #
-    async def submit(self, triples: Sequence[Sequence[object]], opts: Dict[str, object]) -> RouterJob:
+    async def submit(
+        self,
+        triples: Sequence[Sequence[object]],
+        opts: Dict[str, object],
+        *,
+        protocol: Optional[int] = None,
+    ) -> RouterJob:
         """Route one batch; returns the job whose :meth:`RouterJob.frames`
-        streams the merged result frames (positions in workload space)."""
+        streams the merged result frames (positions in workload space).
+
+        ``protocol`` is the frame version the job's consumer reads, announced
+        to every shard as is: a v4 consumer gets the shards' columnar
+        ``result`` frames, whose columns go back out as they arrived (no
+        path is rendered here), and ``None`` keeps JSON paths.
+        """
         if self._closed:
             raise RuntimeError("ShardRouter is closed")
         triples = [list(triple) for triple in triples]
-        job = RouterJob(f"r{next(self._job_ids)}", len(triples))
+        job = RouterJob(f"r{next(self._job_ids)}", len(triples), protocol)
         self.counters.jobs_routed += 1
         self.counters.queries_routed += len(triples)
         shards: Dict[int, List[int]] = {}
@@ -664,6 +678,7 @@ class ShardRouter:
         try:
             shard_job = await client.submit(
                 [triples[position] for position in sub_positions],
+                protocol=job.protocol,
                 **self._submit_kwargs(opts),
             )
         except (ConnectionError, OSError):
@@ -1003,7 +1018,10 @@ class RouterServer:
             )
             return
         try:
-            job = await self.router.submit(triples, opts)
+            protocol = message.get("protocol")
+            job = await self.router.submit(
+                triples, opts, protocol=protocol if isinstance(protocol, int) else None
+            )
         except Exception as error:  # noqa: BLE001 - e.g. router shutting down
             await write_frame(
                 writer,

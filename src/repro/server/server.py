@@ -2,7 +2,7 @@
 
 One :class:`QueryServer` wraps one :class:`~repro.server.service.QueryService`
 behind ``asyncio.start_server``.  Every connection speaks the
-length-prefixed JSON protocol of :mod:`repro.server.protocol`; a connection
+length-prefixed frame protocol of :mod:`repro.server.protocol`; a connection
 may run any number of jobs concurrently — their frames interleave on the
 wire (serialised per frame by a connection lock) and clients demultiplex by
 job id.  Closing a connection cancels its outstanding jobs.
@@ -27,6 +27,8 @@ from repro.server.protocol import (
     FrameError,
     read_frame,
     render_result_paths,
+    result_columns,
+    sends_columns,
     write_frame,
 )
 from repro.server.service import QueryService, ServiceJob
@@ -316,6 +318,7 @@ class QueryServer:
             opts = {}
         external = bool(opts.get("external", False))
         per_path = opts.get("frames") == "path"
+        columnar = sends_columns(message)
         if client_id in jobs:
             # Overwriting an in-flight id would orphan the first job: it
             # could no longer be cancelled, burning workers past the
@@ -367,7 +370,7 @@ class QueryServer:
                 del jobs[client_id]
 
         task = asyncio.create_task(
-            self._stream_job(client_id, job, writer, lock, external, per_path)
+            self._stream_job(client_id, job, writer, lock, external, per_path, columnar)
         )
         streams.add(task)
         task.add_done_callback(_forget)
@@ -380,6 +383,7 @@ class QueryServer:
         lock: asyncio.Lock,
         external: bool,
         per_path: bool,
+        columnar: bool,
     ) -> None:
         graph = self.service.graph
         try:
@@ -387,9 +391,6 @@ class QueryServer:
                 kind = event[0]
                 if kind == "result":
                     _, position, result = event
-                    # Kernel-produced results serialise straight from their
-                    # columnar buffer (no per-path tuples on the wire path).
-                    rendered = render_result_paths(result, graph, external=external)
                     frame: Dict[str, object] = {
                         "type": "result",
                         "id": client_id,
@@ -403,8 +404,15 @@ class QueryServer:
                         "timed_out": result.stats.timed_out,
                         "bfs_cache_hit": result.stats.bfs_cache_hit,
                     }
-                    if rendered is not None:
-                        if per_path:
+                    if columnar:
+                        # v4 submitter: the result's own buffer goes out
+                        # raw, no per-path list or JSON token.
+                        columns = result_columns(result)
+                        if columns is not None:
+                            frame["paths_data"], frame["paths_indptr"] = columns
+                    else:
+                        rendered = render_result_paths(result, graph, external=external)
+                        if rendered is not None and per_path:
                             for path in rendered:
                                 await write_frame(
                                     writer,
@@ -416,7 +424,7 @@ class QueryServer:
                                     },
                                     lock=lock, site=_FRAME_SITE,
                                 )
-                        else:
+                        elif rendered is not None:
                             frame["paths"] = rendered
                     await write_frame(writer, frame, lock=lock, site=_FRAME_SITE)
                 elif kind == "done":

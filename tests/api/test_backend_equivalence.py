@@ -126,6 +126,19 @@ class TestPayloadEquivalence:
         actual = _payload(graph, backend, remote_url, shared_target_triples, options)
         assert actual == reference
 
+    @pytest.mark.parametrize("scenario", ["plain", "limit_interrupted", "engine_recursive"])
+    def test_remote_results_are_buffer_backed(
+        self, graph, shared_target_triples, remote_url, scenario
+    ):
+        """Remote paths arrive as columns: the results wrap the frame bytes
+        in a PathBuffer, and the payload stays byte-identical to inline."""
+        options = SCENARIOS[scenario]
+        with Database(remote_url) as db:
+            stream = db.batch(shared_target_triples, **options)
+            assert all(result.path_buffer is not None for result in stream.results())
+            actual = stream.payload_bytes()
+        assert actual == _payload(graph, "inline", remote_url, shared_target_triples, options)
+
     def test_limit_scenario_actually_truncates(self, graph, shared_target_triples):
         with Database(graph) as db:
             results = db.batch(shared_target_triples, limit=3).results()

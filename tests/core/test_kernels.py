@@ -11,9 +11,12 @@ buffer-backed :class:`QueryResult` and engine selection.
 
 from __future__ import annotations
 
+import json
 import pickle
 import random
+import struct
 
+import numpy as np
 import pytest
 
 from repro.core.dfs import run_idx_dfs
@@ -261,6 +264,28 @@ class TestPathBuffer:
         assert clone == buffer
         assert clone.arrays()[0].dtype.name == "int64"
         assert len(pickle.dumps(buffer)) < len(pickle.dumps(buffer.to_paths()))
+
+    @pytest.mark.parametrize(
+        "paths, data_dtype",
+        [([(0, 1, 5), (0, 5)], "int32"), ([(0, 2**31 - 1)], "int32"), ([(0, 2**31), (0, 5)], "int64")],
+    )
+    def test_one_wire_dtype_rule_for_pickle_and_frames(self, paths, data_dtype):
+        # int32 columns when every id fits, int64 when one does not — the
+        # same rule for the pickled state and the columnar result frame.
+        from repro.server.protocol import decode_frame, encode_frame
+
+        buffer = PathBuffer.from_paths(paths)
+        data, indptr = buffer.wire_arrays()
+        assert (data.dtype.name, indptr.dtype.name) == (data_dtype, "int32")
+        state = buffer.__getstate__()
+        assert [column.dtype for column in state] == [data.dtype, indptr.dtype]
+        assert all(np.array_equal(a, b) for a, b in zip(state, (data, indptr)))
+        frame = {"type": "result", "paths_data": data, "paths_indptr": indptr}
+        body = encode_frame(frame)[4:]
+        (head_length,) = struct.unpack(">I", body[1:5])
+        assert json.loads(body[5 : 5 + head_length])["paths_dtype"] == data_dtype
+        decoded = decode_frame(body)
+        assert PathBuffer(decoded["paths_data"], decoded["paths_indptr"]) == paths
 
     def test_index_errors(self):
         buffer = PathBuffer.from_paths([(0, 1)])

@@ -11,10 +11,12 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
+import threading
 import time
 
 import pytest
 
+from repro.api import Database
 from repro.core.algorithm import Algorithm
 from repro.core.engine import QuerySession
 from repro.core.listener import RunConfig
@@ -243,6 +245,76 @@ class TestMergedStream:
         frames = _run(scenario())
         assert frames[-1]["type"] == "error"
         assert "out of range" in frames[-1]["error"]
+
+
+class TestColumnarRelay:
+    """Protocol v4 through the router: shards send what the end client
+    announced, and the router relays the columns without rendering paths."""
+
+    def test_v4_routed_job_carries_columns_end_to_end(self, graph, triples, expected):
+        async def scenario():
+            fleet = _Fleet()
+            try:
+                await fleet.add_shard(graph, threads=2)
+                await fleet.add_shard(graph, threads=2)
+                router = ShardRouter(fleet.shard_map(), hedge=False)
+                async with RouterServer(router, port=0) as front:
+                    client = await QueryClient.connect(port=front.port)
+                    async with client:
+                        job_id = await client.submit(triples)
+                        columnar = [frame async for frame in client.frames(job_id)]
+                        legacy = await client.run(triples, protocol=None)
+                        v4 = await client.run(triples)
+                await router.close()
+                return columnar, legacy, v4
+            finally:
+                await fleet.close()
+
+        columnar, legacy, v4 = _run(scenario())
+        results = [frame for frame in columnar if frame["type"] == "result"]
+        assert len(results) == len(triples)
+        assert all("paths_data" in frame and "paths" not in frame for frame in results)
+        _check_results(v4.results, expected)
+        # A version-less submit through the same router still reads JSON.
+        _check_results(legacy.results, expected)
+
+    def test_routed_database_results_are_buffer_backed(self, graph, triples):
+        holder = {}
+        ready = threading.Event()
+
+        def host() -> None:
+            async def main() -> None:
+                fleet = _Fleet()
+                await fleet.add_shard(graph, threads=2)
+                await fleet.add_shard(graph, threads=2)
+                router = ShardRouter(fleet.shard_map(), hedge=False)
+                front = RouterServer(router, port=0)
+                await front.start()
+                holder.update(shard_map=fleet.shard_map(), port=front.port,
+                              loop=asyncio.get_running_loop(), stop=asyncio.Event())
+                ready.set()
+                await holder["stop"].wait()
+                await front.close()
+                await router.close()
+                await fleet.close()
+
+            asyncio.run(main())
+
+        thread = threading.Thread(target=host, name="columnar-fleet", daemon=True)
+        thread.start()
+        assert ready.wait(10), "fleet failed to boot"
+        try:
+            with Database(graph) as inline:
+                reference = inline.batch(triples).payload_bytes()
+            for target in (holder["shard_map"], f"router://127.0.0.1:{holder['port']}"):
+                with Database(target) as db:
+                    stream = db.batch(triples)
+                    assert all(r.path_buffer is not None for r in stream.results())
+                    assert stream.payload_bytes() == reference
+        finally:
+            holder["loop"].call_soon_threadsafe(holder["stop"].set)
+            thread.join(10)
+        assert not thread.is_alive(), "fleet failed to shut down"
 
 
 class TestFailover:

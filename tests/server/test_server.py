@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import struct
 import time
 
 import pytest
@@ -10,10 +11,12 @@ import pytest
 from repro.core.algorithm import Algorithm
 from repro.core.engine import QuerySession
 from repro.core.listener import RunConfig
+from repro.core.query import Query
 from repro.core.result import EnumerationStats, QueryResult
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import erdos_renyi
 from repro.server.client import QueryClient, run_queries
+from repro.server.protocol import decode_frame, encode_frame, frame_paths
 from repro.server.server import QueryServer
 from repro.server.service import QueryService
 from repro.workloads.queries import generate_target_centric_set
@@ -143,6 +146,122 @@ class TestRoundTrip:
         assert sorted(result.paths) == [("a", "b", "c"), ("a", "c")]
 
 
+_TERMINAL = ("done", "cancelled", "error", "overloaded")
+
+
+async def _raw_job(port, submit):
+    """Write one raw submit frame; returns the job's ``(body, frame)`` pairs."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(encode_frame(submit))
+        await writer.drain()
+        frames = []
+        while True:
+            (length,) = struct.unpack(">I", await reader.readexactly(4))
+            body = await reader.readexactly(length)
+            frames.append((body, decode_frame(body)))
+            if frames[-1][1]["type"] in _TERMINAL:
+                return frames
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
+async def _job_frames(client, queries, **opts):
+    job_id = await client.submit(queries, **opts)
+    return [frame async for frame in client.frames(job_id)]
+
+
+class TestColumnarResults:
+    """Protocol v4: columnar ``result`` frames exactly where negotiated."""
+
+    def test_versionless_raw_submit_gets_todays_json_frames(self, graph, queries):
+        session = QuerySession(graph)
+        expected = [session.run(q, RunConfig(store_paths=True)) for q in queries]
+        triples = [[q.source, q.target, q.k] for q in queries]
+
+        async def scenario(client, server):
+            return await _raw_job(
+                server.port, {"type": "submit", "id": "nc", "queries": triples, "opts": {}}
+            )
+
+        frames = _serve(graph, scenario, threads=2)
+        results = sorted((f for f in frames if f[1]["type"] == "result"),
+                         key=lambda pair: pair[1]["position"])
+        assert len(results) == len(queries)
+        for (body, frame), exp in zip(results, expected):
+            assert body[:1] == b"{" and "paths_data" not in frame
+            # The JSON paths list, byte for byte as rendered from the session.
+            today = {key: value for key, value in frame.items() if key != "paths"}
+            today["paths"] = [list(path) for path in exp.paths]
+            assert body == encode_frame(today)[4:]
+
+    def test_v4_client_receives_columns(self, graph, queries):
+        session = QuerySession(graph)
+        expected = [session.run(q, RunConfig(store_paths=True)) for q in queries]
+
+        async def scenario(client, server):
+            return await _job_frames(client, [[q.source, q.target, q.k] for q in queries])
+
+        frames = _serve(graph, scenario, threads=2)
+        results = {f["position"]: f for f in frames if f["type"] == "result"}
+        assert len(results) == len(queries)
+        for position, exp in enumerate(expected):
+            frame = results[position]
+            assert "paths" not in frame
+            assert frame["paths_data"].dtype.itemsize == 4  # ids fit int32
+            assert frame_paths(frame).to_paths() == exp.paths
+
+    def test_external_and_path_frames_stay_json_under_v4(self, graph, queries):
+        builder = GraphBuilder()
+        builder.add_edges([("a", "b"), ("b", "c"), ("a", "c")])
+        labelled = builder.build()
+
+        async def external(client, server):
+            return await _job_frames(client, [["a", "c", 2]], external=True)
+
+        async def per_path(client, server):
+            return await _job_frames(
+                client, [[q.source, q.target, q.k] for q in queries[:3]], frames="path"
+            )
+
+        frames = _serve(labelled, external, threads=1) + _serve(graph, per_path, threads=1)
+        assert not any("paths_data" in frame for frame in frames)
+        labelled_result = next(f for f in frames if f["type"] == "result")
+        assert sorted(map(tuple, labelled_result["paths"])) == [("a", "b", "c"), ("a", "c")]
+        assert any(frame["type"] == "path" for frame in frames)
+
+    def test_count_only_sends_no_columns(self, graph, queries):
+        async def scenario(client, server):
+            return await _job_frames(
+                client, [[q.source, q.target, q.k] for q in queries[:4]], store_paths=False
+            )
+
+        results = [f for f in _serve(graph, scenario, threads=1) if f["type"] == "result"]
+        assert len(results) == 4
+        assert not any("paths_data" in f or "paths" in f for f in results)
+
+    def test_zero_path_and_limit_truncated_results_roundtrip(self, graph, queries):
+        session = QuerySession(graph)
+        source = queries[0].source
+        unreachable = next(
+            v for v in graph.vertices()
+            if v != source and session.run(Query(source, v, 2)).count == 0
+        )
+        wide = max(queries, key=lambda q: session.run(q).count)
+        limited = session.run(wide, RunConfig(store_paths=True, result_limit=3))
+        assert limited.count == 3
+
+        async def scenario(client, server):
+            zero = await client.run([[source, unreachable, 2]])
+            cut = await client.run([[wide.source, wide.target, wide.k]], result_limit=3)
+            return zero, cut
+
+        zero, cut = _serve(graph, scenario, threads=1)
+        assert zero.results[0].count == 0 and zero.results[0].paths == []
+        assert cut.results[0].count == 3 and cut.results[0].paths == limited.paths
+
+
 class TestProtocolErrors:
     def test_malformed_queries_produce_error_frame(self, graph):
         async def scenario(client, server):
@@ -192,6 +311,30 @@ class TestProtocolErrors:
         assert rejections and "already in flight" in rejections[0]["error"]
         # The first job still completes normally.
         assert frames[-1]["type"] == "done"
+
+    def test_typeless_frame_from_a_peer_is_a_typed_error(self):
+        async def scenario():
+            async def peer(reader, writer):
+                (length,) = struct.unpack(">I", await reader.readexactly(4))
+                await reader.readexactly(length)  # the submit
+                writer.write(encode_frame({"id": "c1"}))
+                await writer.drain()
+                await reader.read()  # hold the socket until the client hangs up
+                writer.close()
+                await writer.wait_closed()
+
+            listener = await asyncio.start_server(peer, "127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            try:
+                async with await QueryClient.connect(port=port) as client:
+                    return await asyncio.wait_for(client.run([[0, 1, 2]]), timeout=10)
+            finally:
+                listener.close()
+                await listener.wait_closed()
+
+        outcome = asyncio.run(scenario())
+        assert outcome.status == "error"
+        assert "FrameError" in outcome.info["error"]
 
     def test_unknown_message_type_answered_not_fatal(self, graph):
         async def scenario(client, server):
