@@ -42,10 +42,10 @@ target) all satisfy the :class:`ExecutionBackend` protocol:
     The same sharded dispatch over worker processes attached to a
     shared-memory graph image and a packed distance cache.
 ``remote``
-    A `repro serve` instance over TCP: specs travel as submit frames, and
-    per-query result frames stream back into the same ``ResultStream``
-    shape — including the ``engine`` option, which is honored server-side
-    exactly like a local run.
+    A `repro serve` instance over one persistent TCP connection: specs
+    travel as submit frames (``engine`` included, honored server-side like
+    a local run), and per-query result frames stream back into the same
+    ``ResultStream`` shape.
 ``router``
     A distributed deployment: either a running ``repro route`` front end
     (``Database("router://host:port")``) or a client-side
@@ -62,6 +62,7 @@ in-process prototype to a served deployment is a one-argument change.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -94,7 +95,7 @@ from repro.core.listener import ENGINE_CHOICES, RunConfig
 from repro.core.native import warmup as native_warmup
 from repro.core.query import MIN_HOP_CONSTRAINT, Query
 from repro.core.result import EnumerationStats, Phase, QueryResult
-from repro.errors import BackendError, QuerySpecError, ServiceOverloaded
+from repro.errors import BackendError, ConnectionLost, QuerySpecError, ServiceOverloaded
 from repro.graph.digraph import DiGraph
 
 __all__ = [
@@ -911,56 +912,64 @@ def _result_from_frame(frame: Dict[str, object]) -> QueryResult:
     )
 
 
-class RemoteBackend(ExecutionBackend):
-    """Execution against a running ``repro serve`` instance over TCP.
+class _WireJob:
+    """One batch on a wire backend.  ``events`` hands the consumer
+    ``(position, result)`` items, then one terminal event: ``None`` for a
+    clean end, else the exception the stream raises."""
 
-    Each submitted batch becomes one protocol job driven by a background
-    thread running the asyncio :class:`~repro.server.client.QueryClient`;
-    result frames are rebuilt into :class:`QueryResult` objects and handed
-    to the consumer through a thread-safe queue, so the stream's laziness
-    and cancellation semantics match the local backends.  All run options
-    — the ``engine`` selection included — travel in the submit frame and
-    are honored server-side exactly like a local :class:`RunConfig`.
+    __slots__ = ("events", "handle", "task", "cancel_requested", "ended")
+
+    def __init__(self) -> None:
+        self.events: "queue_module.SimpleQueue[object]" = queue_module.SimpleQueue()
+        self.handle = self.task = None
+        self.cancel_requested = self.ended = False
+
+    def end(self, error: Optional[BaseException] = None) -> None:
+        if not self.ended:  # only the first terminal event counts
+            self.ended = True
+            self.events.put(error)
+
+    def produce(self) -> Iterator[Tuple[int, QueryResult]]:
+        for event in iter(self.events.get, None):
+            if isinstance(event, BaseException):
+                raise event
+            yield event  # type: ignore[misc]
+
+
+class _WireBackend(ExecutionBackend):
+    """The one driver of the backends that speak the wire protocol.
+
+    It owns an event-loop thread for the backend's whole life; every batch
+    runs as a coroutine on it.  A subclass supplies ``endpoint``,
+    ``_lost(reason)`` and the coroutines ``_open(triples, opts)`` (submit a
+    job, return ``(handle, frames)``), ``_cancel(handle)`` and
+    ``_close_transport()``.  :meth:`_pump` turns frames into results or
+    typed exceptions: :class:`~repro.errors.ConnectionLost` for a lost or
+    unreachable connection, :class:`~repro.errors.ServiceOverloaded` for a
+    shed job, ``RuntimeError`` for a server-side rejection.  A cancel that
+    arrives before the job exists takes effect as soon as ``_open`` returns.
     """
 
-    name = "remote"
+    _thread_name = "repro-remote-loop"
+    #: Who answered, in error messages.
+    _label = "remote"
 
-    #: Seconds between cancellation polls in the driver coroutine.
-    _CANCEL_POLL_SECONDS = 0.02
-
-    def __init__(self, host: str, port: int, **_ignored) -> None:
-        self.host = host
-        self.port = int(port)
-
-    def mutate(
-        self,
-        add: Sequence[Tuple[object, object]] = (),
-        remove: Sequence[Tuple[object, object]] = (),
-        *,
-        external: bool = False,
-    ) -> Dict[str, object]:
+    def __init__(self) -> None:
         import asyncio
 
-        add = [list(edge) for edge in add]
-        remove = [list(edge) for edge in remove]
+        self._jobs: set = set()
+        self._cancels: set = set()
+        self._closing = False
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self._loop.run_forever, name=self._thread_name, daemon=True
+        )
+        self._thread.start()
 
-        async def drive() -> Dict[str, object]:
-            from repro.server.client import QueryClient
-
-            client = await QueryClient.connect(self.host, self.port)
-            try:
-                return await client.update(
-                    add=add, remove=remove, external=external
-                )
-            finally:
-                await client.close()
-
-        frame = asyncio.run(drive())
-        return {
-            key: frame[key]
-            for key in ("epoch", "added", "removed", "repair", "stats")
-            if key in frame
-        }
+    def _as_lost(self, error: BaseException) -> ConnectionLost:
+        if isinstance(error, ConnectionLost):
+            return error
+        return self._lost(f"{type(error).__name__}: {error}")
 
     def submit(
         self,
@@ -971,6 +980,8 @@ class RemoteBackend(ExecutionBackend):
         ordered: bool = True,
         chunk_queries: int = DEFAULT_CHUNK_QUERIES,
     ) -> ResultStream:
+        import asyncio
+
         if options.constraint is not None:
             raise BackendError(
                 "path constraints hold process-local state (their edge "
@@ -979,98 +990,181 @@ class RemoteBackend(ExecutionBackend):
             )
         started = time.perf_counter()
         triples = [list(spec.triple) for spec in specs]
-        events: "queue_module.Queue[Tuple[str, object, object]]" = queue_module.Queue()
-        cancelled = threading.Event()
-        worker = threading.Thread(
-            target=self._drive_blocking,
-            args=(triples, options, external, events, cancelled),
-            name="repro-remote-stream",
-            daemon=True,
-        )
-        worker.start()
-
-        def produce() -> Iterator[Tuple[int, QueryResult]]:
-            while True:
-                kind, a, b = events.get()
-                if kind == "item":
-                    yield a, b  # type: ignore[misc]
-                elif kind == "error":
-                    raise RuntimeError(f"remote query failed: {a}")
-                elif kind == "overloaded":
-                    frame = a if isinstance(a, dict) else {}
-                    raise ServiceOverloaded(
-                        "server shed the job: "
-                        f"retry after {frame.get('retry_after_ms', 50.0)} ms",
-                        retry_after=float(frame.get("retry_after_ms", 50.0)) / 1e3,
-                        pending=frame.get("pending"),
-                        limit=frame.get("limit"),
-                    )
-                else:  # done / cancelled
-                    return
-
+        # QueryClient.submit keywords = the submit-frame opts the router reads
+        opts = {
+            "store_paths": options.store_paths,
+            "result_limit": options.limit,
+            "time_limit_seconds": options.deadline,
+            "response_k": options.response_k,
+            "external": external,
+            "engine": None if options.engine == "auto" else options.engine,
+        }
+        job = _WireJob()
+        self._jobs.add(job)
+        asyncio.run_coroutine_threadsafe(self._pump(job, triples, opts), self._loop)
         return ResultStream(
-            produce(),
+            job.produce(),
             num_queries=len(triples),
             backend=self.name,
-            cancel=cancelled.set,
+            cancel=lambda: self._request_cancel(job),
             ordered=ordered,
             started_at=started,
         )
 
-    # -- background driver ---------------------------------------------- #
-    def _drive_blocking(self, triples, options, external, events, cancelled) -> None:
+    async def _pump(self, job: _WireJob, triples, opts) -> None:
         import asyncio
 
+        job.task = asyncio.current_task()
         try:
-            asyncio.run(self._drive(triples, options, external, events, cancelled))
+            if self._closing:
+                raise self._lost("Database closed")
+            job.handle, frames = await self._open(triples, opts)
+            if job.cancel_requested:
+                await self._cancel(job.handle)
+            async for frame in frames:
+                kind = frame["type"]
+                if kind == "result":
+                    job.events.put((int(frame["position"]), _result_from_frame(frame)))
+                elif kind in ("done", "cancelled"):
+                    job.end()
+                elif kind == "overloaded":
+                    retry_ms = float(frame.get("retry_after_ms", 50.0))
+                    job.end(ServiceOverloaded(
+                        f"{self._label} service shed the job: retry after {retry_ms} ms",
+                        retry_after=retry_ms / 1e3,
+                        pending=frame.get("pending"),
+                        limit=frame.get("limit"),
+                    ))
+                elif kind == "error":
+                    message = str(frame.get("error"))
+                    job.end(self._lost(message) if frame.get("_closed") else
+                            RuntimeError(f"{self._label} query failed: {message}"))
+        except (ConnectionError, OSError) as error:
+            job.end(self._as_lost(error))
         except Exception as error:  # noqa: BLE001 - surfaced to the consumer
-            events.put(("error", f"{type(error).__name__}: {error}", None))
+            job.end(RuntimeError(f"{self._label} query failed: {type(error).__name__}: {error}"))
+        finally:
+            reason = "Database closed" if self._closing else "stream ended without a terminal frame"
+            job.end(self._lost(reason))
+            self._jobs.discard(job)
 
-    async def _drive(self, triples, options, external, events, cancelled) -> None:
+    def _request_cancel(self, job: _WireJob) -> None:
+        def on_loop() -> None:
+            job.cancel_requested = True
+            if job.handle is not None and not job.ended:
+                task = self._loop.create_task(self._cancel(job.handle))
+                self._cancels.add(task)
+                task.add_done_callback(self._cancels.discard)
+
+        with contextlib.suppress(RuntimeError):  # the loop is already closed
+            self._loop.call_soon_threadsafe(on_loop)
+
+    def close(self) -> None:
+        """End every live stream, close the transport, stop the loop."""
         import asyncio
-        import contextlib
 
+        if self._loop.is_closed():
+            return
+        with contextlib.suppress(Exception):
+            asyncio.run_coroutine_threadsafe(self._shutdown(), self._loop).result(timeout=10.0)
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join(timeout=10.0)
+        if not self._thread.is_alive():
+            self._loop.close()
+        for job in list(self._jobs):  # a submit that raced close()
+            job.end(self._lost("Database closed"))
+
+    async def _shutdown(self) -> None:
+        import asyncio
+
+        self._closing = True  # a cancelled pump ends its stream as closed
+        pumps = [job.task for job in list(self._jobs) if job.task is not None]
+        for pump in pumps:
+            pump.cancel()
+        await asyncio.gather(*pumps, *self._cancels, return_exceptions=True)
+        with contextlib.suppress(Exception):
+            await self._close_transport()
+        await self._loop.shutdown_asyncgens()
+
+
+class RemoteBackend(_WireBackend):
+    """Execution against a running ``repro serve`` instance over TCP.
+
+    One :class:`~repro.server.client.QueryClient` connection serves every
+    call: dialled on the first (construction never dials), shared by
+    callers on any thread, and redialled by the next call after it is found
+    dead.  Jobs in flight on a lost connection end in
+    :class:`~repro.errors.ConnectionLost`; nothing is resubmitted silently.
+    All run options, ``engine`` included, travel in the submit frame.
+    """
+
+    name = "remote"
+
+    def __init__(self, host: str, port: int, **_ignored) -> None:
+        import asyncio
+
+        self.host = host
+        self.port = int(port)
+        self._client = None
+        self._dial_lock = asyncio.Lock()  # binds to the loop on first use
+        super().__init__()
+
+    @property
+    def endpoint(self) -> str:
+        return f"{self.host}:{self.port}"
+
+    def _lost(self, reason: str) -> ConnectionLost:
+        return ConnectionLost(self.host, self.port, 1, reason)
+
+    async def _connection(self):
+        """The live client; dials on first use and after a loss."""
         from repro.server.client import QueryClient
 
-        client = await QueryClient.connect(self.host, self.port)
-        try:
-            job_id = await client.submit(
-                triples,
-                store_paths=options.store_paths,
-                result_limit=options.limit,
-                time_limit_seconds=options.deadline,
-                response_k=options.response_k,
-                external=external,
-                engine=None if options.engine == "auto" else options.engine,
-            )
+        async with self._dial_lock:
+            if self._client is None or not self._client.connected:
+                stale, self._client = self._client, None
+                if stale is not None:
+                    await stale.close()
+                self._client = await QueryClient.connect(self.host, self.port)
+            return self._client
 
-            async def watch_cancel() -> None:
-                while not cancelled.is_set():
-                    await asyncio.sleep(self._CANCEL_POLL_SECONDS)
-                await client.cancel(job_id)
+    async def _open(self, triples, opts):
+        client = await self._connection()
+        job_id = await client.submit(triples, **opts)
+        return (client, job_id), client.frames(job_id)
 
-            watcher = asyncio.create_task(watch_cancel())
-            try:
-                async for frame in client.frames(job_id):
-                    kind = frame["type"]
-                    if kind == "result":
-                        events.put(
-                            ("item", int(frame["position"]), _result_from_frame(frame))
-                        )
-                    elif kind == "done":
-                        events.put(("done", frame, None))
-                    elif kind == "cancelled":
-                        events.put(("cancelled", frame, None))
-                    elif kind == "overloaded":
-                        events.put(("overloaded", frame, None))
-                    elif kind == "error":
-                        events.put(("error", frame.get("error"), None))
-            finally:
-                watcher.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await watcher
-        finally:
+    async def _cancel(self, handle) -> None:
+        client, job_id = handle
+        with contextlib.suppress(ConnectionError, OSError):
+            await client.cancel(job_id)
+
+    async def _close_transport(self) -> None:
+        client, self._client = self._client, None
+        if client is not None:
             await client.close()
+
+    def mutate(
+        self,
+        add: Sequence[Tuple[object, object]] = (),
+        remove: Sequence[Tuple[object, object]] = (),
+        *,
+        external: bool = False,
+    ) -> Dict[str, object]:
+        import asyncio
+
+        async def update() -> Dict[str, object]:
+            try:
+                client = await self._connection()
+                return await client.update(add=add, remove=remove, external=external)
+            except (ConnectionError, OSError) as error:
+                raise self._as_lost(error) from error
+
+        frame = asyncio.run_coroutine_threadsafe(update(), self._loop).result()
+        return {
+            key: frame[key]
+            for key in ("epoch", "added", "removed", "repair", "stats")
+            if key in frame
+        }
 
 
 class RouterBackend(RemoteBackend):
@@ -1100,154 +1194,54 @@ class RouterBackend(RemoteBackend):
         return ExecutionBackend.mutate(self, add, remove, external=external)
 
 
-class ShardMapBackend(ExecutionBackend):
+class ShardMapBackend(_WireBackend):
     """Client-side routing: the database itself is the router.
 
     Opened from a shard-map ``.json`` file or a
-    :class:`~repro.server.router.ShardMap`, this backend embeds a
-    :class:`~repro.server.router.ShardRouter` on a private event-loop
-    thread that lives as long as the database: shard connections stay
-    persistent across batches (so shard-side distance caches stay hot),
-    and every batch gets the full routing treatment — consistent-hash
-    fan-out, merged workload-ordered streaming, replica failover, hedged
-    requests — without any ``repro route`` process in between.
+    :class:`~repro.server.router.ShardMap`, this backend runs a
+    :class:`~repro.server.router.ShardRouter` on the driver's loop thread,
+    which lives as long as the database: shard connections stay persistent
+    across batches (so shard-side distance caches stay hot), and every
+    batch gets the full routing treatment — consistent-hash fan-out, merged
+    workload-ordered streaming, replica failover, hedged requests — without
+    any ``repro route`` process in between.  The router fails lost shard
+    connections over; a batch it cannot complete raises ``RuntimeError``.
     """
 
     name = "router"
-
-    #: Seconds between cancellation polls in the driver coroutine.
-    _CANCEL_POLL_SECONDS = 0.02
+    _thread_name = "repro-router-loop"
+    _label = "routed"
 
     def __init__(self, shard_map, *, router_options: Optional[Dict[str, object]] = None, **_ignored) -> None:
-        import asyncio
-
         from repro.server.router import ShardRouter
 
         self.shard_map = shard_map
         # Construction is loop-free (validation + channel bookkeeping); all
-        # awaiting happens later on the private loop below.
+        # awaiting happens later on the driver's loop.
         self._router = ShardRouter(shard_map, **(router_options or {}))
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-router-loop", daemon=True
-        )
-        self._thread.start()
+        super().__init__()
 
-    def submit(
-        self,
-        specs: Sequence[QuerySpec],
-        options: QuerySpec,
-        *,
-        external: bool = False,
-        ordered: bool = True,
-        chunk_queries: int = DEFAULT_CHUNK_QUERIES,
-    ) -> ResultStream:
-        if options.constraint is not None:
-            raise BackendError(
-                "path constraints hold process-local state (their edge "
-                "filters are closures) and cannot cross the wire; evaluate "
-                "constrained specs on a local inline Database"
-            )
-        started = time.perf_counter()
-        triples = [list(spec.triple) for spec in specs]
-        wire_opts: Dict[str, object] = {
-            "store_paths": options.store_paths,
-            "response_k": options.response_k,
-        }
-        if options.limit is not None:
-            wire_opts["result_limit"] = options.limit
-        if options.deadline is not None:
-            wire_opts["time_limit_seconds"] = options.deadline
-        if external:
-            wire_opts["external"] = True
-        if options.engine != "auto":
-            wire_opts["engine"] = options.engine
-        events: "queue_module.Queue[Tuple[str, object, object]]" = queue_module.Queue()
-        cancelled = threading.Event()
-        import asyncio
-
-        asyncio.run_coroutine_threadsafe(
-            self._pump(triples, wire_opts, events, cancelled), self._loop
+    @property
+    def endpoint(self) -> str:
+        return " | ".join(
+            ",".join(f"{host}:{port}" for host, port in replicas)
+            for replicas in self.shard_map.shards
         )
 
-        def produce() -> Iterator[Tuple[int, QueryResult]]:
-            while True:
-                kind, a, b = events.get()
-                if kind == "item":
-                    yield a, b  # type: ignore[misc]
-                elif kind == "error":
-                    raise RuntimeError(f"routed query failed: {a}")
-                elif kind == "overloaded":
-                    frame = a if isinstance(a, dict) else {}
-                    raise ServiceOverloaded(
-                        "shard fleet shed the job: "
-                        f"retry after {frame.get('retry_after_ms', 50.0)} ms",
-                        retry_after=float(frame.get("retry_after_ms", 50.0)) / 1e3,
-                        pending=frame.get("pending"),
-                        limit=frame.get("limit"),
-                    )
-                else:  # done / cancelled
-                    return
+    def _lost(self, reason: str) -> ConnectionLost:
+        return ConnectionLost(f"shards {self.endpoint}", None, 1, reason)
 
-        return ResultStream(
-            produce(),
-            num_queries=len(triples),
-            backend=self.name,
-            cancel=cancelled.set,
-            ordered=ordered,
-            started_at=started,
-        )
-
-    async def _pump(self, triples, wire_opts, events, cancelled) -> None:
-        import asyncio
-        import contextlib
-
+    async def _open(self, triples, opts):
         from repro.server.protocol import PROTOCOL_VERSION
 
-        try:
-            job = await self._router.submit(triples, wire_opts, protocol=PROTOCOL_VERSION)
+        job = await self._router.submit(triples, opts, protocol=PROTOCOL_VERSION)
+        return job, job.frames()
 
-            async def watch_cancel() -> None:
-                while not cancelled.is_set():
-                    await asyncio.sleep(self._CANCEL_POLL_SECONDS)
-                await self._router.cancel(job)
+    async def _cancel(self, handle) -> None:
+        await self._router.cancel(handle)
 
-            watcher = asyncio.ensure_future(watch_cancel())
-            try:
-                async for frame in job.frames():
-                    kind = frame["type"]
-                    if kind == "result":
-                        events.put(
-                            ("item", int(frame["position"]), _result_from_frame(frame))
-                        )
-                    elif kind == "done":
-                        events.put(("done", frame, None))
-                    elif kind == "cancelled":
-                        events.put(("cancelled", frame, None))
-                    elif kind == "overloaded":
-                        events.put(("overloaded", frame, None))
-                    elif kind == "error":
-                        events.put(("error", frame.get("error"), None))
-            finally:
-                watcher.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await watcher
-        except Exception as error:  # noqa: BLE001 - surfaced to the consumer
-            events.put(("error", f"{type(error).__name__}: {error}", None))
-
-    def close(self) -> None:
-        import asyncio
-        import contextlib
-
-        if self._loop.is_closed():
-            return
-        with contextlib.suppress(Exception):
-            asyncio.run_coroutine_threadsafe(
-                self._router.close(), self._loop
-            ).result(timeout=10.0)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10.0)
-        self._loop.close()
+    async def _close_transport(self) -> None:
+        await self._router.close()
 
 
 # --------------------------------------------------------------------- #
@@ -1488,10 +1482,10 @@ class Database:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         origin = (
-            f"{self._backend.host}:{self._backend.port}"
-            if isinstance(self._backend, RemoteBackend)
+            self._backend.endpoint
+            if isinstance(self._backend, _WireBackend)
             else f"|V|={self.graph.num_vertices}, |E|={self.graph.num_edges}"
         )
         return f"Database(backend={self.backend_name!r}, {origin})"

@@ -84,15 +84,21 @@ class ConnectionLost(ReproError, ConnectionError):
 
     Raised by :class:`repro.server.client.QueryClient` when dialling a
     server fails after every reconnect attempt, and by control requests
-    whose connection vanished mid-flight.  Subclasses ``ConnectionError``
-    so pre-existing ``except (ConnectionError, OSError)`` handlers keep
-    working; carries the endpoint and the number of attempts made.
+    whose connection vanished mid-flight, and by remote and routed
+    :class:`repro.api.Database` streams in both cases.  Subclasses
+    ``ConnectionError`` so pre-existing ``except (ConnectionError,
+    OSError)`` handlers keep working; carries the endpoint and the number
+    of attempts made.  ``port=None`` means ``host`` already names the
+    endpoint (e.g. a whole shard map).
     """
 
-    def __init__(self, host: str, port: int, attempts: int = 1, reason: str = "") -> None:
+    def __init__(
+        self, host: str, port: Optional[int], attempts: int = 1, reason: str = ""
+    ) -> None:
         detail = f": {reason}" if reason else ""
+        where = host if port is None else f"{host}:{port}"
         super().__init__(
-            f"lost connection to {host}:{port} after {attempts} "
+            f"lost connection to {where} after {attempts} "
             f"attempt{'s' if attempts != 1 else ''}{detail}"
         )
         self.host = host

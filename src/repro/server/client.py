@@ -306,6 +306,11 @@ class QueryClient:
         """
         self._next_id += 1
         job_id = f"c{self._next_id}"
+        if not self._connected:
+            # The reader loop already poisoned every job it knew of; a job
+            # registered now would wait forever for its frames.
+            host, port = self._endpoint if self._endpoint else ("?", 0)
+            raise ConnectionLost(host, port, 1, "connection closed")
         self._jobs[job_id] = asyncio.Queue()
         opts: Dict[str, object] = {
             "store_paths": store_paths,

@@ -2,17 +2,28 @@
 
 from __future__ import annotations
 
+import asyncio
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.api import BACKEND_CHOICES, Database, Q, QuerySpec
+from repro.core.algorithm import DelayedAlgorithm
 from repro.core.constraints import PredicateConstraint
 from repro.core.engine import PathEnum, QuerySession
 from repro.core.listener import RunConfig
-from repro.errors import BackendError, QuerySpecError
+from repro.errors import BackendError, ConnectionLost, QuerySpecError, ReproError
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import erdos_renyi
 from repro.graph.io import _save_npz as save_npz
 from repro.graph.io import write_edge_list
+from repro.server.client import QueryClient
+from repro.server.router import ShardMap
+from repro.server.server import QueryServer
+from repro.server.service import QueryService
 from repro.workloads.queries import generate_target_centric_set
 
 
@@ -54,6 +65,17 @@ class TestOpening:
         assert db.backend_name == "remote"
         assert db.graph is None
         db.close()
+
+    def test_repr_names_what_the_database_talks_to(self, graph):
+        with Database("127.0.0.1:7284") as db:
+            assert repr(db) == "Database(backend='remote', 127.0.0.1:7284)"
+        shard_map = ShardMap.from_entries(["127.0.0.1:7301,127.0.0.1:7401", "127.0.0.1:7302"])
+        with Database(shard_map) as db:
+            assert repr(db) == (
+                "Database(backend='router', 127.0.0.1:7301,127.0.0.1:7401 | 127.0.0.1:7302)"
+            )
+        with Database(graph) as db:
+            assert repr(db) == "Database(backend='inline', |V|=80, |E|=" f"{graph.num_edges})"
 
     def test_open_classmethod_is_the_constructor(self, graph):
         with Database.open(graph, backend="threads", workers=2) as db:
@@ -268,3 +290,197 @@ class TestDeprecationShims:
 
         with pytest.raises(AttributeError):
             repro.NoSuchThing
+
+
+# --------------------------------------------------------------------- #
+# remote lifecycle: one persistent connection per Database
+# --------------------------------------------------------------------- #
+class _Server:
+    """An in-process ``repro serve`` on its own loop thread.
+
+    ``delay`` adds a fixed service time per query, so a batch stays in
+    flight long enough to cancel or cut; ``stop()`` then ``start()``
+    restarts it on the same port.
+    """
+
+    def __init__(self, graph, delay: float = 0.0) -> None:
+        self.graph = graph
+        self.delay = delay
+        self.port = 0
+        self._thread = None
+
+    @property
+    def url(self) -> str:
+        return f"127.0.0.1:{self.port}"
+
+    def start(self) -> "_Server":
+        ready = threading.Event()
+
+        async def main() -> None:
+            algorithm = DelayedAlgorithm(PathEnum(), self.delay) if self.delay else None
+            service = QueryService(self.graph, algorithm=algorithm, threads=1)
+            server = QueryServer(service, port=self.port)
+            await server.start()
+            self.port = server.port
+            self._loop, self._stop = asyncio.get_running_loop(), asyncio.Event()
+            ready.set()
+            await self._stop.wait()
+            await server.close()
+            await service.close()
+
+        self._thread = threading.Thread(target=asyncio.run, args=(main(),), daemon=True)
+        self._thread.start()
+        assert ready.wait(10), "server failed to boot"
+        return self
+
+    def stop(self) -> None:
+        if self._thread is not None:
+            self._loop.call_soon_threadsafe(self._stop.set)
+            self._thread.join(10)
+            assert not self._thread.is_alive(), "server failed to stop"
+            self._thread = None
+
+
+@pytest.fixture
+def server(graph):
+    running = _Server(graph).start()
+    yield running
+    running.stop()
+
+
+@pytest.fixture
+def slow_server(graph):
+    running = _Server(graph, delay=0.05).start()
+    yield running
+    running.stop()
+
+
+@pytest.fixture
+def dials(monkeypatch):
+    """Every ``QueryClient.connect`` call made while the test runs.
+
+    Each dial is slowed down, so callers racing for a connection overlap it.
+    """
+    calls = []
+    connect = QueryClient.connect.__func__
+
+    async def counting(cls, *args, **kwargs):
+        calls.append(args)
+        await asyncio.sleep(0.05)
+        return await connect(cls, *args, **kwargs)
+
+    monkeypatch.setattr(QueryClient, "connect", classmethod(counting))
+    return calls
+
+
+def _loop_threads():
+    return sorted(t.name for t in threading.enumerate() if t.name.startswith("repro-remote-"))
+
+
+class TestRemoteLifecycle:
+    def test_every_call_shares_one_dial(self, graph, workload, server, dials):
+        edge = next(iter(graph.edges()))
+        with Database(server.url) as db:
+            assert dials == []  # construction never dials
+            for query in workload:
+                db.query(query).result()
+            db.batch(workload).results()
+            db.insert_edges([edge])  # already present: a no-op update
+        assert len(dials) == 1
+
+    def test_a_restarted_server_is_redialled_and_a_cut_stream_is_typed(self, graph, dials):
+        running = _Server(graph, delay=0.05).start()
+        try:
+            with Database(running.url) as db:
+                first = db.query((0, 10, 4)).result()
+                running.stop()
+                running.start()  # same port
+                assert db.query((0, 10, 4)).result().count == first.count
+                assert len(dials) == 2
+                stream = db.batch([(0, 10, 4)] * 20)
+                iterator = iter(stream)
+                next(iterator)
+                running.stop()
+                with pytest.raises(ConnectionLost):
+                    list(iterator)
+                assert stream.delivered < stream.num_queries
+        finally:
+            running.stop()
+
+    def test_threads_share_one_connection(self, graph, workload, server, dials):
+        with Database(graph) as inline:
+            expected = inline.batch(workload).payload_bytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread interleavings per batch
+        try:
+            with Database(server.url) as db:
+                with ThreadPoolExecutor(4) as pool:
+                    payloads = list(
+                        pool.map(lambda _: db.batch(workload).payload_bytes(), range(8))
+                    )
+        finally:
+            sys.setswitchinterval(interval)
+        assert payloads == [expected] * 8
+        assert len(dials) == 1
+
+    def test_close_stops_the_loop_and_ends_live_streams(self, slow_server):
+        db = Database(slow_server.url)
+        db.query((0, 10, 4)).result()
+        assert _loop_threads() == ["repro-remote-loop"]
+        stream = db.batch([(0, 10, 4)] * 40)  # ~2 s of server work
+        began = time.perf_counter()
+        db.close()
+        with pytest.raises(ConnectionLost, match="Database closed"):
+            stream.results()
+        assert time.perf_counter() - began < 1.0
+        assert _loop_threads() == []
+
+    def test_cancel_is_sent_at_once(self, slow_server, monkeypatch):
+        sent = []
+        cancel = QueryClient.cancel
+
+        async def recording(self, job_id):
+            sent.append(time.perf_counter())
+            await cancel(self, job_id)
+
+        monkeypatch.setattr(QueryClient, "cancel", recording)
+        lags = []
+        with Database(slow_server.url) as db:
+            for _ in range(6):
+                stream = db.batch([(0, 10, 4)] * 20)
+                iterator = iter(stream)
+                next(iterator)
+                asked = time.perf_counter()
+                stream.cancel()
+                list(iterator)
+                lags.append(sent[-1] - asked)
+                assert stream.cancelled and stream.delivered < stream.num_queries
+            # A cancel issued before the job id is known still lands.
+            stream = db.batch([(0, 10, 4)] * 20)
+            stream.cancel()
+            assert len(list(stream)) < stream.num_queries
+        # The 20 ms cancel poll this replaces would miss this on most runs.
+        assert max(lags) < 0.01, lags
+
+
+class TestTypedConnectionErrors:
+    @pytest.mark.parametrize("url", ["127.0.0.1:1", "router://127.0.0.1:1"])
+    def test_an_unreachable_server_raises_connection_lost(self, url):
+        with Database(url) as db:
+            with pytest.raises(ConnectionLost) as info:
+                db.query((0, 10, 4)).result()
+        assert isinstance(info.value, ReproError)
+        assert isinstance(info.value, ConnectionError)
+        assert (info.value.host, info.value.port) == ("127.0.0.1", 1)
+
+    def test_an_unreachable_server_fails_updates_typed(self):
+        with Database("127.0.0.1:1") as db:
+            with pytest.raises(ConnectionLost):
+                db.insert_edges([(0, 1)])
+
+    def test_server_side_rejections_stay_runtime_errors(self, graph, server):
+        with Database(server.url) as db:
+            with pytest.raises(RuntimeError, match="remote query failed") as info:
+                db.query((0, graph.num_vertices + 5, 4)).result()
+            assert not isinstance(info.value, ConnectionError)
+            assert db.query((0, 10, 4)).result().count >= 0  # the connection survives

@@ -581,6 +581,33 @@ class TestReconnect:
         outcome = asyncio.run(runner())
         assert outcome.status == "done"
 
+    def test_submit_on_a_dead_connection_is_typed_not_a_hang(self, graph):
+        """A job registered after the reader loop died would never see the
+        loop's poison frame; ``submit`` refuses it instead."""
+        from repro.errors import ConnectionLost
+
+        async def runner():
+            service = QueryService(graph, threads=1)
+            server = QueryServer(service, port=0)
+            await server.start()
+            try:
+                client = await QueryClient.connect(port=server.port)
+                await server.close()
+                deadline = asyncio.get_running_loop().time() + 5.0
+                while client.connected:
+                    if asyncio.get_running_loop().time() > deadline:
+                        raise AssertionError("reader loop never noticed the drop")
+                    await asyncio.sleep(0.01)
+                with pytest.raises(ConnectionLost, match="connection closed"):
+                    await asyncio.wait_for(client.submit([[0, 100, 3]]), 5.0)
+                assert client._jobs == {}
+                await client.close()
+            finally:
+                await server.close()
+                await service.close()
+
+        asyncio.run(runner())
+
     def test_reconnect_policy_delay_schedule(self):
         from repro.server.client import ReconnectPolicy
 
