@@ -36,8 +36,9 @@ On top of them sits the batch execution layer:
   produce them, instead of one blob per shard.  The process backend
   publishes the graph once into shared memory
   (:meth:`~repro.graph.digraph.DiGraph.share`) together with a read-mostly
-  packed distance cache; chunks cross the process boundary over a
-  multiprocessing queue drained by a router thread.
+  packed distance cache; chunks cross the process boundary over a pipe
+  drained by a router thread, their path columns in shared-memory result
+  segments (:mod:`repro.core.result_segments`).
 * :class:`ProcessBatchExecutor` — the process-parallel batch API, a thin
   wrapper over an :class:`ExecutorCore` with the process backend.  Because a
   shard holds *every* query of its targets, workers additionally grow all
@@ -67,6 +68,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
+from repro.core import result_segments
 from repro.core.algorithm import Algorithm, timed_run
 from repro.core.constraints import PathConstraint
 from repro.core.dfs import run_idx_dfs
@@ -729,18 +731,23 @@ def _reset_inherited_signal_state() -> None:
 def _process_worker_init(
     graph_handle: StoreHandle,
     algorithm: Algorithm,
-    result_queue=None,
+    writer,
+    write_lock,
+    segment_prefix: str,
 ) -> None:
     """Attach the shared graph in a freshly spawned/forked worker.
 
-    ``result_queue`` is the pool-wide multiprocessing queue result chunks
-    are streamed over; it rides the initializer because queue objects can
-    only cross the process boundary while a child is being spawned.
+    ``writer`` and ``write_lock`` are the sending end of the pool's
+    :class:`_ChunkChannel`; they ride the initializer because pipes and
+    locks can only cross the process boundary while a child is being
+    spawned.  ``segment_prefix`` names the worker's result segments
+    (:mod:`repro.core.result_segments`) so the owning core can sweep them.
     """
     _reset_inherited_signal_state()
     _WORKER_STATE["graph"] = DiGraph.from_handle(graph_handle)
     _WORKER_STATE["algorithm"] = algorithm
-    _WORKER_STATE["queue"] = result_queue
+    _WORKER_STATE["channel"] = (writer, write_lock)
+    _WORKER_STATE["segment_prefix"] = segment_prefix
     _WORKER_STATE["cache_store"] = None
     _WORKER_STATE["cache_name"] = None
     _WORKER_STATE["distances"] = {}
@@ -998,10 +1005,14 @@ def _process_worker_stream_shard(payload) -> int:
     """Worker entry point: evaluate one shard, streaming chunks as produced.
 
     Result chunks — lists of ``(position, QueryResult)`` pairs — are shipped
-    over the pool's result queue (``("chunk", run_id, items)``) the moment
-    they are complete, followed by one ``("done", run_id, None)`` marker.
-    The queue is how partial results reach the parent *before* the shard
-    future resolves; the future's return value is only the emitted count.
+    the moment they are complete, followed by one ``("done", run_id, None)``
+    marker.  A chunk's path columns go into one fresh shared-memory segment
+    (:func:`~repro.core.result_segments.pack_chunk`); the pool's chunk pipe
+    (:class:`_ChunkChannel`) carries only ``("chunk", run_id, (segment_name,
+    items))`` — the name, per-result offsets and the path-less results —
+    and the parent's router thread maps the segment and unlinks it.  The
+    pipe is how partial results reach the parent *before* the shard future
+    resolves; the future's return value is only the emitted count.
     On failure no marker is sent — the parent surfaces the future's
     exception instead of waiting for a marker that will never come.
 
@@ -1012,9 +1023,16 @@ def _process_worker_stream_shard(payload) -> int:
     longer counting.
     """
     run_id, shard, config, cache_handle, chunk_queries, cancel_ref, epoch_ref = payload
-    out_queue = _WORKER_STATE["queue"]
+    writer, write_lock = _WORKER_STATE["channel"]
+    prefix = _WORKER_STATE["segment_prefix"]
+    graph = _attach_graph_epoch(epoch_ref)
+
+    def send(message) -> None:
+        with write_lock:
+            writer.send(message)
+
     results = _iter_shard_results(
-        _attach_graph_epoch(epoch_ref),
+        graph,
         _WORKER_STATE["algorithm"],
         config,
         shard,
@@ -1023,12 +1041,37 @@ def _process_worker_stream_shard(payload) -> int:
     emitted, stopped = _pump_chunks(
         results,
         chunk_queries,
-        lambda chunk: out_queue.put(("chunk", run_id, chunk)),
+        lambda chunk: send(
+            ("chunk", run_id, result_segments.pack_chunk(prefix, chunk, graph.num_vertices))
+        ),
         _cancel_probe(cancel_ref),
     )
     if not stopped:
-        out_queue.put(("done", run_id, None))
+        send(("done", run_id, None))
     return emitted
+
+
+class _ChunkChannel:
+    """One pool generation's chunk pipe: its workers send, one router
+    thread in the parent receives.
+
+    Workers send synchronously under ``lock`` (messages are small — the
+    path columns travel in result segments).  A worker killed mid-send
+    leaves the lock held and maybe half a message in the pipe, so a channel
+    never outlives its pool: a broken pool's channel is retired with it and
+    the next pool gets a fresh one.  ``prefix`` names the generation's
+    result segments; the router thread sweeps it on its way out, once every
+    message of the generation has been read.
+    """
+
+    def __init__(self, context, prefix: str) -> None:
+        self.reader, self.writer = context.Pipe(duplex=False)
+        self.lock = context.Lock()
+        self.prefix = prefix
+        #: Set by :meth:`ExecutorCore.close`: leave once the pipe is empty,
+        #: even if a process that inherited the write end never closes it.
+        self.closing = False
+        self.thread: Optional[threading.Thread] = None
 
 
 def _default_start_method() -> str:
@@ -1192,6 +1235,9 @@ class StreamRun:
                 if kind == "done":
                     # Advisory only (see above) — completion is positional.
                     continue
+                if kind == "error":
+                    # The drain thread could not map this run's chunk.
+                    raise payload
                 fresh = [(p, r) for p, r in payload if p not in delivered]
                 if fresh:
                     delivered.update(p for p, _ in fresh)
@@ -1288,10 +1334,22 @@ class ExecutorCore:
     * ``"process"`` — real worker processes.  The graph is published once
       into shared memory (:meth:`~repro.graph.digraph.DiGraph.share`), the
       warmed distance cache is packed into a second read-mostly segment, and
-      chunks cross the process boundary over one multiprocessing queue that
-      a router thread demultiplexes to the per-run streams (concurrent runs
-      share the pool).  With ``workers == 1`` shards are evaluated inline in
-      the caller's thread — no pool, no segments.
+      chunks cross the process boundary over one pipe per pool
+      (:class:`_ChunkChannel`) that a router thread demultiplexes to the
+      per-run streams (concurrent runs share the pool).  A chunk's path
+      columns do not ride that pipe: the worker writes them into one fresh
+      shared-memory segment (:mod:`repro.core.result_segments`), and the
+      router thread maps it read-only, unlinks it and hands out results
+      whose paths are views into it — valid for as long as they are
+      referenced, even after :meth:`close`; one live result keeps its whole
+      chunk's segment mapped.  No segment outlives the run: the router
+      unlinks the chunks of finished or cancelled runs; a broken pool's
+      router, once it has read everything the dead pool sent, and
+      :meth:`close` sweep ``/dev/shm`` for the pool's or the core's name
+      prefix, which removes the segment of a worker killed before it sent
+      the name (the sweep exists on Linux only).  With ``workers == 1``
+      shards are evaluated inline in the caller's thread — no pool, no
+      segments.
     * ``"thread"`` — a thread pool against the caller's own graph.  GIL-bound
       but free of process setup cost; shards stop between queries on
       cancellation.  This is the synchronous precursor mode the async
@@ -1354,8 +1412,15 @@ class ExecutorCore:
         #: Shared page of per-run cancellation bytes (process backend).
         self._cancel_shm = None
         self._pool = None
-        self._mp_queue = None
-        self._drainer: Optional[threading.Thread] = None
+        #: The current pool's chunk channel, and every channel whose router
+        #: thread may still run (retired channels drain until EOF).
+        self._channel: Optional[_ChunkChannel] = None
+        self._channels: List[_ChunkChannel] = []
+        #: Name prefix of this core's result segments (each pool generation
+        #: adds its number): close() and broken-pool recovery sweep what a
+        #: dead worker left behind.
+        self._segment_prefix = result_segments.new_prefix()
+        self._generations = itertools.count()
         self._runs: Dict[int, StreamRun] = {}
         self._runs_lock = threading.Lock()
         #: Serialises warm + pack + dispatch (and close) across submitters.
@@ -1424,17 +1489,16 @@ class ExecutorCore:
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-        if self._drainer is not None:
-            try:
-                self._mp_queue.put(("stop", None, None))
-            except Exception:  # pragma: no cover - queue already broken
-                pass
-            self._drainer.join(timeout=5.0)
-            self._drainer = None
-        if self._mp_queue is not None:
-            self._mp_queue.close()
-            self._mp_queue.cancel_join_thread()
-            self._mp_queue = None
+        channels, self._channels, self._channel = self._channels, [], None
+        for channel in channels:
+            channel.closing = True
+            channel.writer.close()
+        for channel in channels:
+            channel.thread.join(timeout=5.0)
+        if channels:
+            # The workers and router threads are gone: any result segment
+            # still named is an orphan (a chunk that was never mapped).
+            result_segments.sweep(self._segment_prefix)
         if self._cache_store is not None:
             self._cache_store.close(unlink=True)
             self._cache_store = None
@@ -1740,16 +1804,18 @@ class ExecutorCore:
             self._graph_published_here = True
             self._published_graph = self.graph
         context = multiprocessing.get_context(self.start_method)
-        if self._mp_queue is None:
-            # One queue and one router thread outlive pool regenerations;
-            # the router demultiplexes chunks to per-run streams by run id
-            # and silently drops chunks of unregistered (finished or
-            # cancelled) runs.
-            self._mp_queue = context.Queue()
-            self._drainer = threading.Thread(
-                target=self._drain_loop, name="repro-stream-router", daemon=True
-            )
-            self._drainer.start()
+        # A fresh chunk channel and router thread per pool: the router
+        # demultiplexes chunks to per-run streams by run id and unlinks the
+        # segments of unregistered (finished or cancelled) runs.
+        channel = _ChunkChannel(
+            context, f"{self._segment_prefix}{next(self._generations):x}-"
+        )
+        channel.thread = threading.Thread(
+            target=self._drain_loop, args=(channel,), name="repro-stream-router", daemon=True
+        )
+        channel.thread.start()
+        self._channel = channel
+        self._channels.append(channel)
         # Always size the pool at full strength: a persistent pool serves
         # runs of different shapes, and resizing it mid-flight would tear
         # workers out from under a concurrent run.
@@ -1757,7 +1823,9 @@ class ExecutorCore:
             max_workers=self.workers,
             mp_context=context,
             initializer=_process_worker_init,
-            initargs=(graph_handle, self.algorithm, self._mp_queue),
+            initargs=(
+                graph_handle, self.algorithm, channel.writer, channel.lock, channel.prefix
+            ),
         )
         return self._pool
 
@@ -1782,11 +1850,22 @@ class ExecutorCore:
         return self._pool
 
     def _discard_broken_pool(self) -> None:
-        """Drop a pool whose worker died; the next start() builds a fresh one."""
+        """Drop a pool whose worker died; the next start() builds a fresh one.
+
+        The pool's chunk channel is retired with it (the dead worker may
+        hold its lock): closing the parent's write end lets the router
+        thread read to EOF once the pool's workers are gone, and then sweep
+        the generation's result segments — a worker killed after creating
+        one but before sending its name leaves an orphan nothing else
+        would remove.
+        """
         with self._submit_lock:
             if self._pool is not None:
                 self._pool.shutdown(wait=False, cancel_futures=True)
                 self._pool = None
+            if self._channel is not None:
+                self._channel.writer.close()
+                self._channel = None
 
     def _resubmit(
         self,
@@ -1797,9 +1876,10 @@ class ExecutorCore:
     ) -> List:
         """Redispatch ``shards`` of ``run`` on a freshly built process pool.
 
-        The recovery half of broken-pool handling: the mp queue and its
-        router thread survived the old pool (they are created once per
-        core), so the fresh workers stream into the same per-run queue.  A
+        The recovery half of broken-pool handling: the fresh pool comes
+        with a fresh chunk channel, whose router thread feeds the same
+        per-run queues (the retired channel's router still delivers what
+        the old workers sent before they died).  A
         stale ``cache_handle`` (a concurrent run repacked the distance
         segment meanwhile) is survivable — workers degrade to per-group
         reverse BFS.
@@ -1867,19 +1947,41 @@ class ExecutorCore:
         with self._runs_lock:
             self._runs.pop(run_id, None)
 
-    def _drain_loop(self) -> None:
-        """Router thread: demultiplex the shared queue to per-run streams."""
-        while True:
-            try:
-                kind, run_id, payload = self._mp_queue.get()
-            except (EOFError, OSError):  # pragma: no cover - queue torn down
-                return
-            if kind == "stop":
-                return
-            with self._runs_lock:
-                run = self._runs.get(run_id)
-            if run is not None:
-                run._queue.put((kind, payload))
+    def _drain_loop(self, channel: _ChunkChannel) -> None:
+        """Router thread: demultiplex one channel to the per-run streams.
+
+        Chunks arrive as result segments (:mod:`repro.core.result_segments`):
+        this thread maps each one and unlinks it, or only unlinks it when
+        its run is no longer registered or was cancelled.  It ends at EOF
+        (every write end closed) or, after :meth:`close`, at the first
+        empty poll, and then sweeps the generation's leftover segments.
+        """
+        reader = channel.reader
+        try:
+            while True:
+                try:
+                    if not reader.poll(StreamRun._POLL_SECONDS):
+                        if channel.closing:
+                            return
+                        continue
+                    kind, run_id, payload = reader.recv()
+                except (EOFError, OSError):
+                    return
+                with self._runs_lock:
+                    run = self._runs.get(run_id)
+                if kind == "chunk":
+                    if run is None or run.cancelled.is_set():
+                        result_segments.discard_chunk(payload)
+                        continue
+                    try:
+                        payload = result_segments.unpack_chunk(payload)
+                    except Exception as error:  # noqa: BLE001 - surfaced by chunks()
+                        kind, payload = "error", error
+                if run is not None:
+                    run._queue.put((kind, payload))
+        finally:
+            reader.close()
+            result_segments.sweep(channel.prefix)
 
 
 class ProcessBatchExecutor:
@@ -1907,7 +2009,7 @@ class ProcessBatchExecutor:
     thread pool is enabled).  Constraints hold process-local state and
     are still rejected — use :class:`BatchExecutor` for those.
 
-    The executor owns two shared-memory segments; call :meth:`close` (or use
+    The executor owns shared-memory segments; call :meth:`close` (or use
     it as a context manager) so they are unlinked deterministically instead
     of at interpreter teardown.  ``close()`` is idempotent.
     """

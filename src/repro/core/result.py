@@ -16,7 +16,8 @@ emit whole blocks into a :class:`PathBuffer` — two flat int64 columns
 :class:`QueryResult` can be backed by either: ``result.paths`` always reads
 as the familiar list of tuples (materialised lazily from the buffer), while
 ``result.path_buffer`` exposes the columnar form for consumers that can use
-it directly — compact pickling across worker processes and the query
+it directly — the process workers' shared-memory result segments
+(:mod:`repro.core.result_segments`), compact pickling and the query
 server's columnar ``result`` frames, which a remote client wraps back into a
 buffer without a per-path object on either side.
 """
@@ -35,6 +36,12 @@ Path = Tuple[int, ...]
 _INT32_MAX = 2**31 - 1
 
 
+def _fits_int32(column: Union[List[int], np.ndarray]) -> bool:
+    if isinstance(column, list):
+        return max(column, default=0) <= _INT32_MAX
+    return column.dtype == np.int32 or len(column) == 0 or int(column.max()) <= _INT32_MAX
+
+
 class PathBuffer:
     """Columnar storage for a sequence of paths.
 
@@ -42,9 +49,10 @@ class PathBuffer:
     back; ``indptr`` has one entry per path boundary (``indptr[0] == 0``),
     so path ``i`` is ``data[indptr[i] : indptr[i + 1]]``.  While being
     filled the columns are plain Python int lists (cheap appends from the
-    enumeration kernels); :meth:`arrays` seals them into int64 numpy arrays,
-    which is also the pickled wire form — two primitive buffers instead of
-    one tuple object per path.
+    enumeration kernels); :meth:`arrays` seals them into int64 numpy arrays.
+    The wire form (:meth:`wire_arrays`: pickling, result segments, columnar
+    frames) is the same two primitive columns, int32 when the ids fit,
+    instead of one tuple object per path.
 
     The vectorised native engine grows a buffer from whole numpy blocks
     instead (:meth:`extend_array_block`): segments accumulate in a side list
@@ -239,19 +247,60 @@ class PathBuffer:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PathBuffer(paths={len(self)}, vertices={self.total_vertices})"
 
-    def wire_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The sealed columns in their wire dtype: each one int32 when every
+    def wire_dtypes(self, vertex_bound: Optional[int] = None) -> Tuple[np.dtype, np.dtype]:
+        """The dtypes of :meth:`wire_arrays`: each column int32 when every
         value fits, else int64.
 
-        The one downcast rule for everything that ships a buffer — pickling
-        across worker processes and the server's columnar ``result`` frames.
-        For realistic vertex-id ranges it halves the bytes.
+        The one downcast rule for everything that ships a buffer — pickling,
+        the process workers' result segments and the server's columnar
+        ``result`` frames.  For realistic vertex-id ranges it halves the
+        bytes.  Seals nothing: pending blocks are scanned where they lie,
+        unless ``vertex_bound`` (every id is below it — a graph's vertex
+        count) already settles the answer.
         """
-        data, indptr = self.arrays()
-        if len(data) == 0 or int(data.max()) <= _INT32_MAX:
-            data = data.astype(np.int32)
-        if int(indptr[-1]) <= _INT32_MAX:
-            indptr = indptr.astype(np.int32)
+        narrow, wide = np.dtype(np.int32), np.dtype(np.int64)
+        indptr_dtype = narrow if self.total_vertices <= _INT32_MAX else wide
+        if vertex_bound is not None and vertex_bound - 1 <= _INT32_MAX:
+            return narrow, indptr_dtype
+        columns = [self._data] + (self._segments[0] if self._segments is not None else [])
+        return (narrow if all(map(_fits_int32, columns)) else wide), indptr_dtype
+
+    def write_wire(self, data_out: np.ndarray, indptr_out: np.ndarray) -> None:
+        """Write the columns into ``data_out`` (``total_vertices`` slots) and
+        ``indptr_out`` (``len(self) + 1`` slots) in one pass.
+
+        The destinations carry the :meth:`wire_dtypes`; pending int64 blocks
+        are cast straight into them, with no consolidated int64 copy in
+        between.
+        """
+        vertices = len(self._data)
+        paths = len(self._indptr)
+        data_out[:vertices] = self._data
+        indptr_out[:paths] = self._indptr
+        if self._segments is not None:
+            for block, bounds in zip(self._segments[0], self._segments[1]):
+                data_out[vertices : vertices + len(block)] = block
+                indptr_out[paths : paths + len(bounds)] = bounds
+                vertices += len(block)
+                paths += len(bounds)
+
+    def wire_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The columns in their :meth:`wire_dtypes`.
+
+        Sealed columns that already carry the wire dtype — an unpickled
+        buffer, a protocol-4 client's result, a process worker's result
+        segment — come back unchanged (no copy, no upcast).
+        """
+        data_dtype, indptr_dtype = self.wire_dtypes()
+        data, indptr = self._data, self._indptr
+        if self._segments is None and not isinstance(data, list):
+            return (
+                data if data.dtype == data_dtype else data.astype(data_dtype),
+                indptr if indptr.dtype == indptr_dtype else indptr.astype(indptr_dtype),
+            )
+        data = np.empty(self.total_vertices, dtype=data_dtype)
+        indptr = np.empty(len(self) + 1, dtype=indptr_dtype)
+        self.write_wire(data, indptr)
         return data, indptr
 
     def __getstate__(self):
@@ -467,11 +516,18 @@ class QueryResult:
         """The columnar path storage when the result came from a kernel run."""
         return self._path_buffer
 
+    def stored_buffer(self) -> Optional[PathBuffer]:
+        """The stored paths as a :class:`PathBuffer` — the result's own, or
+        its tuple list packed into one; ``None`` when no paths were stored."""
+        if self._path_buffer is not None:
+            return self._path_buffer
+        return None if self._paths is None else PathBuffer.from_paths(self._paths)
+
     def __getstate__(self):
         """Tuple pickling, mirroring :meth:`EnumerationStats.__getstate__`.
 
         The columnar buffer (when present) rides instead of the tuple list,
-        so worker processes ship two int64 arrays per result rather than one
+        so a pickled result carries two wire-dtype arrays rather than one
         Python object per path.
         """
         paths = self._path_buffer if self._path_buffer is not None else self._paths

@@ -104,9 +104,9 @@ A ``result`` frame for a version-4 submitter carries the result's
 
 Both columns share ``paths_dtype``: int32 when every value fits
 (:meth:`PathBuffer.wire_arrays <repro.core.result.PathBuffer.wire_arrays>`,
-the rule pickling uses too), else int64.  :func:`decode_frame` returns the
-header dict with ``paths_data`` / ``paths_indptr`` as read-only arrays over
-the frame's own bytes (the three layout fields are consumed), so nothing
+the rule pickling and the process workers' result segments use too), else
+int64.  :func:`decode_frame` returns the header dict with ``paths_data`` /
+``paths_indptr`` as read-only arrays over the frame's own bytes (the three layout fields are consumed), so nothing
 per path exists between the server's enumeration loop and the client's
 buffer-backed result; :func:`frame_paths` is the one reader of either
 shape.
@@ -260,12 +260,8 @@ def result_columns(result) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     result packed into one first.  ``None`` when the result stored no
     paths.
     """
-    buffer = result.path_buffer
-    if buffer is None:
-        if result.paths is None:
-            return None
-        buffer = PathBuffer.from_paths(result.paths)
-    return buffer.wire_arrays()
+    buffer = result.stored_buffer()
+    return None if buffer is None else buffer.wire_arrays()
 
 
 def sends_columns(submit: Dict[str, object]) -> bool:

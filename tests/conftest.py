@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro._clib import jit_ready
+from repro.core import result_segments
 from repro.core.query import Query
 from repro.graph.generators import erdos_renyi, grid_graph, power_law_graph
 
@@ -14,7 +17,30 @@ from tests.helpers import (
     build_graph,
     numpy_reference,
     paper_figure1_graph,
+    result_segment_names,
 )
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_result_segments():
+    """Fail any test that leaves a process-result segment in ``/dev/shm``.
+
+    A chunk's segment lives from its worker's write until the parent's router
+    thread maps (or discards) it, so a few may still be in flight when a
+    test returns; they get five seconds to go.  Whatever is left is a leak:
+    reported, then unlinked so the next test starts clean.
+    """
+    before = result_segment_names()
+    yield
+    deadline = time.monotonic() + 5.0
+    leaked = result_segment_names() - before
+    while leaked and time.monotonic() < deadline:
+        time.sleep(0.05)
+        leaked = result_segment_names() - before
+    if leaked:
+        for name in leaked:
+            result_segments._unlink(name)
+        pytest.fail(f"result segments outlived the test: {sorted(leaked)}")
 
 
 @pytest.fixture(params=("compiled", "numpy"))

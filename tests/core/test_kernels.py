@@ -287,6 +287,36 @@ class TestPathBuffer:
         decoded = decode_frame(body)
         assert PathBuffer(decoded["paths_data"], decoded["paths_indptr"]) == paths
 
+    def test_wire_arrays_return_int32_columns_unchanged(self):
+        # A buffer over wire-dtype columns (an unpickled or segment-backed
+        # result, a protocol-4 client's) ships its own columns: no upcast of
+        # the buffer, no copy.
+        data = np.array([0, 1, 5, 0, 5], dtype=np.int32)
+        indptr = np.array([0, 3, 5], dtype=np.int32)
+        buffer = PathBuffer(data, indptr)
+        wire_data, wire_indptr = buffer.wire_arrays()
+        assert np.shares_memory(wire_data, data)
+        assert np.shares_memory(wire_indptr, indptr)
+        assert buffer._data.dtype == np.int32 and buffer._indptr.dtype == np.int32
+        assert buffer == [(0, 1, 5), (0, 5)]
+
+    def test_write_wire_casts_pending_blocks_in_one_pass(self):
+        # Python-list head + pending int64 blocks, written straight into
+        # int32 destinations: the same columns as the sealed int64 form.
+        buffer = PathBuffer.from_paths([(0, 1, 5)])
+        buffer.extend_array_block(np.array([0, 2, 5, 0, 5]), np.array([3, 5]))
+        buffer.extend_array_block(np.array([0, 3, 4, 5, 9]), np.array([4]), take=1)
+        data_dtype, indptr_dtype = buffer.wire_dtypes()
+        assert (data_dtype, indptr_dtype) == (np.int32, np.int32)
+        data = np.empty(buffer.total_vertices, dtype=data_dtype)
+        indptr = np.empty(len(buffer) + 1, dtype=indptr_dtype)
+        buffer.write_wire(data, indptr)
+        assert buffer._segments is not None, "writing must not consolidate"
+        sealed_data, sealed_indptr = buffer.arrays()
+        assert data.tolist() == sealed_data.tolist()
+        assert indptr.tolist() == sealed_indptr.tolist()
+        assert PathBuffer(data, indptr) == [(0, 1, 5), (0, 2, 5), (0, 5), (0, 3, 4, 5)]
+
     def test_index_errors(self):
         buffer = PathBuffer.from_paths([(0, 1)])
         with pytest.raises(IndexError):

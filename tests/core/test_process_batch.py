@@ -13,6 +13,7 @@ start method its own job.
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import os
 import time
@@ -20,7 +21,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.api import Database
 from repro.baselines.bc_dfs import BcDfs
+from repro.core import result_segments
 from repro.core.constraints import PredicateConstraint
 from repro.core.engine import (
     BatchExecutor,
@@ -39,7 +42,10 @@ from repro.graph.traversal import (
     bfs_distances_bounded,
     multi_source_bfs_distances_bounded,
 )
+from repro.testing import faults
 from repro.workloads.queries import generate_target_centric_set, partition_by_target
+
+from tests.helpers import result_segment_names
 
 
 def _available_start_methods():
@@ -428,3 +434,138 @@ class TestProcessCancellation:
         assert emitted < len(queries) // 2, (
             f"worker emitted {emitted} of {len(queries)} queries after cancel"
         )
+
+
+class TestResultSegments:
+    """Process workers hand path columns over in shared-memory segments.
+
+    The results are read-only views into the segments, identical in payload
+    to inline, valid past ``close()``; no segment outlives its chunk, a
+    cancelled run, a ``close()`` mid-flight or a killed worker.
+    """
+
+    @staticmethod
+    def _triples(queries):
+        return [(q.source, q.target, q.k) for q in queries]
+
+    @staticmethod
+    def _open(graph, start_method):
+        return Database(graph, backend="processes", workers=2, start_method=start_method)
+
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_results_are_read_only_segment_views_with_inline_payload(
+        self, graph, shared_target_queries, start_method
+    ):
+        triples = self._triples(shared_target_queries)
+        with Database(graph) as inline:
+            expected = inline.batch(triples).payload_bytes()
+        with self._open(graph, start_method) as db:
+            stream = db.batch(triples)
+            results = stream.results()
+            assert stream.payload_bytes() == expected
+        assert any(result.count for result in results)
+        for result in results:
+            data, indptr = result.path_buffer.wire_arrays()
+            assert not data.flags.writeable and not indptr.flags.writeable
+            if result.count:
+                assert isinstance(data.base.obj, mmap.mmap)
+                assert np.shares_memory(data, result.path_buffer._data)
+
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_results_stay_readable_after_close(
+        self, graph, shared_target_queries, start_method
+    ):
+        triples = self._triples(shared_target_queries)
+        with Database(graph) as inline:
+            expected = inline.batch(triples).paths()
+        db = self._open(graph, start_method)
+        results = db.batch(triples).results()
+        db.close()
+        assert [result.paths for result in results] == expected
+
+    #: 50 ms more per query, so a worker is always mid-shard when the test
+    #: cancels or closes: its next chunk reaches a cancelled run.
+    SLOW_QUERIES = {
+        "seed": 1,
+        "faults": [{"site": "worker.task", "op": "delay", "delay_ms": 50,
+                    "count": 10**6, "once": False}],
+    }
+
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_cancelled_stream_leaves_no_segment(self, start_method):
+        graph = complete_graph(11)
+        queries = [Query(s, 10, 6) for s in range(10)] * 4
+        before = result_segment_names()
+        try:
+            with faults.installed(self.SLOW_QUERIES), ExecutorCore(
+                graph, backend="process", workers=2, start_method=start_method
+            ) as core:
+                run = core.start(queries, RunConfig(store_paths=True), chunk_queries=1)
+                consumed = 0
+                for chunk in run.chunks():
+                    consumed += len(chunk)
+                    if consumed >= 2:
+                        run.cancel()
+                        break
+                # Workers send synchronously, so once their shards are done
+                # every late chunk has been sent; the router thread unlinks
+                # them without waiting for close().
+                deadline = time.time() + 20.0
+                while any(not f.done() for f in run._futures) and time.time() < deadline:
+                    time.sleep(0.05)
+                late = sum(f.result() for f in run._futures if not f.cancelled()) - consumed
+                while result_segment_names() - before and time.time() < deadline:
+                    time.sleep(0.05)
+                assert result_segment_names() - before == set()
+        finally:
+            faults.clear()
+        assert late >= 1, "no chunk was left for the router to discard"
+
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_close_with_chunks_in_flight_leaves_no_segment(self, start_method):
+        graph = complete_graph(11)
+        before = result_segment_names()
+        try:
+            with faults.installed(self.SLOW_QUERIES):
+                db = self._open(graph, start_method)
+                stream = db.stream([(s, 10, 6) for s in range(10)] * 4)
+                next(iter(stream.as_completed()))
+                db.close()
+        finally:
+            faults.clear()
+        assert result_segment_names() - before == set()
+
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_close_sweeps_a_stray_segment_of_the_core(
+        self, graph, shared_target_queries, start_method
+    ):
+        # A segment a worker created but was killed before naming to the
+        # parent: only the sweep knows it exists.
+        db = self._open(graph, start_method)
+        db.batch(self._triples(shared_target_queries)).results()
+        prefix = db._backend.core._segment_prefix
+        name, segment = result_segments._create(prefix, 64)
+        segment.close()
+        assert name in result_segment_names()
+        db.close()
+        assert name not in result_segment_names()
+
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_killed_worker_recovers_identically_without_leaking(
+        self, graph, shared_target_queries, start_method, tmp_path
+    ):
+        triples = self._triples(shared_target_queries)
+        with Database(graph) as inline:
+            expected = inline.batch(triples).payload_bytes()
+        before = result_segment_names()
+        state = tmp_path / "state"
+        plan = {"seed": 7, "faults": [{"site": "worker.task", "op": "kill", "position": 5}]}
+        try:
+            with faults.installed(plan, state_dir=str(state)):
+                with self._open(graph, start_method) as db:
+                    actual = db.stream(triples).payload_bytes()
+        finally:
+            faults.clear()
+        assert os.listdir(state) == ["fault-0.fired"], "the worker was never killed"
+        assert actual == expected
+        assert result_segment_names() - before == set()

@@ -9,11 +9,13 @@ problem statement directly (simple paths from ``s`` to ``t`` with at most
 from __future__ import annotations
 
 import contextlib
+import os
 from typing import List, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro import _clib
+from repro.core.result_segments import SEGMENT_PREFIX
 from repro.graph.builder import GraphBuilder
 from repro.graph.digraph import DiGraph
 
@@ -66,6 +68,15 @@ PAPER_FIGURE5_G1_EDGES = [
     ("v0", "v1"),
     ("v1", "v0"),
 ]
+
+
+def result_segment_names() -> Set[str]:
+    """Process-result segments currently named in ``/dev/shm`` (Linux)."""
+    try:
+        names = os.listdir("/dev/shm")
+    except OSError:  # pragma: no cover - non-Linux: nothing to list
+        return set()
+    return {name for name in names if name.startswith(SEGMENT_PREFIX)}
 
 
 def build_graph(edges: Sequence[Tuple[object, object]]) -> DiGraph:
