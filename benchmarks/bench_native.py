@@ -1,4 +1,4 @@
-"""Native engine benchmark: vectorised/compiled enumeration vs the kernels.
+"""Native engine benchmark: compiled enumeration vs the kernels.
 
 Two claims are checked, then measured:
 
@@ -12,11 +12,11 @@ Two claims are checked, then measured:
    paths), the native engine must run the enumeration phase at least three
    times faster than the iterative kernels.
 
-The native engine has two tiers: a C-compiled tier (built with ``cc`` on
-first use) and a pure-NumPy subtree-vectorised fallback (no compiler, or
-``REPRO_NATIVE=off``).  This benchmark measures whichever tier
-``engine="native"`` resolves to on the current machine and records the
-tier in the result file.
+The native engine runs the inner loops in C (built with ``cc`` on first
+use).  Without the library (no compiler, or ``REPRO_NATIVE=off``),
+``engine="native"`` *is* the kernel, so the speedup is ~1x and the
+speedup gate cannot pass there; the equivalence sweep still runs.  The
+result file records which tier ran.
 
 ``--quick`` is the CI smoke mode: a scaled-down tracked workload, the full
 equivalence sweep, and a regression gate — divergence, or an enumeration
@@ -83,8 +83,9 @@ def _graph(spec: Dict) -> object:
 
 
 #: Enumeration-heavy single queries, larger than the kernel benchmark's
-#: rows: the native engine amortises per-path work across whole subtrees,
-#: so its advantage (and the timing stability) grows with result count.
+#: rows: the native engine's per-path cost is a few C instructions against
+#: the kernels' interpreted loop, so its advantage (and the timing
+#: stability) grows with result count.
 WORKLOADS = [
     {
         "name": "clique18-k6",
@@ -271,7 +272,7 @@ def main() -> int:
     )
     args = parser.parse_args()
     compiled = warmup()  # builds/loads the C tier once, outside timing
-    print(f"native tier: {'c-compiled' if compiled else 'numpy-vectorised'}")
+    print(f"native tier: {'c-compiled' if compiled else 'kernel'}")
     if args.quick:
         return run_quick()
 
@@ -301,7 +302,7 @@ def main() -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
-            "native_tier": "c-compiled" if jit_ready() else "numpy-vectorised",
+            "native_tier": "c-compiled" if jit_ready() else "kernel",
         },
         "settings": {
             "repeats": REPEATS,

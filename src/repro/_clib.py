@@ -11,8 +11,9 @@ the hash covers the source, so an edited source rebuilds) and loaded through
 
 This module imports nothing from :mod:`repro`, so the graph layer can call
 into C without importing the enumeration engine.  ``REPRO_NATIVE=off``
-skips the build and every caller keeps its NumPy / Python reference path;
-``REPRO_NATIVE=jit`` makes ``engine="native"`` demand the library.
+skips the build and every caller keeps its NumPy / Python reference path
+(``engine="native"`` then runs the kernels); a library that fails to build
+or load is logged once and handled the same way.
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import warnings
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["jit_ready", "jit_required", "warn_jit_fallback", "int64_ready"]
+__all__ = ["jit_ready", "int64_ready"]
 
 # The tier's records keep the logger name they have always had.
 logger = logging.getLogger("repro.core.native")
@@ -40,7 +40,6 @@ logger = logging.getLogger("repro.core.native")
 _SOURCE = "_cfill.c"
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 _LIB = {"checked": False, "lib": None, "warm": False}
-_WARNED = {"fallback": False}
 
 _P, _I = ctypes.c_void_p, ctypes.c_int64
 _SIGNATURES = {
@@ -122,23 +121,6 @@ def _library():
 def jit_ready() -> bool:
     """``True`` when the compiled C library is loaded (built on first call)."""
     return _library() is not None
-
-
-def jit_required() -> bool:
-    """``True`` when ``REPRO_NATIVE=jit`` demands the compiled tier."""
-    return os.environ.get("REPRO_NATIVE", "").strip().lower() == "jit"
-
-
-def warn_jit_fallback() -> None:
-    """One-time warning for the strict-JIT fallback to the kernels."""
-    if not _WARNED["fallback"]:
-        _WARNED["fallback"] = True
-        warnings.warn(
-            "engine='native' with REPRO_NATIVE=jit requires the compiled C "
-            "library, which could not be loaded; falling back to engine='kernel'",
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
 
 def int64_ready(*arrays) -> bool:

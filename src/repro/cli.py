@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query_parser.add_argument(
         "--engine", choices=ENGINE_CHOICES, default="auto",
-        help="enumeration engine: vectorised/compiled native, iterative kernels or recursive reference",
+        help="enumeration engine: compiled native (the kernels without its C library), iterative kernels or recursive reference",
     )
 
     batch_parser = subparsers.add_parser(
@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch_parser.add_argument("--seed", type=int, default=0)
     batch_parser.add_argument(
         "--engine", choices=ENGINE_CHOICES, default="auto",
-        help="enumeration engine: vectorised/compiled native, iterative kernels or recursive reference",
+        help="enumeration engine: compiled native (the kernels without its C library), iterative kernels or recursive reference",
     )
 
     datasets_parser = subparsers.add_parser("datasets", help="list the synthetic dataset registry")
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_parser.add_argument(
         "--engine", choices=ENGINE_CHOICES, default="auto",
-        help="enumeration engine: vectorised/compiled native, iterative kernels or recursive reference",
+        help="enumeration engine: compiled native (the kernels without its C library), iterative kernels or recursive reference",
     )
 
     serve_parser = subparsers.add_parser(

@@ -78,11 +78,9 @@ from repro.core.kernels import run_dfs_kernel, run_join_kernel
 from repro.core.listener import ENGINE_CHOICES, RunConfig
 from repro.core.native import (
     jit_ready,
-    jit_required,
     run_dfs_native,
     run_join_native,
     warmup as native_warmup,
-    warn_jit_fallback,
 )
 from repro.core.optimizer import DEFAULT_TAU, Plan, choose_plan
 from repro.core.query import Query
@@ -156,18 +154,13 @@ class _IndexedAlgorithm(Algorithm):
             )
         # Constraint extensions (Appendix E) carry per-level state the flat
         # int frames cannot hold: constrained queries keep the recursive
-        # engines.  Otherwise ``native`` takes the compiled/vectorised
-        # engine (under ``REPRO_NATIVE=jit`` it demands the compiled C
-        # library and falls back to ``kernel`` with one warning when
-        # absent), and ``auto`` prefers ``native`` exactly when that library
-        # is loaded — so environments without a C compiler, or with
-        # ``REPRO_NATIVE=off``, keep their kernel behaviour unchanged.
+        # engines.  Otherwise ``auto`` prefers ``native`` exactly when the
+        # compiled C library is loaded — so environments without a C
+        # compiler, or with ``REPRO_NATIVE=off``, run the kernels (a forced
+        # ``native`` runs them too, inside :mod:`repro.core.native`).
         engine = config.engine
         if constraint is not None:
             engine = "recursive"
-        elif engine == "native" and jit_required() and not jit_ready():
-            warn_jit_fallback()
-            engine = "kernel"
         elif engine == "auto":
             engine = "native" if jit_ready() else "kernel"
         prebuilt = index

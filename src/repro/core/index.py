@@ -484,13 +484,13 @@ class LightWeightIndex:
         return self._kernel
 
     def native_csr(self) -> tuple:
-        """Int64 numpy views of the CSR arrays for the vectorised engine.
+        """Int64 numpy views of the CSR arrays for the compiled engine.
 
         Returns ``(vertex_of, row_of, neighbor_rows, indptr, offsets)`` with
         the same meaning as :meth:`kernel_csr`, except every component stays
         a numpy array (``offsets`` keeps its ``(|X|, k + 1)`` shape): the
-        native engine gathers candidate ranges with array ops directly, so
-        no Python-int mirror is ever materialised.  The only derived array —
+        native engine hands their raw pointers to the compiled loops, so no
+        Python-int mirror is ever materialised.  The only derived array —
         neighbour *row* ids — is computed once per query and cached.  Every
         array is C-contiguous (a group-fused build's ``_rows`` is a strided
         view until here), so the compiled loops can take raw pointers.

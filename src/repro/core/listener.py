@@ -217,7 +217,7 @@ class ResultCollector:
 
         Same contract as :meth:`emit_block` (``bounds`` holds end offsets, no
         leading zero), but the columns arrive as sealed numpy arrays from the
-        vectorised native engine and — with path storage on and no streaming
+        compiled native engine and — with path storage on and no streaming
         callback — land in the :class:`PathBuffer` as whole array segments:
         no per-vertex Python int is ever created on the fast path.
         """
@@ -320,10 +320,8 @@ class RunConfig:
     #: when its C library is loaded, the iterative kernels otherwise, and the
     #: recursive engines whenever the query is constrained.  ``"native"`` /
     #: ``"kernel"`` / ``"recursive"`` force one tier; a forced ``"native"``
-    #: run without the library uses the pure-numpy vectorised DFS and the
-    #: kernel join (falling back to ``"kernel"`` altogether under
-    #: ``REPRO_NATIVE=jit``), and constrained specs fall back to
-    #: the recursive engines (forcing ``"kernel"`` on a constrained query
+    #: run without the library runs the kernels, and constrained specs fall
+    #: back to the recursive engines (forcing ``"kernel"`` on a constrained query
     #: raises, since the constraint protocol is recursive-only).
     engine: str = "auto"
 

@@ -1,55 +1,53 @@
-"""Compiled / vectorised native enumeration engine (``engine="native"``).
+"""Compiled native enumeration engine (``engine="native"``).
 
 The iterative kernels of :mod:`repro.core.kernels` removed the recursion and
 the per-path tuples, but still execute one interpreted Python iteration per
 candidate over Python-int mirrors of the index.  This module removes the
-interpreter from the hot path as well.  It operates **directly on the
-index's int64 numpy CSR buffers** (:meth:`LightWeightIndex.native_csr` — no
-``kernel_csr()`` Python-int mirrors) and emits paths as whole numpy blocks
+interpreter from the hot path as well.  It runs the inner loops of IDX-DFS
+and IDX-JOIN in C (``_cfill.c``, shipped beside this module), built on first
+use and loaded through :mod:`ctypes` by :mod:`repro._clib`, which releases
+the GIL for every call.  The loops operate **directly on the index's int64
+numpy CSR buffers** (:meth:`LightWeightIndex.native_csr` — no
+``kernel_csr()`` Python-int mirrors) and emit paths as whole numpy blocks
 into the collector's columnar :class:`~repro.core.result.PathBuffer`
 (:meth:`~repro.core.listener.ResultCollector.emit_array_block`), so no
-vertex ever round-trips through a Python int on the fast path.
+vertex ever round-trips through a Python int.
 
-Two tiers share the entry points:
+Each loop is resumable: it fills preallocated output arrays, keeps its whole
+search state in one int64 vector and *returns a status code*
+(``DFS_DONE`` / ``DFS_OUT_FULL`` / ``DFS_TICKS``) instead of calling back;
+the Python driver flushes the block, polls the deadline and resumes, so
+result-limit and deadline interruption stay exact.  :func:`warmup` loads
+(or compiles) the library ahead of time so no query pays for it.
 
-* **compiled** — the inner loops of IDX-DFS and IDX-JOIN in C
-  (``_cfill.c``, shipped beside this module), built on first use and
-  loaded through :mod:`ctypes` by :mod:`repro._clib`, which releases the
-  GIL for every call.  Each loop is resumable: it fills preallocated
-  output arrays, keeps its whole search state in one int64 vector and
-  *returns a status code*
-  (``DFS_DONE`` / ``DFS_OUT_FULL`` / ``DFS_TICKS``) instead of calling back;
-  the Python driver flushes the block, polls the deadline and resumes, so
-  result-limit and deadline interruption stay exact.  :func:`warmup` loads
-  (or compiles) the library ahead of time so no query pays for it.
-* **fallback** — without the library, native DFS plans run the
-  subtree-vectorised NumPy expander below and join plans run the iterative
-  :func:`~repro.core.kernels.run_join_kernel`.
-
-Both tiers emit exactly the same paths in exactly the same order as the
-recursive engines and the kernels, and charge the same statistics counters;
+Without the library (no compiler, or ``REPRO_NATIVE=off``) every entry point
+*is* its kernel: :func:`run_dfs_native` runs
+:func:`~repro.core.kernels.run_dfs_kernel` and :func:`run_join_native` runs
+:func:`~repro.core.kernels.run_join_kernel`.  Either way the engine emits
+exactly the same paths in exactly the same order as the recursive engines
+and the kernels, and charges the same statistics counters;
 ``tests/core/test_native.py`` asserts this over randomised graphs.
 
 Like the kernels, the native engine does not support path constraints;
-constrained queries fall back to the recursive engines.  The environment
-knob ``REPRO_NATIVE`` selects the tier: ``off`` skips the build (``auto``
-then runs the kernels), ``jit`` makes ``engine="native"`` *strict* — when
-the library is missing the engine falls back to ``"kernel"`` with a
-one-time warning instead of running the fallback tier.
+constrained queries fall back to the recursive engines.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro._clib import _LIB, _WARNED, _library, jit_ready, jit_required, warn_jit_fallback
+from repro._clib import _LIB, _library, jit_ready
 from repro.core.index import LightWeightIndex
-from repro.core.kernels import KERNEL_CHECK_TICKS, run_join_kernel, run_subquery_kernel
+from repro.core.kernels import (
+    KERNEL_CHECK_TICKS,
+    run_dfs_kernel,
+    run_join_kernel,
+    run_subquery_kernel,
+)
 from repro.core.listener import Deadline, ResultCollector
 from repro.core.result import EnumerationStats
-from repro.errors import EnumerationTimeout
 
 __all__ = [
     "NATIVE_FLUSH_PATHS",
@@ -58,7 +56,6 @@ __all__ = [
     "DFS_OUT_FULL",
     "DFS_TICKS",
     "jit_ready",
-    "jit_required",
     "warmup",
     "run_dfs_native",
     "run_join_native",
@@ -71,17 +68,6 @@ NATIVE_FLUSH_PATHS = 4096
 #: Work units (candidate expansions) between deadline polls.
 NATIVE_CHECK_TICKS = 2048
 
-#: Subtree roots with fewer candidates than this (and depth at most
-#: ``_SCALAR_DEPTH``) expand in scalar form — below it, per-level array-op
-#: overhead costs more than the plain loop.
-_SCALAR_WIDTH = 6
-_SCALAR_DEPTH = 3
-
-#: Cap on the *estimated* candidate count of one bulk subtree expansion;
-#: wider subtrees split a scalar level at a time until the estimate fits,
-#: which bounds the transient array memory of the vectorised tier.
-_EXPAND_CAP = 1 << 19
-
 #: Status codes returned by the resumable cores.
 DFS_DONE = 0
 DFS_OUT_FULL = 1
@@ -90,86 +76,10 @@ DFS_TICKS = 2
 #: ``max_ticks`` of a run whose deadline can never fire.
 _NO_TICKS = 2**62
 
-_EMPTY = np.empty(0, dtype=np.int64)
-
 
 def _max_ticks(deadline: Optional[Deadline], ticks: int) -> int:
     """``ticks`` when ``deadline`` can fire, else a bound never reached."""
     return _NO_TICKS if deadline is None or deadline.units_until_poll() is None else ticks
-
-
-# --------------------------------------------------------------------- #
-# block emission
-# --------------------------------------------------------------------- #
-class _BlockEmitter:
-    """Accumulates emission blocks and flushes them as array blocks.
-
-    ``limit_room`` tracks how many more results the collector's result
-    limit allows: when a bulk block would reach it, the *caller* must not
-    append in bulk — it replays that unit of work in scalar form so the
-    limit raise lands on the exact path with recursive-exact counters
-    (see :meth:`room_for`).  The response-time probe only needs block-edge
-    accuracy (the kernels flush at the same granularity), so ``flush_cap``
-    merely forces a flush near the probe without ever going scalar.
-    """
-
-    __slots__ = ("collector", "datas", "lens", "pending", "limit_room", "flush_cap")
-
-    def __init__(self, collector: ResultCollector) -> None:
-        self.collector = collector
-        self.datas: List[np.ndarray] = []
-        self.lens: List[np.ndarray] = []
-        self.pending = 0
-        self.refresh()
-
-    def refresh(self) -> None:
-        """Re-read the limit/probe boundaries from the collector."""
-        limit = self.collector.result_limit
-        self.limit_room = None if limit is None else limit - self.collector.count
-        self.flush_cap = self.collector.remaining_before_flush()
-
-    def room_for(self, count: int) -> bool:
-        """Whether a bulk block of ``count`` paths stays strictly under the
-        result limit (``True`` when no limit is set)."""
-        return self.limit_room is None or self.pending + count < self.limit_room
-
-    def append(self, data: np.ndarray, lens: np.ndarray) -> None:
-        """Queue a block (``lens`` = per-path vertex counts)."""
-        self.datas.append(data)
-        self.lens.append(lens)
-        self.pending += len(lens)
-        if self.pending >= NATIVE_FLUSH_PATHS or (
-            self.flush_cap is not None and self.pending >= self.flush_cap
-        ):
-            self.flush()
-
-    def emit_path(self, path: List[int]) -> None:
-        """Queue one scalar path, landing the limit raise on the exact path."""
-        if self.limit_room is not None and self.pending + 1 >= self.limit_room:
-            self.flush()
-            self.collector.emit(path)
-            self.refresh()
-            return
-        arr = np.asarray(path, dtype=np.int64)
-        self.datas.append(arr)
-        self.lens.append(np.asarray([len(arr)], dtype=np.int64))
-        self.pending += 1
-        if self.pending >= NATIVE_FLUSH_PATHS or (
-            self.flush_cap is not None and self.pending >= self.flush_cap
-        ):
-            self.flush()
-
-    def flush(self) -> None:
-        """Emit everything queued as one array block."""
-        if not self.pending:
-            return
-        data = self.datas[0] if len(self.datas) == 1 else np.concatenate(self.datas)
-        lens = self.lens[0] if len(self.lens) == 1 else np.concatenate(self.lens)
-        self.datas = []
-        self.lens = []
-        self.pending = 0
-        self.collector.emit_array_block(data, np.cumsum(lens))
-        self.refresh()
 
 
 # --------------------------------------------------------------------- #
@@ -328,333 +238,6 @@ def run_join_native(
         stats.invalid_partial_results += int(state[_P_INVALID])
     emitted = int(state[_P_EMITTED])
     stats.invalid_partial_results += right_count - int(state[_P_USED])
-    stats.results_emitted += emitted
-    return emitted
-
-
-# --------------------------------------------------------------------- #
-# DFS (IDX-DFS, Algorithm 4) — vectorised tier
-# --------------------------------------------------------------------- #
-def _expand_subtree(
-    c, B, prefix, nbr, indptr, off, vertex_of, on_path, t_row, t, deadline=None
-):
-    """Expand the whole depth-``B`` subtree rooted at row ``c`` with array ops.
-
-    ``prefix`` is the current path *including* ``c``'s vertex.  Every level
-    of the subtree is one ragged gather + mask over the full frontier.  DFS
-    emission order is recovered *without sorting*: each level is built
-    parent-major / adjacency-minor (``repeat`` and boolean masks preserve
-    order), and ``t`` is always the first candidate of any row (the index
-    sorts each row's neighbours by distance-to-t, and only ``t`` is at
-    distance 0), so a node's own emission precedes all of its child
-    subtrees — per-level prefix sums over each subtree's emission count
-    then give every emission its exact slot.
-
-    Returns ``(count, data, lens, edges, partial, invalid, found, work)``.
-    The counter deltas are NOT committed to any stats object — the caller
-    discards them and replays the subtree in scalar form when the block
-    would cross the collector's result limit.
-    """
-    length = len(prefix)
-    on_path[c] = True
-    edges = 0
-    partial = 0
-    invalid = 0
-    work = 0
-    nodes = np.asarray([c], dtype=np.int64)
-    # Ancestor rows / path vertices of each frontier node, one contiguous
-    # 1-D array per chain position (cheaper to gather than matrix rows).
-    anc_cols: List[np.ndarray] = []
-    vert_cols: List[np.ndarray] = []
-    level_n = [1]
-    level_verts: List[List[np.ndarray]] = [[]]
-    level_par: List[Optional[np.ndarray]] = [None]
-    level_tmask: List[np.ndarray] = []
-
-    for d in range(B):
-        n = len(nodes)
-        widths = off[nodes, B - d]
-        total = int(widths.sum())
-        edges += total
-        work += total
-        if deadline is not None:
-            # Interruption discards this subtree's pending emissions and
-            # local counters — the driver flushes completed blocks and the
-            # emitted paths stay an exact prefix of the full enumeration.
-            deadline.check_every(total)
-        if total == 0:
-            level_tmask.append(np.zeros(n, dtype=bool))
-            level_par.append(np.empty(0, dtype=np.int64))
-            nodes = np.empty(0, dtype=np.int64)
-            anc_cols = [np.empty(0, dtype=np.int64)] * (d + 1)
-            vert_cols = [np.empty(0, dtype=np.int64)] * (d + 1)
-            level_n.append(0)
-            level_verts.append(vert_cols)
-            continue
-        starts = indptr[nodes]
-        cumw = np.cumsum(widths)
-        gather = np.repeat(starts - (cumw - widths), widths) + np.arange(
-            total, dtype=np.int64
-        )
-        cands = nbr[gather]
-        grp = np.repeat(np.arange(n, dtype=np.int64), widths)
-        valid = ~on_path[cands]
-        for col in anc_cols:
-            valid &= cands != col[grp]
-        partial += int(valid.sum())
-        is_t = valid & (cands == t_row)
-        tmask = np.zeros(n, dtype=bool)
-        tmask[grp[is_t]] = True
-        level_tmask.append(tmask)
-        desc = valid & (cands != t_row)
-        child_nodes = cands[desc]
-        child_par = grp[desc]
-        anc_cols = [col[child_par] for col in anc_cols]
-        anc_cols.append(child_nodes)
-        vert_cols = [col[child_par] for col in vert_cols]
-        vert_cols.append(vertex_of[child_nodes])
-        nodes = child_nodes
-        level_n.append(len(child_nodes))
-        level_verts.append(vert_cols)
-        level_par.append(child_par)
-    on_path[c] = False
-
-    # Depth-B frontier: budget-0 nodes whose sole candidate is t (a non-t
-    # candidate under budget 1 is at distance exactly 1 from t, and its
-    # edge to t survives the index filter) — one emission each.
-    bottom = level_n[B]
-    edges += bottom
-    partial += bottom
-    work += bottom
-
-    # Bottom-up emission counts per subtree; an interior node with nothing
-    # below it is one invalid partial (the root c is charged by the caller).
-    emit_below: List[Optional[np.ndarray]] = [None] * (B + 1)
-    emit_below[B] = np.ones(bottom, dtype=np.int64)
-    for d in range(B - 1, -1, -1):
-        par = level_par[d + 1]
-        if len(par):
-            seg = np.bincount(
-                par, weights=emit_below[d + 1], minlength=level_n[d]
-            ).astype(np.int64)
-        else:
-            seg = np.zeros(level_n[d], dtype=np.int64)
-        eb = level_tmask[d].astype(np.int64) + seg
-        if d:
-            invalid += int((eb == 0).sum())
-        emit_below[d] = eb
-    found = int(emit_below[0][0])
-    if found == 0:
-        return 0, None, None, edges, partial, invalid, 0, work
-
-    # Top-down slot offsets: a node's own t-emission sits at its offset,
-    # its children's subtrees follow in adjacency order.
-    offs: List[Optional[np.ndarray]] = [None] * (B + 1)
-    offs[0] = np.zeros(1, dtype=np.int64)
-    for d in range(B):
-        nchild = level_n[d + 1]
-        if nchild == 0:
-            offs[d + 1] = np.zeros(0, dtype=np.int64)
-            continue
-        par = level_par[d + 1]
-        counts = np.bincount(par, minlength=level_n[d])
-        eb_child = emit_below[d + 1]
-        exclusive = np.cumsum(eb_child) - eb_child
-        seg_starts = np.minimum(np.cumsum(counts) - counts, nchild - 1)
-        base = np.repeat(offs[d] + level_tmask[d], counts)
-        offs[d + 1] = base + exclusive - np.repeat(exclusive[seg_starts], counts)
-
-    lens = np.empty(found, dtype=np.int64)
-    for d in range(B):
-        tm = level_tmask[d]
-        if tm.any():
-            lens[offs[d][tm]] = length + d + 1
-    if bottom:
-        lens[offs[B]] = length + B + 1
-    bounds = np.cumsum(lens)
-    starts = bounds - lens
-    data = np.empty(int(bounds[-1]), dtype=np.int64)
-    for i in range(length):
-        data[starts + i] = prefix[i]
-    for d in range(1, B):
-        tm = level_tmask[d]
-        if tm.any():
-            rows = starts[offs[d][tm]]
-            for b, col in enumerate(level_verts[d]):
-                data[rows + length + b] = col[tm]
-    if bottom:
-        rows = starts[offs[B]]
-        for b, col in enumerate(level_verts[B]):
-            data[rows + length + b] = col
-    data[bounds - 1] = t
-    return found, data, lens, edges, partial, invalid, found, work
-
-
-def _scalar_subtree(
-    c, B, path, nbr, indptr, off, vertex_of, on_path, t_row, t, emit, deadline, acc
-):
-    """Scalar expansion of one subtree with recursive-exact charging.
-
-    Two uses: the *replay* of a subtree whose bulk block would cross the
-    result limit (``emit`` = ``collector.emit``, so the per-candidate
-    emission and counter order matches the recursive engine step for step
-    and the limit raise lands on exactly the same search-tree point), and
-    the fast path for *small* subtrees where per-level array ops would cost
-    more than a plain loop (``emit`` = the emitter's scalar queue).
-    ``path`` includes ``c``'s vertex; ``acc`` is the caller's
-    ``[edges, partial, invalid, ticks]`` accumulator.  Returns the number
-    of results found below ``c``.
-    """
-    check = deadline is not None
-    width = int(off[c, B])
-    acc[0] += width
-    base = int(indptr[c])
-    found = 0
-    on_path[c] = True
-    try:
-        for i in range(base, base + width):
-            child = int(nbr[i])
-            if on_path[child]:
-                continue
-            acc[1] += 1
-            if check:
-                deadline.check_every(1)
-            if child == t_row:
-                emit(path + [t])
-                found += 1
-            elif B == 1:
-                acc[0] += 1
-                acc[1] += 1
-                emit(path + [int(vertex_of[child]), t])
-                found += 1
-            else:
-                path.append(int(vertex_of[child]))
-                below = _scalar_subtree(
-                    child, B - 1, path, nbr, indptr, off, vertex_of, on_path,
-                    t_row, t, emit, deadline, acc,
-                )
-                path.pop()
-                if below == 0:
-                    acc[2] += 1
-                else:
-                    found += below
-    finally:
-        on_path[c] = False
-    return found
-
-
-def _run_dfs_vectorised(index, collector, *, deadline, stats):
-    """Subtree-vectorised IDX-DFS (the numpy tier of the native engine)."""
-    if index.is_empty:
-        return 0
-    query = index.query
-    s, t, k = query.source, query.target, query.k
-    vertex_of, row_of, nbr, indptr, off = index.native_csr()
-    t_row = int(row_of[t])
-    s_row = int(row_of[s])
-    on_path = np.zeros(len(vertex_of), dtype=bool)
-    on_path[s_row] = True
-    emitter = _BlockEmitter(collector)
-    acc = [0, 0, 0, 0]  # edges, partial, invalid, ticks
-    check = deadline is not None
-    start_count = collector.count
-    # Estimated candidate count of a depth-B subtree rooted at a node of
-    # width w: w times the product of the per-column maximum widths the
-    # deeper levels can see.  Used to cap bulk-expansion memory.
-    colmax = off.max(axis=0)
-    fan_products = np.ones(k + 2, dtype=np.float64)
-    running = 1.0
-    for b in range(1, k + 1):
-        fan_products[b] = running
-        running *= max(1.0, float(colmax[b]))
-
-    def _node(c, B, path):
-        """Expand the depth-``B`` subtree at row ``c`` (``path`` includes
-        ``c``'s vertex); returns the number of results found below ``c``.
-
-        Three regimes: small fan goes scalar (array-op overhead would
-        dominate), bounded fan bulk-expands the whole subtree in array
-        form, unbounded fan splits — one scalar level here, recursing a
-        level deeper until the estimate fits.  A bulk block that would
-        cross the result limit is replayed in scalar form against the
-        collector so the limit raise lands on the exact path.
-        """
-        w = int(off[c, B])
-        if w < _SCALAR_WIDTH and B <= _SCALAR_DEPTH:
-            return _scalar_subtree(
-                c, B, path, nbr, indptr, off, vertex_of, on_path, t_row, t,
-                emitter.emit_path, deadline, acc,
-            )
-        if B == 1 or w * fan_products[B] <= _EXPAND_CAP:
-            count, data, lens, d_edges, d_partial, d_invalid, found, work = (
-                _expand_subtree(
-                    c, B, np.asarray(path, dtype=np.int64), nbr, indptr, off,
-                    vertex_of, on_path, t_row, t, deadline,
-                )
-            )
-            if emitter.room_for(count):
-                acc[0] += d_edges
-                acc[1] += d_partial
-                acc[2] += d_invalid
-                if count:
-                    emitter.append(data, lens)
-                if check:
-                    acc[3] += work
-                    if acc[3] >= NATIVE_CHECK_TICKS:
-                        deadline.check_every(acc[3])
-                        acc[3] = 0
-                return found
-            emitter.flush()
-            found = _scalar_subtree(
-                c, B, path, nbr, indptr, off, vertex_of, on_path, t_row, t,
-                collector.emit, deadline, acc,
-            )
-            emitter.refresh()
-            return found
-        # Split: walk this node's candidates in scalar form, one subtree
-        # per child (charging exactly like the recursive engine's step).
-        acc[0] += w
-        base = int(indptr[c])
-        found = 0
-        on_path[c] = True
-        try:
-            for i in range(base, base + w):
-                child = int(nbr[i])
-                if on_path[child]:
-                    continue
-                acc[1] += 1
-                if check:
-                    acc[3] += 1
-                    if acc[3] >= NATIVE_CHECK_TICKS:
-                        deadline.check_every(acc[3])
-                        acc[3] = 0
-                if child == t_row:
-                    emitter.emit_path(path + [t])
-                    found += 1
-                    continue
-                path.append(int(vertex_of[child]))
-                below = _node(child, B - 1, path)
-                path.pop()
-                if below == 0:
-                    acc[2] += 1
-                else:
-                    found += below
-        finally:
-            on_path[c] = False
-        return found
-
-    try:
-        # The root is never charged invalid, so the return value is dropped.
-        _node(s_row, k - 1, [s])
-        emitter.flush()
-    except EnumerationTimeout:
-        emitter.flush()
-        raise
-    finally:
-        stats.edges_accessed += acc[0]
-        stats.partial_results_generated += acc[1]
-        stats.invalid_partial_results += acc[2]
-    emitted = collector.count - start_count
     stats.results_emitted += emitted
     return emitted
 
@@ -982,25 +565,22 @@ def run_dfs_native(
     deadline: Optional[Deadline] = None,
     stats: Optional[EnumerationStats] = None,
 ) -> int:
-    """Array-native IDX-DFS (Algorithm 4) over the index's numpy buffers.
+    """IDX-DFS (Algorithm 4) with its search loop in C.
 
     Byte-identical to :func:`repro.core.dfs.run_idx_dfs` and the iterative
     kernel: same paths, same order, same statistics counters, same limit
-    and deadline interruption points.  Runs the compiled resumable core
-    when the C library is loaded and the vectorised subtree expander
-    otherwise.
+    and deadline interruption points.  Without the compiled library this
+    *is* the kernel.
 
     Returns the number of paths emitted.
     """
-    stats = stats if stats is not None else EnumerationStats()
-    if index.is_empty:
-        return 0
     lib = _library()
-    if lib is not None:
-        return _run_dfs_fill_loop(
-            index, collector, deadline=deadline, stats=stats, filler=_c_dfs_filler(lib)
-        )
-    return _run_dfs_vectorised(index, collector, deadline=deadline, stats=stats)
+    if lib is None:
+        return run_dfs_kernel(index, collector, deadline=deadline, stats=stats)
+    stats = stats if stats is not None else EnumerationStats()
+    return _run_dfs_fill_loop(
+        index, collector, deadline=deadline, stats=stats, filler=_c_dfs_filler(lib)
+    )
 
 
 def warmup() -> bool:

@@ -54,7 +54,7 @@ class PathBuffer:
     frames) is the same two primitive columns, int32 when the ids fit,
     instead of one tuple object per path.
 
-    The vectorised native engine grows a buffer from whole numpy blocks
+    The compiled native engine grows a buffer from whole numpy blocks
     instead (:meth:`extend_array_block`): segments accumulate in a side list
     and are concatenated into the sealed columns the first time anything
     reads the buffer, so appends stay O(block) and no vertex ever round-trips

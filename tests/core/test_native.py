@@ -5,14 +5,13 @@ The contract under test is the same byte-identity the kernels are held to:
 paths in exactly the same order as the recursive engines, charge the same
 statistics counters, and behave identically under result-limit
 interruption; deadline interruption yields a prefix of the full
-enumeration.  The vectorised tier needs only numpy and is exercised
-everywhere; the resumable DFS core is additionally driven in its Python
-form (:func:`native._dfs_fill`) and, when the C library loads, compiled —
-the C loops are held to the Python kernels step for step, including where a
-result limit or an expired deadline interrupts them.
+enumeration.  The resumable DFS core is driven in its Python form
+(:func:`native._dfs_fill`) everywhere and, when the C library loads,
+compiled — the C loops are held to the Python kernels step for step,
+including where a result limit or an expired deadline interrupts them.
 
 Also covered here: the engine-selection matrix around ``"native"`` (auto
-preference, strict fallback with a single warning, constrained-query
+preference, the kernel when the library is missing, constrained-query
 fallback), building and loading the library (concurrent builders, no
 compiler, an unusable cache dir, ``REPRO_NATIVE=off``), the group-fused
 index build, and CSR-mirror memoisation.
@@ -102,16 +101,8 @@ def _fill_loop(filler):
 
 
 def _dfs_runners():
-    """The native DFS entry points under test: vectorised always, the
-    resumable fill loop in Python always, and in C when the library loads."""
-    yield "vectorised", lambda index, collector, *, deadline=None, stats=None: (
-        native._run_dfs_vectorised(
-            index,
-            collector,
-            deadline=deadline,
-            stats=stats if stats is not None else EnumerationStats(),
-        )
-    )
+    """The native DFS entry points under test: the resumable fill loop in
+    Python always, and in C when the library loads."""
     yield "fill-loop", _fill_loop(native._dfs_fill)
     if jit_ready():
         yield "compiled", _fill_loop(native._c_dfs_filler(native._library()))
@@ -207,23 +198,27 @@ class TestDfsNativeEquivalence:
                     )
 
     def test_limit_on_bulk_block_boundary(self):
-        # complete_graph(10)/k=6 bulk-expands whole subtrees; limits around
-        # block boundaries exercise the flush-and-replay path.
+        # complete_graph(10)/k=6 fills many NATIVE_FLUSH_PATHS-path blocks;
+        # a limit of exactly one block (4096) makes the fill loop stop on a
+        # full block and raise on its flush, and the other limits land
+        # mid-block.
         index = LightWeightIndex.build(complete_graph(10), Query(0, 9, 6))
         full = ResultCollector()
         run_dfs_native(index, full)
         total = full.count
-        for limit in (1, 999, 1000, 1001, 4096, total - 1):
+        for limit in (1, 999, 1000, 1001, native.NATIVE_FLUSH_PATHS, total - 1):
             if not 0 < limit < total:
                 continue
             recursive = ResultCollector(result_limit=limit)
             with pytest.raises(ResultLimitReached):
                 run_idx_dfs(index, recursive)
-            collector = ResultCollector(result_limit=limit)
-            with pytest.raises(ResultLimitReached):
-                run_dfs_native(index, collector)
-            assert collector.count == limit
-            assert _paths_of(collector) == _paths_of(recursive), limit
+            runners = [("run_dfs_native", run_dfs_native), *_dfs_runners()]
+            for label, runner in runners:
+                collector = ResultCollector(result_limit=limit)
+                with pytest.raises(ResultLimitReached):
+                    runner(index, collector)
+                assert collector.count == limit, (label, limit)
+                assert _paths_of(collector) == _paths_of(recursive), (label, limit)
 
     def test_deadline_interruption_yields_prefix(self):
         index = LightWeightIndex.build(complete_graph(10), Query(0, 9, 6))
@@ -362,25 +357,6 @@ class TestEngineSelection:
             RunConfig(constraint=constraint, engine="native"),
         )
         assert constrained.paths == plain.paths
-
-    def test_strict_jit_fallback_warns_once(
-        self, paper_graph, paper_query, without_library, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_NATIVE", "jit")
-        monkeypatch.setitem(native._WARNED, "fallback", False)
-        with pytest.warns(RuntimeWarning, match="falling back to engine='kernel'"):
-            first = IdxDfs().run(
-                paper_graph, paper_query, RunConfig(engine="native")
-            )
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            second = IdxDfs().run(
-                paper_graph, paper_query, RunConfig(engine="native")
-            )
-        kernel = IdxDfs().run(paper_graph, paper_query, RunConfig(engine="kernel"))
-        assert first.paths == kernel.paths == second.paths
 
     def test_warmup_reports_toolchain(self):
         assert warmup() is jit_ready()
@@ -579,19 +555,25 @@ class TestLibraryLifecycle:
         ]
         assert _spec_payloads() == compiled
 
-    def test_native_join_without_library_runs_the_kernel(
-        self, paper_graph, paper_query, without_library, monkeypatch
+    @pytest.mark.parametrize(
+        "algorithm, kernel",
+        [(IdxJoin, "run_join_kernel"), (IdxDfs, "run_dfs_kernel")],
+        ids=["join", "dfs"],
+    )
+    def test_native_without_library_runs_the_kernel(
+        self, paper_graph, paper_query, without_library, monkeypatch, algorithm, kernel
     ):
         calls = []
+        real = getattr(native, kernel)
 
         def spy(*args, **kwargs):
             calls.append(1)
-            return run_join_kernel(*args, **kwargs)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(native, "run_join_kernel", spy)
-        result = IdxJoin().run(paper_graph, paper_query, RunConfig(engine="native"))
+        monkeypatch.setattr(native, kernel, spy)
+        result = algorithm().run(paper_graph, paper_query, RunConfig(engine="native"))
         assert calls
-        assert result.paths == IdxJoin().run(
+        assert result.paths == algorithm().run(
             paper_graph, paper_query, RunConfig(engine="kernel")
         ).paths
 
