@@ -29,19 +29,13 @@ thread or process pool, or against a ``repro serve`` instance.
 >>> [graph.translate_path(p) for p in result.paths]
 [('a', 'c', 'd'), ('a', 'b', 'c', 'd')]
 
-Deprecation policy
-------------------
+Execution
+---------
 
-The pre-façade entry points — ``QuerySession``, ``BatchExecutor``,
-``ProcessBatchExecutor``, ``ExecutorCore`` and ``StreamRun`` — remain
-importable from this package as thin shims that emit a
-:class:`DeprecationWarning` pointing at the :class:`Database` equivalent.
-They will keep working for the foreseeable future (their internal homes in
-:mod:`repro.core.engine` are not deprecated — the façade is built on
-them), but new code should not reach for them.
+:class:`~repro.api.Database` is the entry point for running queries, on
+every backend.  The machinery it is built on — ``QuerySession``,
+``ExecutorCore`` and ``StreamRun`` — lives in :mod:`repro.core.engine`.
 """
-
-import warnings as _warnings
 
 from repro._version import __version__
 from repro.api import BACKEND_CHOICES, Database, Q, QuerySpec, ResultStream, StreamStats
@@ -99,39 +93,4 @@ __all__ = [
     "SequenceAutomaton",
     "LandmarkOracle",
     "ReproError",
-    # deprecated execution entry points (shimmed via __getattr__)
-    "QuerySession",
-    "BatchExecutor",
-    "ProcessBatchExecutor",
-    "ExecutorCore",
-    "StreamRun",
 ]
-
-#: The pre-façade execution entry points and the façade call replacing each.
-_DEPRECATED_EXECUTORS = {
-    "QuerySession": 'Database(graph).query(...) / .batch(...)',
-    "BatchExecutor": 'Database(graph, backend="threads").batch(...)',
-    "ProcessBatchExecutor": 'Database(graph, backend="processes").batch(...)',
-    "ExecutorCore": 'Database(graph, backend="threads"|"processes").stream(...)',
-    "StreamRun": "ResultStream (returned by every Database call)",
-}
-
-
-def __getattr__(name: str):
-    """Deprecation shims for the pre-façade execution entry points.
-
-    ``from repro import BatchExecutor`` still works, but warns once per
-    call site; the classes themselves live on unchanged in
-    :mod:`repro.core.engine`, which the façade builds on.
-    """
-    if name in _DEPRECATED_EXECUTORS:
-        _warnings.warn(
-            f"repro.{name} is deprecated; use {_DEPRECATED_EXECUTORS[name]} "
-            "instead (see the repro.api module docs)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core import engine
-
-        return getattr(engine, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,12 +1,8 @@
 """The unified public façade: one ``Database`` over every execution backend.
 
-Four PRs grew five entry points — :class:`~repro.core.engine.QuerySession`,
-:class:`~repro.core.engine.BatchExecutor`,
-:class:`~repro.core.engine.ProcessBatchExecutor`,
-:class:`~repro.server.service.QueryService` and
-:class:`~repro.server.client.QueryClient` — each with its own constructor,
-result shape and lifecycle rules.  This module folds them behind three
-concepts:
+Every way of running a query — in the calling thread, on a thread or
+process pool, against a ``repro serve`` instance or a shard fleet — goes
+through the same three concepts:
 
 * :class:`Database` — opened from a :class:`~repro.graph.digraph.DiGraph`,
   an ``.npz`` snapshot / edge-list file, or a ``host:port`` URL.  It owns
@@ -1474,7 +1470,7 @@ class Database:
             self._closed = True
             self._backend.close()
             if self._owns_graph_store and self._opened_graph is not None:
-                self._opened_graph.close_store()
+                self._opened_graph.close_store(unlink=True)
 
     def __enter__(self) -> "Database":
         return self

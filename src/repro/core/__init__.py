@@ -28,14 +28,12 @@ from repro.core.constraints import (
 )
 from repro.core.dfs import run_idx_dfs
 from repro.core.engine import (
-    BatchExecutor,
     BatchResult,
     BatchStats,
     ExecutorCore,
     IdxDfs,
     IdxJoin,
     PathEnum,
-    ProcessBatchExecutor,
     QuerySession,
     StreamRun,
     count_paths,
@@ -65,8 +63,6 @@ __all__ = [
     "IdxDfs",
     "IdxJoin",
     "QuerySession",
-    "BatchExecutor",
-    "ProcessBatchExecutor",
     "ExecutorCore",
     "StreamRun",
     "BatchResult",

@@ -24,29 +24,21 @@ On top of them sits the batch execution layer:
   restriction, which only *under*-approximates ``v.t`` — the index becomes a
   superset of the per-query one, so the enumerated path sets are identical
   (pruning is a performance device, never a correctness device).
-* :class:`BatchExecutor` — evaluates a whole
-  :class:`~repro.workloads.queries.QueryWorkload` as a unit through a
-  session, optionally fanning independent queries out over a thread pool,
-  and reports aggregate :class:`BatchStats` (BFS cache hits, wall clock,
-  throughput).
 * :class:`ExecutorCore` — the shard-dispatch and pool-lifecycle machinery
-  shared by every parallel execution mode: it partitions a workload by
-  target, warms the distance cache, owns a persistent worker pool (threads
-  or processes) and *streams* result chunks back to the consumer as workers
-  produce them, instead of one blob per shard.  The process backend
-  publishes the graph once into shared memory
-  (:meth:`~repro.graph.digraph.DiGraph.share`) together with a read-mostly
-  packed distance cache; chunks cross the process boundary over a pipe
-  drained by a router thread, their path columns in shared-memory result
-  segments (:mod:`repro.core.result_segments`).
-* :class:`ProcessBatchExecutor` — the process-parallel batch API, a thin
-  wrapper over an :class:`ExecutorCore` with the process backend.  Because a
-  shard holds *every* query of its targets, workers additionally grow all
-  forward BFS trees of a target group in one multi-source sweep — per-query
-  results stay identical to sequential session runs while both halves of
-  the per-query preprocessing are amortised.  The streamed chunks are also
-  what feeds ``RunConfig.on_result`` callbacks (replayed in the parent, in
-  workload order) and the :mod:`repro.server` query service.
+  behind the ``threads`` and ``processes`` backends of
+  :class:`~repro.api.Database` and the :mod:`repro.server` query service:
+  it partitions a workload by target, warms the distance cache, owns a
+  persistent worker pool (threads or processes) and *streams* result
+  chunks back to the consumer as workers produce them, instead of one blob
+  per shard.  Because a shard holds *every* query of its targets, workers
+  additionally grow all forward BFS trees of a target group in one
+  multi-source sweep — per-query results stay identical to sequential
+  session runs while both halves of the per-query preprocessing are
+  amortised.  The process backend publishes the graph once into shared
+  memory (:meth:`~repro.graph.digraph.DiGraph.share`) together with a
+  read-mostly packed distance cache; chunks cross the process boundary
+  over a pipe drained by a router thread, their path columns in
+  shared-memory result segments (:mod:`repro.core.result_segments`).
 """
 
 from __future__ import annotations
@@ -57,7 +49,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import multiprocessing
@@ -101,8 +93,6 @@ __all__ = [
     "IdxDfs",
     "IdxJoin",
     "QuerySession",
-    "BatchExecutor",
-    "ProcessBatchExecutor",
     "ExecutorCore",
     "StreamRun",
     "BatchResult",
@@ -326,7 +316,7 @@ class BatchStats:
     reverse_bfs_runs: int = 0
     #: Queries whose index was built from a cached distance array.
     bfs_cache_hits: int = 0
-    #: Wall-clock seconds of the last :meth:`BatchExecutor.run` call.
+    #: Wall-clock seconds of the batch.
     wall_seconds: float = 0.0
 
     @property
@@ -424,7 +414,7 @@ class QuerySession:
     def ensure_capacity(self, num_keys: int) -> None:
         """Grow the cache bound so ``num_keys`` entries can coexist.
 
-        :class:`BatchExecutor` calls this before warming a workload: the
+        :class:`ExecutorCore` calls this before warming a workload: the
         warm-once guarantee (every reverse BFS runs exactly once, and the
         parallel phase never mutates the cache) only holds when no entry is
         evicted between :meth:`prepare` and the last query of the batch.
@@ -433,42 +423,24 @@ class QuerySession:
             if num_keys > self._max_cached:
                 self._max_cached = int(num_keys)
 
-    def prepare(self, queries: Iterable[Query], constraint=None) -> List[_DistanceKey]:
-        """Warm the distance cache for ``queries``.
+    def prepare(self, queries: Iterable[Query]) -> List[_DistanceKey]:
+        """Warm the unconstrained distance cache for ``queries``.
 
         Returns the keys whose reverse BFS was actually computed (cache
-        misses).  Used by :class:`BatchExecutor` before fanning out to
-        threads — the cache is read-only during parallel execution, and the
-        returned keys let the executor charge each fresh BFS to the first
+        misses).  Used by :class:`ExecutorCore` before fanning out to its
+        pool — the cache is read-only during parallel execution, and the
+        returned keys let the caller charge each fresh BFS to the first
         query that needed it instead of counting every pool query as a hit.
         """
         fresh: List[_DistanceKey] = []
         for query in queries:
-            key = self._key(query, constraint)
+            key = self._key(query, None)
             with self._lock:
                 known = key in self._distances
             if not known:
                 fresh.append(key)
-            self.distances_to_target(query.target, query.k, constraint)
+            self.distances_to_target(query.target, query.k)
         return fresh
-
-    def seed_distances(self, distances: Mapping[Tuple[int, int], np.ndarray]) -> None:
-        """Install precomputed unconstrained reverse-BFS arrays.
-
-        The inverse of :meth:`export_distances`: ``distances`` maps
-        ``(target, k)`` to the array :meth:`distances_to_target` would have
-        computed, and seeded entries are not charged to
-        :attr:`BatchStats.reverse_bfs_runs`.  Use it to hand a warmed cache
-        to a fresh session — e.g. one built against a shared-memory graph in
-        another process, seeded with zero-copy views of a cache pack whose
-        BFS cost was already accounted elsewhere.
-        """
-        with self._lock:
-            needed = len(self._distances) + len(distances)
-            if needed > self._max_cached:
-                self._max_cached = needed
-            for (target, k), array in distances.items():
-                self._distances[(int(target), int(k), None)] = (None, array)
 
     def export_distances(self) -> Dict[Tuple[int, int], np.ndarray]:
         """The unconstrained cache entries as ``{(target, k): distances}``.
@@ -560,7 +532,8 @@ class QuerySession:
 
 @dataclass
 class BatchResult:
-    """Outcome of evaluating a workload through :class:`BatchExecutor`."""
+    """Outcome of evaluating a workload as one batch
+    (:func:`repro.bench.runner.run_workload_batched`)."""
 
     #: Per-query results, in workload order.
     results: List[QueryResult] = field(default_factory=list)
@@ -584,105 +557,6 @@ class BatchResult:
         if self.stats.wall_seconds <= 0.0:
             return float(self.total_paths)
         return self.total_paths / self.stats.wall_seconds
-
-
-class BatchExecutor:
-    """Evaluates a :class:`QueryWorkload` as one unit.
-
-    Queries sharing a ``(target, k, constraint)`` key reuse one reverse-BFS
-    distance array through the underlying :class:`QuerySession`.  With
-    ``max_workers > 1`` independent queries additionally run on a thread
-    pool: the distance cache is warmed up front (sequentially, so each BFS
-    runs exactly once) and is read-only afterwards, which keeps the parallel
-    phase lock-free.  Results always come back in workload order and are
-    identical, query for query, to sequential :meth:`Algorithm.run` calls.
-    """
-
-    def __init__(
-        self,
-        graph: DiGraph,
-        *,
-        algorithm: Optional[Algorithm] = None,
-        max_workers: int = 1,
-        max_cached: int = 256,
-    ) -> None:
-        if max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
-        self.graph = graph
-        self.max_workers = int(max_workers)
-        self.session = QuerySession(graph, algorithm=algorithm, max_cached=max_cached)
-
-    @property
-    def stats(self) -> BatchStats:
-        """Aggregate statistics of everything run through this executor."""
-        return self.session.stats
-
-    def run(
-        self,
-        workload: Sequence[Query],
-        config: Optional[RunConfig] = None,
-    ) -> BatchResult:
-        """Evaluate every query of ``workload`` and return the batch result."""
-        config = config if config is not None else RunConfig()
-        queries = list(workload)
-        # One cache slot per distinct key, so nothing is evicted mid-batch
-        # (the warm-once guarantee of the parallel phase depends on it).
-        distinct = {self.session._key(query, config.constraint) for query in queries}
-        self.session.ensure_capacity(len(distinct))
-        started = time.perf_counter()
-        if self.max_workers > 1 and len(queries) > 1:
-            fresh = set(self.session.prepare(queries, config.constraint))
-            pool = ThreadPoolExecutor(max_workers=self.max_workers)
-            try:
-                futures = [
-                    pool.submit(self.session.run, query, config) for query in queries
-                ]
-                # A failing query must not leave queued work running (or the
-                # caller blocked on a half-consumed pool): the shutdown in
-                # the finally cancels everything outstanding, and the
-                # worker's exception re-raises with its original traceback
-                # preserved by the futures machinery.
-                results = [future.result() for future in futures]
-            finally:
-                pool.shutdown(wait=True, cancel_futures=True)
-            # Pre-warming makes every pool query look like a cache hit;
-            # charge each fresh BFS back to the first query that needed it
-            # so hit counts match what a sequential run would report.
-            charged = _charge_fresh_to_first_query(
-                queries, results, fresh,
-                lambda query: self.session._key(query, config.constraint),
-            )
-            self.stats.bfs_cache_hits -= charged
-        else:
-            results = [self.session.run(query, config) for query in queries]
-        self.stats.wall_seconds = time.perf_counter() - started
-        # Snapshot: the session keeps accumulating across run() calls, and a
-        # returned BatchResult must not change under a later batch.
-        return BatchResult(results=results, stats=replace(self.stats))
-
-
-def _charge_fresh_to_first_query(
-    queries: Sequence[Query],
-    results: Sequence[QueryResult],
-    fresh: set,
-    key_of,
-) -> int:
-    """Charge each freshly computed distance key to its first query.
-
-    Pre-warming makes every query of a batch look like a cache hit; this
-    flags, in workload order, the first query of each ``fresh`` key as the
-    one that paid for the reverse BFS (``bfs_cache_hit = False``) and every
-    other query as served from the cache — exactly the flags a sequential
-    session run would report.  Returns the number of queries charged.
-    """
-    charged: set = set()
-    for query, result in zip(queries, results):
-        key = key_of(query)
-        paid = key in fresh and key not in charged
-        if paid:
-            charged.add(key)
-        result.stats.bfs_cache_hit = not paid
-    return len(charged)
 
 
 # --------------------------------------------------------------------- #
@@ -1350,10 +1224,10 @@ class ExecutorCore:
 
     Constraints are rejected on both backends (their edge filters are
     process-local closures, and the shard loop would fall back to
-    unconstrained distance arrays); route constrained workloads through
-    :class:`BatchExecutor`.  ``on_result`` callbacks never enter the core —
-    callers replay the streamed chunks into the callback parent-side
-    (:meth:`ProcessBatchExecutor.run`).
+    unconstrained distance arrays); evaluate constrained workloads on the
+    inline ``Database(graph)``.  ``on_result`` callbacks never enter the
+    core either; iterate the inline ``Database(graph)``'s lazily streamed
+    results instead.
 
     The core owns shared segments and the pool; call :meth:`close` (or use
     it as a context manager) so they are released deterministically.
@@ -1729,20 +1603,20 @@ class ExecutorCore:
             raise ValueError(
                 "path constraints hold process-local state (their edge "
                 "filters are closures) and cannot cross a process boundary; "
-                "use BatchExecutor for constrained workloads"
+                "evaluate constrained workloads on the inline Database(graph)"
             )
         if config.on_result is not None:
             raise ValueError(
-                "on_result callbacks never enter the executor core; strip "
-                "the callback and replay the streamed chunks parent-side "
-                "(as ProcessBatchExecutor.run does)"
+                "on_result callbacks never enter the executor core; iterate "
+                "the lazily streamed results of the inline Database(graph) "
+                "instead"
             )
 
     def _warm_distances(self, queries: Sequence[Query]) -> List[Tuple[int, int]]:
         """Run the reverse BFS once per distinct ``(target, k)`` key.
 
         Delegates to :meth:`QuerySession.prepare` (after growing the cache
-        bound, as :class:`BatchExecutor` does) and returns the keys that
+        bound so nothing is evicted mid-batch) and returns the keys that
         were actually computed, so per-query hit flags can be charged
         exactly as a sequential session would.
         """
@@ -1975,161 +1849,6 @@ class ExecutorCore:
         finally:
             reader.close()
             result_segments.sweep(channel.prefix)
-
-
-class ProcessBatchExecutor:
-    """Target-sharded batch evaluation across worker processes.
-
-    The GIL caps :class:`BatchExecutor`'s thread pool at one core of useful
-    work; this executor fans out to real processes through a persistent
-    :class:`ExecutorCore` (process backend): the graph and the warmed
-    distance cache live in shared memory, each worker evaluates whole
-    target shards (growing the forward BFS trees of a target group in one
-    multi-source sweep), and results stream back chunk by chunk.
-
-    Results come back in workload order and are identical, path lists
-    included, to evaluating the same workload through a sequential
-    :class:`QuerySession`.  ``RunConfig.on_result`` callbacks are supported:
-    workers stream result chunks to the parent, which replays every path
-    into the callback *in workload order* (the exact sequence a sequential
-    session run would produce).  The ordering guarantee costs memory:
-    workers must materialise each query's paths to ship them (even under
-    ``store_paths=False``), and out-of-order arrivals buffer parent-side
-    until the workload-order prefix is contiguous — worst case the whole
-    batch's paths at once.  For bounded-memory streaming of huge result
-    sets, use :class:`BatchExecutor`, whose callback fires in-process
-    without materialisation (at the cost of cross-query ordering when its
-    thread pool is enabled).  Constraints hold process-local state and
-    are still rejected — use :class:`BatchExecutor` for those.
-
-    The executor owns shared-memory segments; call :meth:`close` (or use
-    it as a context manager) so they are unlinked deterministically instead
-    of at interpreter teardown.  ``close()`` is idempotent.
-    """
-
-    def __init__(
-        self,
-        graph: DiGraph,
-        *,
-        algorithm: Optional[Algorithm] = None,
-        processes: Optional[int] = None,
-        shards: Optional[int] = None,
-        start_method: Optional[str] = None,
-        max_cached: int = 1024,
-    ) -> None:
-        if processes is not None and processes < 1:
-            raise ValueError("processes must be at least 1")
-        self._core = ExecutorCore(
-            graph,
-            algorithm=algorithm,
-            backend="process",
-            workers=processes,
-            shards=shards,
-            start_method=start_method,
-            max_cached=max_cached,
-        )
-        self.graph = graph
-        self.algorithm = self._core.algorithm
-        self.stats = BatchStats()
-
-    # Introspection attributes of the pre-core API, kept for callers.
-    @property
-    def processes(self) -> int:
-        return self._core.workers
-
-    @property
-    def shards(self) -> Optional[int]:
-        return self._core.shards
-
-    @property
-    def start_method(self) -> str:
-        return self._core.start_method
-
-    # -- lifecycle ----------------------------------------------------- #
-    def __enter__(self) -> "ProcessBatchExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Shut the worker pool down and unlink owned shared segments."""
-        self._core.close()
-
-    def __del__(self):  # pragma: no cover - best-effort safety net
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    # -- execution ----------------------------------------------------- #
-    def run(
-        self,
-        workload: Sequence[Query],
-        config: Optional[RunConfig] = None,
-    ) -> BatchResult:
-        """Evaluate every query of ``workload`` and return the batch result."""
-        config = config if config is not None else RunConfig()
-        if self._core.closed:
-            raise RuntimeError("ProcessBatchExecutor is closed")
-        queries = list(workload)
-        started = time.perf_counter()
-        if not queries:
-            self.stats.wall_seconds = time.perf_counter() - started
-            return BatchResult(results=[], stats=replace(self.stats))
-
-        # The callback stays parent-side: workers get a config without it
-        # (but with path storage, so the paths to replay come back) and the
-        # parent releases queries to the callback in workload order.
-        stream_callback = config.on_result
-        worker_config = config
-        if stream_callback is not None:
-            worker_config = config.replace(on_result=None, store_paths=True)
-        run = self._core.start(
-            queries,
-            worker_config,
-            chunk_queries=1 if stream_callback is not None else DEFAULT_CHUNK_QUERIES,
-        )
-        self.stats.reverse_bfs_runs += len(run.fresh)
-
-        results: List[Optional[QueryResult]] = [None] * len(queries)
-        next_position = 0
-
-        def release_ready() -> None:
-            # Replay the contiguous ready prefix so the callback observes
-            # the exact path sequence of a sequential session run.
-            nonlocal next_position
-            while next_position < len(results) and results[next_position] is not None:
-                result = results[next_position]
-                for path in result.paths or ():
-                    stream_callback(path)
-                if not config.store_paths:
-                    result.paths = None
-                next_position += 1
-
-        for chunk in run.chunks():
-            for position, result in chunk:
-                results[position] = result
-            if stream_callback is not None:
-                release_ready()
-        missing = sum(1 for result in results if result is None)
-        if missing:
-            # chunks() exits cleanly when the run is cancelled under it
-            # (e.g. a concurrent close()); a partial batch must not escape
-            # as a BatchResult full of holes.
-            raise RuntimeError(
-                f"stream ended with {missing} of {len(queries)} results "
-                "missing (executor closed mid-run?)"
-            )
-
-        self.stats.queries_run += len(queries)
-        if isinstance(self.algorithm, _DISTANCE_AWARE):
-            charged = _charge_fresh_to_first_query(
-                queries, results, set(run.fresh), lambda q: (q.target, q.k)
-            )
-            self.stats.bfs_cache_hits += len(queries) - charged
-        self.stats.wall_seconds = time.perf_counter() - started
-        return BatchResult(results=list(results), stats=replace(self.stats))
 
 
 # --------------------------------------------------------------------- #

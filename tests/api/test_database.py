@@ -13,8 +13,9 @@ import pytest
 from repro.api import BACKEND_CHOICES, Database, Q, QuerySpec
 from repro.core.algorithm import DelayedAlgorithm
 from repro.core.constraints import PredicateConstraint
-from repro.core.engine import PathEnum, QuerySession
+from repro.core.engine import ExecutorCore, PathEnum, QuerySession
 from repro.core.listener import RunConfig
+from repro.core.query import Query
 from repro.errors import BackendError, ConnectionLost, QuerySpecError, ReproError
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import erdos_renyi
@@ -214,10 +215,14 @@ class TestExecution:
     def test_constraints_are_rejected_off_inline(self, graph):
         allow_all = PredicateConstraint(lambda u, v, weight, label: True, graph)
         with Database(graph, backend="threads", workers=2) as db:
-            with pytest.raises(BackendError, match="inline Database") as excinfo:
+            with pytest.raises(BackendError, match="inline Database"):
                 db.query(Q(0, 10, 4).where(allow_all))
-        # The guidance must point at the façade, not a deprecated executor.
-        assert "BatchExecutor" not in str(excinfo.value)
+        # The executor core behind the pool backends points at the same place.
+        with ExecutorCore(graph, backend="thread", workers=2) as core:
+            with pytest.raises(ValueError, match=r"inline Database\(graph\)"):
+                core.start([Query(0, 10, 4)], RunConfig(constraint=allow_all))
+            with pytest.raises(ValueError, match=r"inline Database\(graph\)"):
+                core.start([Query(0, 10, 4)], RunConfig(on_result=print))
 
     def test_numpy_integer_endpoints_are_accepted(self, graph):
         np = pytest.importorskip("numpy")
@@ -267,20 +272,21 @@ class TestExecution:
 
 
 class TestDeprecationShims:
-    @pytest.mark.parametrize(
-        "name",
-        ["QuerySession", "BatchExecutor", "ProcessBatchExecutor", "ExecutorCore", "StreamRun"],
-    )
-    def test_top_level_executor_access_warns(self, name):
-        import repro
-        from repro.core import engine
+    """The pre-façade executor shims are gone from the top-level package;
+    the machinery ``Database`` is built on stays in ``repro.core``."""
 
-        with pytest.warns(DeprecationWarning, match=f"repro.{name} is deprecated"):
-            shimmed = getattr(repro, name)
-        assert shimmed is getattr(engine, name)
+    @pytest.mark.parametrize("name", ["QuerySession", "ExecutorCore", "StreamRun"])
+    def test_top_level_executor_access_raises(self, name):
+        import repro
+        import repro.core
+
+        with pytest.raises(AttributeError):
+            getattr(repro, name)
+        assert name not in repro.__all__
+        assert getattr(repro.core, name) is not None
 
     def test_internal_imports_stay_silent(self, recwarn):
-        from repro.core.engine import BatchExecutor, QuerySession  # noqa: F401
+        from repro.core import ExecutorCore, QuerySession, StreamRun  # noqa: F401
 
         deprecations = [w for w in recwarn.list if w.category is DeprecationWarning]
         assert deprecations == []

@@ -18,29 +18,35 @@ from tests.helpers import (
     numpy_reference,
     paper_figure1_graph,
     result_segment_names,
+    shared_memory_names,
 )
 
 
 @pytest.fixture(autouse=True)
 def _no_leaked_result_segments():
-    """Fail any test that leaves a process-result segment in ``/dev/shm``.
+    """Fail any test that leaves a shared-memory segment in ``/dev/shm``.
 
-    A chunk's segment lives from its worker's write until the parent's router
-    thread maps (or discards) it, so a few may still be in flight when a
-    test returns; they get five seconds to go.  Whatever is left is a leak:
-    reported, then unlinked so the next test starts clean.
+    Two kinds are checked: process-result segments and the
+    ``multiprocessing.shared_memory`` (``psm_*``) segments holding shared
+    graph images and packed distance caches.  A chunk's result segment
+    lives from its worker's write until the parent's router thread maps (or
+    discards) it, so a few may still be in flight when a test returns; they
+    get five seconds to go.  Whatever is left is a leak: reported, then
+    unlinked so the next test starts clean.  Segments a module-scoped
+    fixture holds across tests predate every test's snapshot; such a
+    fixture checks its own segments at teardown.
     """
-    before = result_segment_names()
+    before = result_segment_names() | shared_memory_names()
     yield
     deadline = time.monotonic() + 5.0
-    leaked = result_segment_names() - before
+    leaked = (result_segment_names() | shared_memory_names()) - before
     while leaked and time.monotonic() < deadline:
         time.sleep(0.05)
-        leaked = result_segment_names() - before
+        leaked = (result_segment_names() | shared_memory_names()) - before
     if leaked:
         for name in leaked:
             result_segments._unlink(name)
-        pytest.fail(f"result segments outlived the test: {sorted(leaked)}")
+        pytest.fail(f"shared-memory segments outlived the test: {sorted(leaked)}")
 
 
 @pytest.fixture(params=("compiled", "numpy"))

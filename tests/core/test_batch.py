@@ -1,23 +1,30 @@
-"""Tests for the batch execution layer (QuerySession / BatchExecutor).
+"""Tests for batch execution through the ``Database`` façade.
 
 The contract under test: batch execution is purely an optimisation.  Every
-query evaluated through the executor must return exactly the paths the
-sequential engine returns, while the session performs strictly fewer
-reverse-BFS traversals than it evaluates queries whenever targets repeat.
+query evaluated as part of a batch — inline, or fanned out over a thread
+pool — must return exactly the paths the sequential engine returns, while
+the shared distance cache performs strictly fewer reverse-BFS traversals
+than it evaluates queries whenever targets repeat.  The session the inline
+backend is built on (:class:`QuerySession`) is tested directly below.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import Database, Q
 from repro.baselines.bc_dfs import BcDfs
+from repro.bench.runner import BenchmarkSettings, run_workload_batched
 from repro.core.constraints import PredicateConstraint
-from repro.core.engine import BatchExecutor, IdxDfs, IdxJoin, PathEnum, QuerySession
+from repro.core.engine import IdxDfs, IdxJoin, PathEnum, QuerySession
 from repro.core.listener import RunConfig
 from repro.core.query import Query
 from repro.core.result import paths_are_valid
 from repro.graph.generators import erdos_renyi, power_law_graph
-from repro.workloads.queries import QuerySetting, generate_target_centric_set
+from repro.workloads.queries import generate_target_centric_set
+
+#: Count-only settings for the batch-statistics tests.
+COUNT_ONLY = BenchmarkSettings(store_paths=False, time_limit_seconds=None)
 
 
 @pytest.fixture(scope="module")
@@ -41,16 +48,19 @@ def _sequential(graph, queries, algorithm=None, config=None):
     return [algorithm.run(graph, query, config) for query in queries]
 
 
+def _batch(graph, queries, **open_options):
+    with Database(graph, **open_options) as db:
+        return db.batch(queries).results()
+
+
 class TestBatchEquivalence:
     def test_results_match_sequential_query_for_query(
         self, batch_graph, shared_target_queries
     ):
         expected = _sequential(batch_graph, shared_target_queries)
-        batch = BatchExecutor(batch_graph).run(
-            shared_target_queries, RunConfig(store_paths=True)
-        )
-        assert len(batch.results) == len(expected)
-        for sequential, batched in zip(expected, batch.results):
+        batched_results = _batch(batch_graph, shared_target_queries)
+        assert len(batched_results) == len(expected)
+        for sequential, batched in zip(expected, batched_results):
             assert batched.source == sequential.source
             assert batched.target == sequential.target
             assert batched.count == sequential.count
@@ -63,25 +73,27 @@ class TestBatchEquivalence:
     def test_fixed_plan_algorithms_match_sequential(
         self, batch_graph, shared_target_queries, algorithm_cls
     ):
-        config = RunConfig(store_paths=True)
-        expected = _sequential(batch_graph, shared_target_queries, algorithm_cls(), config)
-        batch = BatchExecutor(batch_graph, algorithm=algorithm_cls()).run(
-            shared_target_queries, config
-        )
-        for sequential, batched in zip(expected, batch.results):
-            assert set(batched.paths) == set(sequential.paths)
+        expected = _sequential(batch_graph, shared_target_queries, algorithm_cls())
+        for backend in ("inline", "threads"):
+            workers = None if backend == "inline" else 2
+            batched_results = _batch(
+                batch_graph, shared_target_queries,
+                backend=backend, workers=workers, algorithm=algorithm_cls(),
+            )
+            for sequential, batched in zip(expected, batched_results):
+                assert set(batched.paths) == set(sequential.paths)
 
     def test_parallel_results_match_and_keep_order(
         self, batch_graph, shared_target_queries
     ):
         expected = _sequential(batch_graph, shared_target_queries)
-        batch = BatchExecutor(batch_graph, max_workers=4).run(
-            shared_target_queries, RunConfig(store_paths=True)
+        batched_results = _batch(
+            batch_graph, shared_target_queries, backend="threads", workers=4
         )
-        assert [(r.source, r.target) for r in batch.results] == [
+        assert [(r.source, r.target) for r in batched_results] == [
             (r.source, r.target) for r in expected
         ]
-        for sequential, batched in zip(expected, batch.results):
+        for sequential, batched in zip(expected, batched_results):
             assert set(batched.paths) == set(sequential.paths)
 
     def test_parallel_cache_stats_match_sequential_semantics(
@@ -89,12 +101,14 @@ class TestBatchEquivalence:
     ):
         # Pre-warming must not inflate the hit count: each fresh BFS is
         # charged to the first query of its target, exactly as sequentially.
-        batch = BatchExecutor(batch_graph, max_workers=4).run(
-            shared_target_queries, RunConfig(store_paths=False)
-        )
-        assert batch.stats.reverse_bfs_runs == 3
-        assert batch.stats.bfs_cache_hits == len(shared_target_queries) - 3
-        flags = [result.stats.bfs_cache_hit for result in batch.results]
+        with Database(batch_graph, backend="threads", workers=4) as db:
+            stream = db.batch(shared_target_queries, store_paths=False)
+            results = stream.results()
+            stats = stream.stats()
+            assert db._backend.core.session.stats.reverse_bfs_runs == 3
+        assert stats.reverse_bfs_runs == 3
+        assert stats.bfs_cache_hits == len(shared_target_queries) - 3
+        flags = [result.stats.bfs_cache_hit for result in results]
         assert flags.count(False) == 3
 
     def test_constrained_queries_match_sequential(self, batch_graph, shared_target_queries):
@@ -103,27 +117,35 @@ class TestBatchEquivalence:
         )
         config = RunConfig(store_paths=True, constraint=constraint)
         expected = _sequential(batch_graph, shared_target_queries, PathEnum(), config)
-        batch = BatchExecutor(batch_graph).run(shared_target_queries, config)
-        for sequential, batched in zip(expected, batch.results):
+        with Database(batch_graph) as db:
+            batched_results = db.batch(
+                [Q(q.source, q.target, q.k).where(constraint) for q in shared_target_queries]
+            ).results()
+        for sequential, batched in zip(expected, batched_results):
             assert set(batched.paths) == set(sequential.paths)
 
     def test_baseline_algorithms_pass_through(self, batch_graph, shared_target_queries):
-        config = RunConfig(store_paths=True)
         queries = shared_target_queries[:4]
-        expected = _sequential(batch_graph, queries, BcDfs(), config)
-        batch = BatchExecutor(batch_graph, algorithm=BcDfs()).run(queries, config)
-        for sequential, batched in zip(expected, batch.results):
+        expected = _sequential(batch_graph, queries, BcDfs())
+        with Database(batch_graph, algorithm=BcDfs()) as db:
+            stream = db.batch(queries)
+            batched_results = stream.results()
+            # Baselines never consult the distance cache.
+            assert stream.stats().reverse_bfs_runs == 0
+            assert db._backend.session.stats.reverse_bfs_runs == 0
+        for sequential, batched in zip(expected, batched_results):
             assert set(batched.paths) == set(sequential.paths)
-        # Baselines never consult the distance cache.
-        assert batch.stats.reverse_bfs_runs == 0
 
 
 class TestBatchStats:
+    """Aggregate statistics of :func:`run_workload_batched`'s ``BatchResult``."""
+
     def test_repeated_targets_run_strictly_fewer_bfs_than_queries(
         self, batch_graph, shared_target_queries
     ):
-        executor = BatchExecutor(batch_graph)
-        batch = executor.run(shared_target_queries, RunConfig(store_paths=False))
+        batch = run_workload_batched(
+            PathEnum(), batch_graph, shared_target_queries, settings=COUNT_ONLY
+        )
         stats = batch.stats
         assert stats.queries_run == len(shared_target_queries)
         assert stats.reverse_bfs_runs == 3  # one per distinct target
@@ -136,8 +158,8 @@ class TestBatchStats:
     def test_per_query_cache_flag_marks_repeats_only(
         self, batch_graph, shared_target_queries
     ):
-        batch = BatchExecutor(batch_graph).run(
-            shared_target_queries, RunConfig(store_paths=False)
+        batch = run_workload_batched(
+            PathEnum(), batch_graph, shared_target_queries, settings=COUNT_ONLY
         )
         flags = [result.stats.bfs_cache_hit for result in batch.results]
         # The first sighting of each of the 3 targets pays for its BFS.
@@ -146,21 +168,22 @@ class TestBatchStats:
 
     def test_distinct_targets_get_no_hits(self, batch_graph):
         queries = [Query(0, t, 4) for t in (5, 6, 7) if t != 0]
-        batch = BatchExecutor(batch_graph).run(queries, RunConfig(store_paths=False))
+        batch = run_workload_batched(PathEnum(), batch_graph, queries, settings=COUNT_ONLY)
         assert batch.stats.reverse_bfs_runs == len(queries)
         assert batch.stats.bfs_cache_hits == 0
 
     def test_stats_row_shape(self, batch_graph, shared_target_queries):
-        executor = BatchExecutor(batch_graph)
-        executor.run(shared_target_queries[:4], RunConfig(store_paths=False))
-        row = executor.stats.as_row()
+        batch = run_workload_batched(
+            PathEnum(), batch_graph, shared_target_queries[:4], settings=COUNT_ONLY
+        )
+        row = batch.stats.as_row()
         assert set(row) == {
             "queries", "reverse_bfs_runs", "bfs_cache_hits", "hit_rate", "wall_ms",
         }
 
     def test_batch_result_aggregates(self, batch_graph, shared_target_queries):
-        batch = BatchExecutor(batch_graph).run(
-            shared_target_queries, RunConfig(store_paths=False)
+        batch = run_workload_batched(
+            PathEnum(), batch_graph, shared_target_queries, settings=COUNT_ONLY
         )
         assert len(batch) == len(shared_target_queries)
         assert batch.total_paths == sum(r.count for r in batch)
@@ -210,33 +233,38 @@ class TestQuerySession:
         assert set(result.paths) == set(direct.paths)
 
     def test_executor_rejects_bad_workers(self, batch_graph):
-        with pytest.raises(ValueError):
-            BatchExecutor(batch_graph, max_workers=0)
+        with pytest.raises(ValueError, match="workers"):
+            Database(batch_graph, backend="threads", workers=0)
 
     def test_empty_workload(self, batch_graph):
-        batch = BatchExecutor(batch_graph).run([], RunConfig(store_paths=False))
-        assert len(batch) == 0
-        assert batch.total_paths == 0
+        for backend, workers in (("inline", None), ("threads", 2)):
+            with Database(batch_graph, backend=backend, workers=workers) as db:
+                stream = db.batch([])
+                assert stream.results() == []
+                assert len(stream) == 0
+                assert stream.stats().total_paths == 0
 
     def test_batch_result_stats_are_snapshots(self, batch_graph, shared_target_queries):
-        executor = BatchExecutor(batch_graph)
-        first = executor.run(shared_target_queries[:6], RunConfig(store_paths=False))
-        first_queries = first.stats.queries_run
-        first_wall = first.stats.wall_seconds
-        second = executor.run(shared_target_queries[6:], RunConfig(store_paths=False))
-        # The earlier result must not change under the later batch.
-        assert first.stats.queries_run == first_queries
-        assert first.stats.wall_seconds == first_wall
-        assert second.stats.queries_run == len(shared_target_queries)
-        # The executor itself keeps the cumulative view.
-        assert executor.stats.queries_run == len(shared_target_queries)
+        with Database(batch_graph) as db:
+            first = db.batch(shared_target_queries[:6], store_paths=False)
+            first.results()
+            first_stats = first.stats()
+            second = db.batch(shared_target_queries[6:], store_paths=False)
+            second.results()
+            # The earlier stream must not change under the later batch.
+            assert first.stats() == first_stats
+            assert second.stats().completed == len(shared_target_queries) - 6
+            # The database's session keeps the cumulative view.
+            assert db._backend.session.stats.queries_run == len(shared_target_queries)
 
     def test_small_cache_grows_to_fit_a_batch(self, batch_graph, shared_target_queries):
         # max_cached below the number of distinct targets must not break the
         # warm-once guarantee: still one reverse BFS per distinct target.
-        executor = BatchExecutor(batch_graph, max_workers=4, max_cached=1)
-        batch = executor.run(shared_target_queries, RunConfig(store_paths=False))
-        assert batch.stats.reverse_bfs_runs == 3
+        with Database(batch_graph, backend="threads", workers=4, max_cached=1) as db:
+            stream = db.batch(shared_target_queries, store_paths=False)
+            stream.results()
+            assert db._backend.core.session.stats.reverse_bfs_runs == 3
+        assert stream.stats().reverse_bfs_runs == 3
 
     def test_distinct_constraints_do_not_share_cache_entries(self, batch_graph):
         session = QuerySession(batch_graph)

@@ -412,6 +412,42 @@ class TestEngineSelection:
             assert kernel.count == recursive.count
             assert kernel.stats.plan == recursive.stats.plan
 
+    @pytest.mark.parametrize("algorithm_cls", [IdxDfs, IdxJoin])
+    def test_dense_graphs_match_for_both_fixed_plans(self, algorithm_cls):
+        # Enumeration-heavy queries — a clique and a dense random digraph,
+        # thousands of paths each — where every candidate range is long.
+        cases = (
+            (complete_graph(10), Query(0, 9, 6)),
+            (erdos_renyi(50, 12.0, seed=3), Query(0, 1, 5)),
+        )
+        for graph, query in cases:
+            kernel = algorithm_cls().run(graph, query, RunConfig(engine="kernel"))
+            recursive = algorithm_cls().run(graph, query, RunConfig(engine="recursive"))
+            assert kernel.count == recursive.count > 1000
+            assert kernel.paths == recursive.paths
+            for counter in COUNTERS:
+                assert getattr(kernel.stats, counter) == getattr(recursive.stats, counter)
+
+    def test_mixed_workload_identical_across_engines_and_backends(self):
+        # Random pairs with mixed hop budgets through the distance-caching
+        # session, recursively and with the kernels, inline and on a thread
+        # pool: one payload, byte for byte.
+        from repro.api import Database
+
+        graph = erdos_renyi(80, 10.0, seed=7)
+        rng = np.random.default_rng(2021)
+        triples = []
+        while len(triples) < 12:
+            s, t = (int(v) for v in rng.choice(graph.num_vertices, size=2, replace=False))
+            triples.append((s, t, int(rng.integers(3, 6))))
+        with Database(graph) as db:
+            reference = db.batch(triples, engine="recursive")
+            payload = reference.payload_bytes()
+            assert reference.stats().total_paths > 1000
+            assert db.batch(triples, engine="kernel").payload_bytes() == payload
+        with Database(graph, backend="threads", workers=2) as db:
+            assert db.batch(triples, engine="kernel").payload_bytes() == payload
+
     def test_auto_uses_columnar_fast_path(self, paper_graph, paper_query):
         result = IdxDfs().run(paper_graph, paper_query, RunConfig())
         assert result.path_buffer is not None

@@ -2,9 +2,11 @@
 
 The contract mirrors the thread-pool batch layer: process execution is an
 optimisation, never a semantics change.  Every query evaluated through
-:class:`ProcessBatchExecutor` must return exactly the result (path list
-order included) of a sequential session run, under both the ``fork`` and
-``spawn`` start methods, without leaking shared-memory segments.
+``Database(graph, backend="processes")`` must return exactly the result
+(path list order included) of a sequential session run, under both the
+``fork`` and ``spawn`` start methods, without leaking shared-memory
+segments (the autouse fixture in ``tests/conftest.py`` checks ``/dev/shm``
+after every test).
 
 Set ``REPRO_START_METHODS=fork`` (or ``spawn``) to restrict the
 parametrised start-method suite — the CI matrix uses this to give each
@@ -25,14 +27,7 @@ from repro.api import Database
 from repro.baselines.bc_dfs import BcDfs
 from repro.core import result_segments
 from repro.core.constraints import PredicateConstraint
-from repro.core.engine import (
-    BatchExecutor,
-    ExecutorCore,
-    IdxDfs,
-    PathEnum,
-    ProcessBatchExecutor,
-    QuerySession,
-)
+from repro.core.engine import ExecutorCore, IdxDfs, PathEnum
 from repro.core.algorithm import Algorithm
 from repro.core.listener import RunConfig
 from repro.core.query import Query
@@ -76,11 +71,10 @@ def shared_target_queries(graph):
     return list(workload)
 
 
-def _shm_segments():
-    try:
-        return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
+def _processes(graph, start_method=None, workers=2, **options):
+    return Database(
+        graph, backend="processes", workers=workers, start_method=start_method, **options
+    )
 
 
 class TestMultiSourceBfs:
@@ -153,16 +147,12 @@ class TestProcessEquivalence:
     def test_results_identical_to_sequential_session(
         self, graph, shared_target_queries, start_method, engine
     ):
-        config = RunConfig(store_paths=True, engine=engine)
-        sequential = BatchExecutor(graph).run(shared_target_queries, config)
-        before = _shm_segments()
-        with ProcessBatchExecutor(
-            graph, processes=2, start_method=start_method
-        ) as executor:
-            parallel = executor.run(shared_target_queries, config)
-        assert _shm_segments() - before == set(), "leaked shared-memory segments"
-        assert len(parallel.results) == len(sequential.results)
-        for expected, actual in zip(sequential.results, parallel.results):
+        with Database(graph) as db:
+            sequential = db.batch(shared_target_queries, engine=engine).results()
+        with _processes(graph, start_method) as db:
+            parallel = db.batch(shared_target_queries, engine=engine).results()
+        assert len(parallel) == len(sequential)
+        for expected, actual in zip(sequential, parallel):
             assert actual.source == expected.source
             assert actual.target == expected.target
             assert actual.count == expected.count
@@ -183,118 +173,100 @@ class TestProcessEquivalence:
             config = RunConfig(store_paths=True)
             engine = PathEnum()
             expected = [engine.run(g, q, config) for q in queries]
-            with ProcessBatchExecutor(
-                g, processes=2, start_method=start_method
-            ) as executor:
-                parallel = executor.run(queries, config)
-            for exp, act in zip(expected, parallel.results):
+            with _processes(g, start_method) as db:
+                parallel = db.batch(queries).results()
+            for exp, act in zip(expected, parallel):
                 assert act.count == exp.count
                 assert set(act.paths) == set(exp.paths)
 
     def test_inline_path_matches_process_path(self, graph, shared_target_queries):
-        config = RunConfig(store_paths=True)
-        with ProcessBatchExecutor(graph, processes=1) as inline:
-            inline_batch = inline.run(shared_target_queries, config)
-        with ProcessBatchExecutor(graph, processes=2, start_method="fork") as executor:
-            process_batch = executor.run(shared_target_queries, config)
-        for a, b in zip(inline_batch.results, process_batch.results):
+        # One worker evaluates the shards in the caller's thread, no pool.
+        with _processes(graph, workers=1) as inline:
+            inline_results = inline.batch(shared_target_queries).results()
+        with _processes(graph, "fork") as db:
+            process_results = db.batch(shared_target_queries).results()
+        for a, b in zip(inline_results, process_results):
             assert a.paths == b.paths
 
     def test_fixed_plan_algorithm(self, graph, shared_target_queries):
-        config = RunConfig(store_paths=True)
-        sequential = BatchExecutor(graph, algorithm=IdxDfs()).run(
-            shared_target_queries, config
-        )
-        with ProcessBatchExecutor(
-            graph, algorithm=IdxDfs(), processes=2, start_method="fork"
-        ) as executor:
-            parallel = executor.run(shared_target_queries, config)
-        for exp, act in zip(sequential.results, parallel.results):
+        with Database(graph, algorithm=IdxDfs()) as db:
+            sequential = db.batch(shared_target_queries).results()
+        with _processes(graph, "fork", algorithm=IdxDfs()) as db:
+            parallel = db.batch(shared_target_queries).results()
+        for exp, act in zip(sequential, parallel):
             assert act.paths == exp.paths
 
     def test_baseline_algorithm_passes_through(self, graph, shared_target_queries):
         config = RunConfig(store_paths=True)
         queries = shared_target_queries[:4]
         expected = [BcDfs().run(graph, q, config) for q in queries]
-        with ProcessBatchExecutor(
-            graph, algorithm=BcDfs(), processes=2, start_method="fork"
-        ) as executor:
-            parallel = executor.run(queries, config)
-        for exp, act in zip(expected, parallel.results):
+        with _processes(graph, "fork", algorithm=BcDfs()) as db:
+            stream = db.batch(queries)
+            parallel = stream.results()
+        for exp, act in zip(expected, parallel):
             assert set(act.paths) == set(exp.paths)
-        assert parallel.stats.reverse_bfs_runs == 0
+        assert stream.stats().reverse_bfs_runs == 0
 
 
 class TestProcessStats:
     def test_stats_match_sequential_semantics(self, graph, shared_target_queries):
-        with ProcessBatchExecutor(
-            graph, processes=2, start_method="fork"
-        ) as executor:
-            batch = executor.run(shared_target_queries, RunConfig(store_paths=False))
-        assert batch.stats.queries_run == len(shared_target_queries)
-        assert batch.stats.reverse_bfs_runs == 3
-        assert batch.stats.bfs_cache_hits == len(shared_target_queries) - 3
-        flags = [result.stats.bfs_cache_hit for result in batch.results]
+        with _processes(graph, "fork") as db:
+            stream = db.batch(shared_target_queries, store_paths=False)
+            results = stream.results()
+        stats = stream.stats()
+        assert stats.completed == len(shared_target_queries)
+        assert stats.reverse_bfs_runs == 3
+        assert stats.bfs_cache_hits == len(shared_target_queries) - 3
+        flags = [result.stats.bfs_cache_hit for result in results]
         assert flags.count(False) == 3
 
     def test_second_batch_reuses_parent_distance_cache(
         self, graph, shared_target_queries
     ):
-        with ProcessBatchExecutor(
-            graph, processes=2, start_method="fork"
-        ) as executor:
-            executor.run(shared_target_queries, RunConfig(store_paths=False))
-            again = executor.run(shared_target_queries, RunConfig(store_paths=False))
-        assert again.stats.reverse_bfs_runs == 3  # nothing recomputed
-        assert all(result.stats.bfs_cache_hit for result in again.results)
+        with _processes(graph, "fork") as db:
+            db.batch(shared_target_queries, store_paths=False).results()
+            again = db.batch(shared_target_queries, store_paths=False)
+            results = again.results()
+            assert db._backend.core.session.stats.reverse_bfs_runs == 3  # nothing recomputed
+        assert again.stats().reverse_bfs_runs == 0
+        assert all(result.stats.bfs_cache_hit for result in results)
 
     def test_empty_workload(self, graph):
-        with ProcessBatchExecutor(graph, processes=2) as executor:
-            batch = executor.run([], RunConfig(store_paths=False))
-        assert len(batch) == 0
-
-    def test_session_cache_export_and_seed_roundtrip(self, graph):
-        session = QuerySession(graph)
-        session.run(Query(0, 9, 4), RunConfig(store_paths=False))
-        exported = session.export_distances()
-        assert set(exported) == {(9, 4)}
-        other = QuerySession(graph)
-        other.seed_distances(exported)
-        other.run(Query(1, 9, 4), RunConfig(store_paths=False))
-        assert other.stats.reverse_bfs_runs == 0  # served from the seed
+        with _processes(graph) as db:
+            stream = db.batch([], store_paths=False)
+            assert stream.results() == []
+        assert len(stream) == 0
 
 
 class TestProcessRejections:
     def test_rejects_constraints(self, graph, shared_target_queries):
         constraint = PredicateConstraint(lambda u, v, w, l: True, graph)
-        with ProcessBatchExecutor(graph, processes=2) as executor:
+        with _processes(graph) as db:
             with pytest.raises(ValueError, match="constraint"):
-                executor.run(
-                    shared_target_queries, RunConfig(constraint=constraint)
-                )
+                db.batch(shared_target_queries, constraint=constraint)
 
     def test_rejects_bad_worker_counts(self, graph):
         with pytest.raises(ValueError):
-            ProcessBatchExecutor(graph, processes=0)
+            _processes(graph, workers=0)
         with pytest.raises(ValueError):
-            ProcessBatchExecutor(graph, shards=0)
+            _processes(graph, shards=0)
 
     def test_run_after_close_raises(self, graph, shared_target_queries):
-        executor = ProcessBatchExecutor(graph, processes=2)
-        executor.close()
+        db = _processes(graph)
+        db.close()
         with pytest.raises(RuntimeError):
-            executor.run(shared_target_queries)
+            db.batch(shared_target_queries)
 
     def test_close_is_idempotent(self, graph, shared_target_queries):
-        executor = ProcessBatchExecutor(graph, processes=2, start_method="fork")
-        executor.run(shared_target_queries[:4], RunConfig(store_paths=False))
-        executor.close()
-        executor.close()  # second close must be a no-op, not an error
-        executor.close()
+        db = _processes(graph, "fork")
+        db.batch(shared_target_queries[:4], store_paths=False).results()
+        db.close()
+        db.close()  # second close must be a no-op, not an error
+        db.close()
 
 
 class TestStreamingCallbacks:
-    """``RunConfig.on_result`` routed through the chunked result stream."""
+    """The ordered process stream replays what a sequential callback sees."""
 
     @pytest.mark.parametrize("start_method", START_METHODS)
     def test_callback_sequence_matches_sequential_run(
@@ -306,50 +278,25 @@ class TestStreamingCallbacks:
         for query in shared_target_queries:
             engine.run(graph, query, config.replace(on_result=expected.append))
 
-        streamed: list = []
-        with ProcessBatchExecutor(
-            graph, processes=2, start_method=start_method
-        ) as executor:
-            batch = executor.run(
-                shared_target_queries, config.replace(on_result=streamed.append)
-            )
-        # Workload order, per-query path order: the exact sequence the
-        # callback would observe from a sequential session run.
+        with _processes(graph, start_method) as db:
+            streamed = [path for result in db.batch(shared_target_queries) for path in result.paths]
+        # Workload order, per-query path order: the exact sequence an
+        # ``on_result`` callback observes during a sequential run.
         assert streamed == expected
-        # store_paths=False semantics are preserved even though workers
-        # internally materialise paths to ship them to the parent.
-        assert all(result.paths is None for result in batch.results)
-
-    def test_callback_with_stored_paths_keeps_paths(self, graph, shared_target_queries):
-        seen: list = []
-        with ProcessBatchExecutor(graph, processes=2, start_method="fork") as executor:
-            batch = executor.run(
-                shared_target_queries[:6],
-                RunConfig(store_paths=True, on_result=seen.append),
-            )
-        assert seen == [p for r in batch.results for p in r.paths]
 
 
 class TestCleanupRegressions:
     def test_no_segment_leak_after_worker_exception(self, graph):
         workload = generate_target_centric_set(graph, count=8, k=4, num_targets=2, seed=9)
         queries = list(workload)
-        before = _shm_segments()
         with pytest.raises(RuntimeError, match="poisoned"):
-            with ProcessBatchExecutor(
-                graph,
-                algorithm=_ExplodingAlgorithm(queries[0].target),
-                processes=2,
-                start_method="fork",
-            ) as executor:
-                executor.run(queries, RunConfig(store_paths=False))
-        assert _shm_segments() - before == set(), "leaked shared-memory segments"
+            with _processes(
+                graph, "fork", algorithm=_ExplodingAlgorithm(queries[0].target)
+            ) as db:
+                db.batch(queries, store_paths=False).results()
 
     def test_no_segment_leak_after_explicit_close_without_run(self, graph):
-        before = _shm_segments()
-        executor = ProcessBatchExecutor(graph, processes=2)
-        executor.close()
-        assert _shm_segments() - before == set()
+        _processes(graph).close()
 
 
 class _ExplodingAlgorithm(Algorithm):
@@ -382,9 +329,9 @@ class TestErrorPropagation:
                 return super().run(graph, query, config)
 
         queries = [Query(0, target, 4) for target in range(1, 65)]
-        executor = BatchExecutor(graph, algorithm=Recorder(1), max_workers=2)
-        with pytest.raises(RuntimeError, match="poisoned target 1"):
-            executor.run(queries, RunConfig(store_paths=False))
+        with Database(graph, backend="threads", workers=2, algorithm=Recorder(1)) as db:
+            with pytest.raises(RuntimeError, match="poisoned target 1"):
+                db.batch(queries, store_paths=False).results()
         # The failure must cancel queued work instead of draining all 64.
         assert len(calls) < len(queries)
 
@@ -394,14 +341,9 @@ class TestErrorPropagation:
         )
         queries = list(workload)
         poison = queries[0].target
-        with ProcessBatchExecutor(
-            graph,
-            algorithm=_ExplodingAlgorithm(poison),
-            processes=2,
-            start_method="fork",
-        ) as executor:
+        with _processes(graph, "fork", algorithm=_ExplodingAlgorithm(poison)) as db:
             with pytest.raises(RuntimeError, match=f"poisoned target {poison}"):
-                executor.run(queries, RunConfig(store_paths=False))
+                db.batch(queries, store_paths=False).results()
 
 
 class TestProcessCancellation:

@@ -34,6 +34,8 @@ from repro.graph.snapshot import (
 from repro.graph.store import CompressedStore, MmapStore
 from repro.graph.traversal import bfs_distances
 
+from tests.helpers import shared_memory_names
+
 #: Every load_snapshot store choice that must be equivalent to the heap.
 STORES = ("mmap", "compressed", "heap", "shared_memory")
 
@@ -242,7 +244,7 @@ class TestEquivalence:
                 assert np.array_equal(loaded.neighbors(v), graph.neighbors(v))
                 assert np.array_equal(loaded.in_neighbors(v), graph.in_neighbors(v))
         finally:
-            loaded.close_store()
+            loaded.close_store(unlink=True)
 
     @pytest.mark.parametrize("store", STORES)
     def test_transpose_view_matches(self, store, graph, raw_path, compressed_path):
@@ -257,7 +259,7 @@ class TestEquivalence:
             assert loaded.reverse_view() is view
             assert view.reverse_view() is loaded
         finally:
-            loaded.close_store()
+            loaded.close_store(unlink=True)
 
     @pytest.mark.parametrize("store", STORES)
     def test_reverse_bfs_distances_match(self, store, graph, raw_path, compressed_path):
@@ -271,7 +273,7 @@ class TestEquivalence:
                     bfs_distances(loaded.reverse_view(), target), expected
                 )
         finally:
-            loaded.close_store()
+            loaded.close_store(unlink=True)
 
     def test_attributes_round_trip(self, tmp_path):
         builder = GraphBuilder()
@@ -312,7 +314,7 @@ class TestEnumerationPayloads:
             with Database(loaded) as db:
                 assert db.batch(queries).payload() == reference
         finally:
-            loaded.close_store()
+            loaded.close_store(unlink=True)
 
     @pytest.mark.parametrize("store", ("mmap", "compressed"))
     def test_threaded_backend_payloads_match(self, store, graph, raw_path, compressed_path):
@@ -458,6 +460,14 @@ class TestLifecycle:
             assert supplied.num_edges > 0
         finally:
             supplied.close_store()
+
+    def test_database_unlinks_the_shared_segment_it_loaded(self, raw_path):
+        db = Database(str(raw_path), store="shared_memory")
+        store = db.graph._store
+        assert store.is_owner
+        db.close()
+        assert store.is_unlinked
+        assert store.segment_name not in shared_memory_names()
 
     def test_memory_usage_reports_mapping(self, graph, raw_path, compressed_path):
         mapped = load_snapshot(raw_path)

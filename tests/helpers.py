@@ -70,13 +70,27 @@ PAPER_FIGURE5_G1_EDGES = [
 ]
 
 
-def result_segment_names() -> Set[str]:
-    """Process-result segments currently named in ``/dev/shm`` (Linux)."""
+#: Name prefix ``multiprocessing.shared_memory`` gives its segments: the
+#: shared graph images and packed distance caches of the process backend.
+SHARED_MEMORY_PREFIX = "psm_"
+
+
+def _shm_names(prefix: str) -> Set[str]:
     try:
         names = os.listdir("/dev/shm")
     except OSError:  # pragma: no cover - non-Linux: nothing to list
         return set()
-    return {name for name in names if name.startswith(SEGMENT_PREFIX)}
+    return {name for name in names if name.startswith(prefix)}
+
+
+def result_segment_names() -> Set[str]:
+    """Process-result segments currently named in ``/dev/shm`` (Linux)."""
+    return _shm_names(SEGMENT_PREFIX)
+
+
+def shared_memory_names() -> Set[str]:
+    """``multiprocessing.shared_memory`` segments currently in ``/dev/shm``."""
+    return _shm_names(SHARED_MEMORY_PREFIX)
 
 
 def build_graph(edges: Sequence[Tuple[object, object]]) -> DiGraph:

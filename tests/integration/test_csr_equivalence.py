@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro._clib import jit_ready
 from repro.api import Database, Q
-from repro.core.engine import BatchExecutor, PathEnum
+from repro.core.engine import PathEnum
 from repro.core.index import LightWeightIndex
 from repro.core.listener import RunConfig
 from repro.core.query import Query
@@ -217,11 +217,13 @@ def test_batch_executor_matches_sequential_and_brute_force(case):
 
     config = RunConfig(store_paths=True)
     sequential = [PathEnum().run(graph, q, config) for q in queries]
-    batch = BatchExecutor(graph).run(queries, config)
+    with Database(graph) as db:
+        stream = db.batch(queries)
+        batch_results = stream.results()
+        assert db._backend.session.stats.reverse_bfs_runs == 1
 
-    assert batch.stats.reverse_bfs_runs == 1
-    assert batch.stats.bfs_cache_hits == len(queries) - 1
-    for seq_result, batch_result, q in zip(sequential, batch.results, queries):
+    assert stream.stats().bfs_cache_hits == len(queries) - 1
+    for seq_result, batch_result, q in zip(sequential, batch_results, queries):
         expected = brute_force_paths(graph, q.source, q.target, q.k)
         assert set(seq_result.paths) == expected
         assert set(batch_result.paths) == expected
