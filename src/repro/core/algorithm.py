@@ -51,11 +51,10 @@ class DelayedAlgorithm(Algorithm):
 
     The results are exactly the inner algorithm's — only wall time changes —
     so equivalence checks hold across delayed and undelayed deployments.
-    Exists for capacity experiments: ``repro serve --delay-ms`` gives every
-    shard host a known service time, which turns open-loop throughput into
-    a controlled function of host count instead of a property of whatever
-    CPU the benchmark happens to run on.  Picklable whenever the inner
-    algorithm is, so it rides the process backend too.
+    ``repro serve --delay-ms`` uses it to give a host a known service time:
+    the overload and shutdown tests rely on it to keep work in flight or to
+    fill an admission budget deterministically.  Picklable whenever the
+    inner algorithm is, so it rides the process backend too.
     """
 
     def __init__(self, inner: Algorithm, delay_seconds: float) -> None:

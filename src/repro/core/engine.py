@@ -1303,6 +1303,12 @@ class ExecutorCore:
         #: Handle of the current epoch's shared segment (``None`` before
         #: the first mutation — shards then run on the init graph).
         self._epoch_ref = None
+        #: The epoch whose graph ``self.graph`` is, pinned by the core until
+        #: the next publish swaps it out.  ``LiveGraph.apply`` retires it
+        #: before that swap, and :meth:`start` warms distances on
+        #: ``self.graph`` before its run pins anything, so without this
+        #: reference the segment could be unmapped under a running sweep.
+        self._graph_epoch = None
         #: Serialises mutations; the expensive rebuild runs under this lock
         #: alone, so concurrent reads keep dispatching old-epoch runs.
         self._mutate_lock = threading.Lock()
@@ -1382,6 +1388,9 @@ class ExecutorCore:
             # their last pinned readers drain (cancelled above).
             self._live.close()
             self._live = None
+        if self._graph_epoch is not None:
+            self._graph_epoch.release()
+            self._graph_epoch = None
         published = self._published_graph if self._published_graph is not None else self.graph
         store = published.store
         if self._graph_published_here and store is not None and store.shareable:
@@ -1435,8 +1444,8 @@ class ExecutorCore:
             # ``self.graph`` for new submissions, but this run keeps
             # reading the snapshot it started on until it drains.
             graph = self.graph
-            if self._live is not None:
-                run._epoch = self._live.pin()
+            if self._graph_epoch is not None:
+                run._epoch = self._graph_epoch.pin()
                 run._epoch_ref = self._epoch_ref
             # Every run registers (not just process-backend ones): close()
             # walks the registry to cancel whatever is in flight, whichever
@@ -1557,11 +1566,15 @@ class ExecutorCore:
                     "repair": {"repaired": 0, "recomputed": 0, "invalidated": 0},
                     "stats": stats,
                 }
-            new_graph = self._live.graph
-            epoch_ref = self._live.epoch.handle()
+            # The epoch apply() just published; no other apply() can
+            # retire it while the mutation lock is held.
+            epoch = self._live.pin()
+            new_graph = epoch.graph
+            epoch_ref = epoch.handle()
             with self._submit_lock:
                 self.graph = new_graph
                 self._epoch_ref = epoch_ref
+                previous, self._graph_epoch = self._graph_epoch, epoch
                 repair = self.session.refresh_graph(
                     new_graph,
                     added=info["added"],
@@ -1583,6 +1596,8 @@ class ExecutorCore:
                 self.live_stats["distance_repairs_full"] += repair["recomputed"]
                 self.live_stats["distance_entries_invalidated"] += repair["invalidated"]
                 stats = dict(self.live_stats)
+            if previous is not None:
+                previous.release()
         return {
             "epoch": info["epoch"],
             "added": len(info["added"]),

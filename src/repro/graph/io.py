@@ -8,8 +8,9 @@ transparently handles gzip-compressed files.
 For serving deployments the text formats are the wrong tool: parsing and
 builder relabelling dominate start-up.  The binary image format of choice is
 the page-aligned snapshot (:mod:`repro.graph.snapshot`), which memory-maps
-in milliseconds; :func:`save_npz` / :func:`load_npz` keep the older
-compressed-``.npz`` image working as **deprecated** shims.  The loader
+in milliseconds.  The older compressed-``.npz`` image is still read (the
+CLI's ``info``/``convert`` and ``Database("graph.npz")`` accept it) through
+the private :func:`_save_npz` / :func:`_load_npz` pair.  The loader
 decompresses each member *directly into* the target store's buffers
 (``readinto`` on preallocated heap or shared-memory views) rather than
 materialising a private heap copy first and packing it afterwards.
@@ -18,7 +19,6 @@ materialising a private heap copy first and packing it afterwards.
 from __future__ import annotations
 
 import gzip
-import warnings
 import zipfile
 from pathlib import Path
 from typing import IO, Dict, Iterable, Optional, Tuple, Union
@@ -35,8 +35,6 @@ __all__ = [
     "read_edge_list",
     "write_edge_list",
     "parse_edge_lines",
-    "save_npz",
-    "load_npz",
 ]
 
 PathLike = Union[str, Path]
@@ -118,23 +116,8 @@ def read_edge_list(
     return builder.build()
 
 
-def save_npz(graph: DiGraph, path: PathLike) -> Path:
-    """Deprecated: persist ``graph`` as a compressed ``.npz`` CSR image.
-
-    Use :func:`repro.graph.snapshot.save_snapshot` (or ``repro convert``)
-    instead — snapshots memory-map on load instead of decompressing.
-    """
-    warnings.warn(
-        "save_npz is deprecated; write a mappable snapshot with "
-        "repro.graph.snapshot.save_snapshot (or `repro convert`)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _save_npz(graph, path)
-
-
 def _save_npz(graph: DiGraph, path: PathLike) -> Path:
-    """Non-deprecated internal writer behind the :func:`save_npz` shim.
+    """Persist ``graph`` as a compressed ``.npz`` CSR image.
 
     External vertex ids are stored when they are all integers or all
     strings (the shapes produced by the edge-list readers); exotic hashable
@@ -181,21 +164,6 @@ def _save_npz(graph: DiGraph, path: PathLike) -> Path:
     return path
 
 
-def load_npz(path: PathLike, *, store: Optional[str] = None) -> DiGraph:
-    """Deprecated: load a :func:`save_npz` image, optionally into a store.
-
-    Use :func:`repro.graph.snapshot.load_snapshot` on a converted snapshot
-    instead — it attaches by memory-mapping instead of decompressing.
-    """
-    warnings.warn(
-        "load_npz is deprecated; convert the image with `repro convert` and "
-        "open it with repro.graph.snapshot.load_snapshot",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _load_npz(path, store=store)
-
-
 #: The O(|V| + |E|) members that belong in a graph store; everything else in
 #: an ``.npz`` image is per-element metadata read onto the heap.
 _BULK_MEMBERS = ("out_indptr", "out_indices", "in_indptr", "in_indices", "edge_weights")
@@ -229,7 +197,7 @@ def _readinto_exact(fp, view: memoryview) -> bool:
 
 
 def _load_npz(path: PathLike, *, store: Optional[str] = None) -> DiGraph:
-    """Non-deprecated internal loader behind the :func:`load_npz` shim.
+    """Load an :func:`_save_npz` image, optionally into a store.
 
     The bulk CSR members are decompressed *directly into* their final
     buffers — preallocated heap arrays, or views of a freshly allocated

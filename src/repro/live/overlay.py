@@ -177,9 +177,13 @@ class DeltaOverlay:
         (:meth:`DiGraph._from_edge_mask` keeps surviving attributes
         aligned); additions go through :meth:`DiGraph.copy_with_edges` in
         deterministic sorted order, so two overlays holding the same edge
-        set always materialise byte-identical graphs.
+        set always materialise byte-identical graphs.  An empty delta (every
+        change undone) still yields a copy, never the base itself: an epoch
+        owns its graph's shared-memory store and releases it on retirement.
         """
         graph = self.base
+        if not self._removed and not self._added:
+            return graph._from_edge_mask(np.ones(graph.num_edges, dtype=bool))
         if self._removed:
             n = graph.num_vertices
             keys = graph.edge_sources() * n + graph.out_csr()[1]

@@ -17,7 +17,7 @@ batches:
 * :mod:`repro.server.server` — :class:`QueryServer`, the asyncio TCP
   front end (``repro serve``);
 * :mod:`repro.server.client` — :class:`QueryClient` plus the open-loop
-  load driver behind ``repro client`` and the serving benchmark, with
+  load driver behind ``repro client``, with
   backoff-based reconnection (:class:`~repro.server.client.ReconnectPolicy`);
 * :mod:`repro.server.router` — the distributed tier: :class:`ShardRouter`
   consistent-hashes queries by target across per-shard serve hosts, merges

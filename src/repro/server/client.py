@@ -7,10 +7,10 @@ entry points cover the two scripted uses:
 
 * :func:`run_queries` — synchronous one-shot: connect, submit one workload,
   collect the ordered results (the ``repro client`` default);
-* :func:`open_loop_load` — the serving benchmark's traffic generator: each
-  query becomes its own job, submitted at a scheduled arrival time
-  regardless of completions (open-loop, so queueing delay is *measured*,
-  not hidden), across a pool of concurrent connections.
+* :func:`open_loop_load` — the traffic generator behind ``repro client
+  --rate``: each query becomes its own job, submitted at a scheduled
+  arrival time regardless of completions (open-loop, so queueing delay is
+  *measured*, not hidden), across a pool of concurrent connections.
 """
 
 from __future__ import annotations

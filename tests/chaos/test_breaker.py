@@ -10,6 +10,7 @@ from __future__ import annotations
 import asyncio
 import socket
 
+from repro.api import Database
 from repro.server.client import ReconnectPolicy
 from repro.server.router import ShardChannel, ShardMap, ShardRouter
 from repro.server.server import QueryServer
@@ -103,7 +104,11 @@ class TestBreakerEndToEnd:
     def test_flapping_replica_is_tripped_skipped_then_readmitted(self, graph, workload):
         """The full flap: dead primary trips its breaker, traffic flows via
         the replica, the primary comes back, the half-open probe re-admits
-        it — all while every job completes."""
+        it — all while every job completes with the inline results."""
+        with Database(graph) as db:
+            expected = [
+                (r.count, [list(p) for p in r.paths]) for r in db.batch(workload).results()
+            ]
 
         async def scenario():
             live_service = QueryService(graph, threads=2, shard_id=0)
@@ -126,7 +131,11 @@ class TestBreakerEndToEnd:
                     job = await router.submit(list(workload), {"store_paths": True})
                     frames = [f async for f in job.frames()]
                     assert frames[-1]["type"] == "done"
-                    return frames
+                    results = sorted(
+                        (f for f in frames if f["type"] == "result"),
+                        key=lambda f: f["position"],
+                    )
+                    assert [(f["count"], f["paths"]) for f in results] == expected
 
                 # Jobs 1+2: primary unreachable, failover each time — the
                 # second failure trips the breaker.

@@ -15,6 +15,9 @@ import random
 
 import pytest
 
+from repro.api import Database
+from repro.core.algorithm import DelayedAlgorithm
+from repro.core.engine import PathEnum
 from repro.errors import ServiceOverloaded
 from repro.server.client import open_loop_load
 
@@ -137,24 +140,33 @@ class TestOpenLoopShedding:
     def test_shed_queries_counted_not_errored(self, graph):
         # Offered load far beyond a budget of 2: the driver must finish with
         # every arrival accounted for as completed or shed — none hung, none
-        # surfaced as a transport error.
-        queries = [[i % 50, 100 + (i % 40), 2] for i in range(16)]
+        # surfaced as a transport error — and every admitted query must
+        # return exactly the inline result (the delay changes time only).
+        queries = [[i % 50, 100 + (i % 40), 4] for i in range(16)]
         arrivals = [0.0] * len(queries)
+        with Database(graph) as db:
+            expected = db.batch(queries).results()
 
         async def scenario(client, server, service):
             return await open_loop_load(
                 queries, arrivals, port=server.port, connections=2,
-                overload_retries=1, rng=random.Random(7),
+                store_paths=True, overload_retries=1, rng=random.Random(7),
+                keep_outcomes=True,
             )
 
         report = serve_scenario(
-            graph, scenario, algorithm=SlowAlgorithm(0.03), threads=1,
-            max_pending_queries=2,
+            graph, scenario, algorithm=DelayedAlgorithm(PathEnum(), 0.03),
+            threads=1, max_pending_queries=2,
         )
         assert report.errors == 0
         assert report.shed > 0
         assert report.completed + report.shed == len(queries)
         assert report.retried >= report.shed  # every shed saw >= 1 retry
+        assert len(report.outcomes) == report.completed
+        for index, outcome in report.outcomes:
+            (result,) = outcome.results
+            assert result.count == expected[index].count
+            assert result.paths == expected[index].paths
 
     def test_zero_queue_budget_run_still_terminates(self, graph):
         # Same burst with no retry budget at all: nothing waits forever.

@@ -76,6 +76,34 @@ class TestPoolRecovery:
             assert act.count == exp.count
             assert act.paths == exp.paths
 
+    def test_killed_served_worker_recovers_with_identical_results(
+        self, graph, queries, tmp_path
+    ):
+        # The same kill behind a server: the client sees one complete job
+        # whose results equal the inline run's, in workload order.
+        expected = _inline_results(graph, queries)
+        plan = {
+            "seed": 7,
+            "faults": [{"site": "worker.task", "op": "kill", "position": 5}],
+        }
+        state_dir = tmp_path / "state"
+        triples = [[q.source, q.target, q.k] for q in queries]
+
+        async def scenario(client, server, service):
+            return await client.run(triples, store_paths=True)
+
+        with faults.installed(plan, state_dir=str(state_dir)):
+            outcome = serve_scenario(
+                graph, scenario, **backend_kwargs("process"), start_method="fork"
+            )
+        assert list(state_dir.iterdir()), "the kill never fired"
+        assert outcome.status == "done", outcome.info
+        assert len(outcome.results) == len(expected)
+        for exp, act in zip(expected, outcome.results):
+            assert (act.source, act.target, act.k) == (exp.source, exp.target, exp.k)
+            assert act.count == exp.count
+            assert act.paths == exp.paths
+
     def test_deterministic_crasher_fails_cleanly(self, graph, queries, tmp_path):
         # once=false: the respawned worker crashes on the same position
         # every time, so the bounded retry budget must surface the failure

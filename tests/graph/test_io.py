@@ -109,17 +109,6 @@ class TestReadWriteRoundTrip:
 
 
 class TestNpzSnapshots:
-    def test_public_api_is_deprecated(self, tmp_path):
-        from repro.graph.generators import erdos_renyi
-        from repro.graph.io import load_npz, save_npz
-
-        graph = erdos_renyi(10, 2.0, seed=1)
-        with pytest.warns(DeprecationWarning, match="save_snapshot"):
-            path = save_npz(graph, tmp_path / "dep.npz")
-        with pytest.warns(DeprecationWarning, match="load_snapshot"):
-            loaded = load_npz(path)
-        assert loaded.num_edges == graph.num_edges
-
     def test_round_trip_structure(self, tmp_path):
         from repro.graph.generators import erdos_renyi
         from repro.graph.io import _load_npz as load_npz

@@ -39,6 +39,10 @@ from tests.helpers import shared_memory_names
 #: Every load_snapshot store choice that must be equivalent to the heap.
 STORES = ("mmap", "compressed", "heap", "shared_memory")
 
+#: The engines whose payloads every store must reproduce.  ``native`` runs
+#: the compiled tier when the C library loads and the kernel otherwise.
+ENGINES = ("kernel", "native")
+
 
 @pytest.fixture(scope="module")
 def graph():
@@ -307,12 +311,14 @@ class TestEnumerationPayloads:
     @pytest.mark.parametrize("store", STORES)
     def test_payloads_byte_identical(self, store, graph, raw_path, compressed_path):
         queries = [(0, 25, 4), (3, 200, 5), (17, 40, 3)]
-        with Database(graph) as db:
-            reference = db.batch(queries).payload()
         loaded = _open_variant(store, raw_path, compressed_path)
         try:
-            with Database(loaded) as db:
-                assert db.batch(queries).payload() == reference
+            for engine in ENGINES:
+                with Database(graph) as db:
+                    reference = db.batch(queries, engine=engine).payload_bytes()
+                with Database(loaded) as db:
+                    payload = db.batch(queries, engine=engine).payload_bytes()
+                assert payload == reference, engine
         finally:
             loaded.close_store(unlink=True)
 
@@ -333,20 +339,21 @@ class TestEnumerationPayloads:
         finally:
             loaded.close_store()
 
-    @pytest.mark.parametrize("store", ("mmap", "compressed"))
+    @pytest.mark.parametrize("store", STORES)
     def test_interrupted_payloads_match(self, store, graph, raw_path, compressed_path):
         # limit and an already-expired deadline interrupt deterministically.
         loaded = _open_variant(store, raw_path, compressed_path)
         try:
-            for options in ({"limit": 5}, {"deadline": 0.0}):
-                with Database(graph) as db:
-                    reference = db.query((0, 25, 4), **options).result()
-                with Database(loaded) as db:
-                    result = db.query((0, 25, 4), **options).result()
-                assert result.count == reference.count
-                assert result.paths == reference.paths
+            for engine in ENGINES:
+                for options in ({"limit": 5}, {"deadline": 0.0}):
+                    with Database(graph) as db:
+                        reference = db.query((0, 25, 4), engine=engine, **options).result()
+                    with Database(loaded) as db:
+                        result = db.query((0, 25, 4), engine=engine, **options).result()
+                    assert result.count == reference.count, (engine, options)
+                    assert result.paths == reference.paths, (engine, options)
         finally:
-            loaded.close_store()
+            loaded.close_store(unlink=True)
 
 
 class TestReadOnly:
@@ -468,6 +475,15 @@ class TestLifecycle:
         db.close()
         assert store.is_unlinked
         assert store.segment_name not in shared_memory_names()
+
+    def test_compressed_snapshot_at_most_0_6x_raw(self, tmp_path):
+        # The gap/varint codec pays off once rows are long enough to
+        # amortise its per-block anchors; at average out-degree 12 the
+        # compressed file is under half the raw one.
+        dense = erdos_renyi(2000, 12.0, seed=11)
+        raw = save_snapshot(dense, tmp_path / "dense.rsnap")
+        packed = save_snapshot(dense, tmp_path / "dense.crsnap", codec="compressed")
+        assert packed.stat().st_size <= 0.6 * raw.stat().st_size
 
     def test_memory_usage_reports_mapping(self, graph, raw_path, compressed_path):
         mapped = load_snapshot(raw_path)

@@ -99,6 +99,18 @@ class TestGraphEquivalence:
             if compact_threshold == 1:
                 assert stats["compactions"] == len(batches)
 
+    def test_undone_changes_publish_a_copy_of_the_base(self, base_graph):
+        # Removing an edge and putting it back leaves an empty delta.  The
+        # epoch publishing it owns its shared-memory store and releases it
+        # on retirement, so its graph must never be the overlay base.
+        with LiveGraph(base_graph, store="shared_memory") as live:
+            for edge in sorted(base_graph.edges())[:3]:
+                live.apply(remove=[edge])
+                live.apply(add=[edge])
+                assert live.graph is not base_graph
+                assert _csr_equal(live.graph, base_graph)
+            assert live.epoch_id == 6
+
     def test_noop_batch_publishes_nothing(self, base_graph):
         with LiveGraph(base_graph) as live:
             present = next(iter(base_graph.edges()))

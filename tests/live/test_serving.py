@@ -16,10 +16,11 @@ import random
 import pytest
 
 from repro.api import Database, Q
+from repro.core.engine import ExecutorCore
 from repro.errors import GraphError
 from repro.graph.generators import erdos_renyi
 from repro.live import LiveGraph
-from repro.server.client import QueryClient
+from repro.server.client import QueryClient, open_loop_load
 from repro.server.server import QueryServer
 from repro.server.service import QueryService
 
@@ -93,6 +94,31 @@ class TestMidFlightMutation:
             after = [_result_key(r) for r in database.batch(specs).results()]
             assert after == new_expected
 
+    def test_core_holds_each_epoch_until_its_graph_is_swapped_out(
+        self, base_graph, monkeypatch
+    ):
+        # LiveGraph.apply retires the previous epoch before the core swaps
+        # its graph pointer, and a run starting in between warms distances
+        # on that graph: the core's own reference must keep its shared
+        # segment mapped until the swap.
+        refs_after_apply = []
+        real_apply = LiveGraph.apply
+
+        def apply(live, *args, **kwargs):
+            previous = live.epoch
+            info = real_apply(live, *args, **kwargs)
+            refs_after_apply.append(previous.refs)
+            return info
+
+        monkeypatch.setattr(LiveGraph, "apply", apply)
+        add = _batch(base_graph)
+        with ExecutorCore(base_graph, backend="process", workers=2) as core:
+            for edge in add[:3]:
+                core.mutate(add=[edge])
+        # Epoch 0 is the caller's own graph; every later one was still held.
+        assert len(refs_after_apply) == 3
+        assert all(refs > 0 for refs in refs_after_apply[1:])
+
     def test_epoch_counters_advance(self, base_graph):
         add = _batch(base_graph)
         with Database(base_graph, backend="threads", workers=2) as database:
@@ -139,7 +165,7 @@ class TestServerUpdateFrame:
             try:
                 client = await QueryClient.connect(port=server.port)
                 async with client:
-                    return await scenario(client, service)
+                    return await scenario(client, server)
             finally:
                 await server.close()
                 await service.close()
@@ -156,7 +182,7 @@ class TestServerUpdateFrame:
             reference.remove_edges(remove)
             expected = [_result_key(r) for r in reference.batch(specs).results()]
 
-        async def scenario(client, service):
+        async def scenario(client, server):
             first = await client.update(add=[list(e) for e in add])
             second = await client.update(remove=[list(e) for e in remove])
             stats = await client.stats()
@@ -175,8 +201,52 @@ class TestServerUpdateFrame:
         ]
         assert actual == expected
 
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    def test_open_loop_reads_complete_while_updates_publish(self, base_graph, backend):
+        # Reads arrive on their own schedule while a writer removes and
+        # re-inserts edges: no read may stall, be shed or fail, and each one
+        # must equal the inline answer on some graph the writer published.
+        specs = _specs(base_graph, count=24)
+        triples = [list(q.spec().triple) for q in specs]
+        arrivals = [0.02 * i for i in range(len(triples))]
+        edges = random.Random(5).sample(sorted(base_graph.edges()), 3)
+
+        answers = [[] for _ in specs]
+        with Database(base_graph) as reference:
+            for edge in (None, *edges):
+                if edge is not None:
+                    reference.remove_edges([edge])
+                for i, result in enumerate(reference.batch(specs).results()):
+                    answers[i].append(_result_key(result))
+                if edge is not None:
+                    reference.insert_edges([edge])
+
+        async def writer(client):
+            for edge in edges:
+                for change in ({"remove": [list(edge)]}, {"add": [list(edge)]}):
+                    await asyncio.sleep(0.05)
+                    last = await client.update(**change)
+            return last
+
+        async def scenario(client, server):
+            reads = open_loop_load(
+                triples, arrivals, port=server.port, connections=2,
+                store_paths=True, rng=random.Random(3), keep_outcomes=True,
+            )
+            return await asyncio.gather(reads, writer(client))
+
+        workers = {"processes": 2} if backend == "processes" else {"threads": 2}
+        report, last = self._serve(base_graph, scenario, **workers)
+        assert last["epoch"] == 2 * len(edges)
+        assert report.errors == 0
+        assert report.shed == 0
+        assert report.completed == len(triples)
+        for index, outcome in report.outcomes:
+            (result,) = outcome.results
+            assert _result_key(result) in answers[index], index
+
     def test_malformed_update_frame_reports_error(self, base_graph):
-        async def scenario(client, service):
+        async def scenario(client, server):
             writer = client._writer
             from repro.server.protocol import write_frame
 

@@ -303,14 +303,24 @@ class TestColumnarRelay:
         thread = threading.Thread(target=host, name="columnar-fleet", daemon=True)
         thread.start()
         assert ready.wait(10), "fleet failed to boot"
+        # Result caps and already-expired deadlines interrupt
+        # deterministically, so the routed payloads must match inline too.
+        interrupted = ({"limit": 3}, {"deadline": 0.0})
         try:
             with Database(graph) as inline:
                 reference = inline.batch(triples).payload_bytes()
+                references = [
+                    inline.batch(triples, **options).payload_bytes()
+                    for options in interrupted
+                ]
             for target in (holder["shard_map"], f"router://127.0.0.1:{holder['port']}"):
                 with Database(target) as db:
                     stream = db.batch(triples)
                     assert all(r.path_buffer is not None for r in stream.results())
                     assert stream.payload_bytes() == reference
+                    for options, expected_bytes in zip(interrupted, references):
+                        payload = db.batch(triples, **options).payload_bytes()
+                        assert payload == expected_bytes, (target, options)
         finally:
             holder["loop"].call_soon_threadsafe(holder["stop"].set)
             thread.join(10)
