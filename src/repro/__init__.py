@@ -5,9 +5,9 @@ This package reimplements the system described in
     Sun, Chen, He, Hooi.  "PathEnum: Towards Real-Time Hop-Constrained s-t
     Path Enumeration."  SIGMOD 2021.
 
-in pure Python, together with the baselines it is evaluated against, the
-workload generators of its evaluation section and a benchmark harness that
-regenerates every table and figure of the paper.
+in pure Python, together with the baselines it is evaluated against and
+the workload generators of its evaluation section.  The repository's
+``benchmarks/paper.py`` regenerates the paper's tables and figures from them.
 
 Quickstart
 ----------
@@ -42,7 +42,6 @@ from repro.api import BACKEND_CHOICES, Database, Q, QuerySpec, ResultStream, Str
 from repro.core import (
     AccumulativeConstraint,
     AutomatonConstraint,
-    BatchResult,
     BatchStats,
     IdxDfs,
     IdxJoin,
@@ -53,8 +52,6 @@ from repro.core import (
     QueryResult,
     RunConfig,
     SequenceAutomaton,
-    count_paths,
-    enumerate_paths,
 )
 from repro.distance import LandmarkOracle
 from repro.errors import ReproError
@@ -82,9 +79,6 @@ __all__ = [
     "IdxDfs",
     "IdxJoin",
     "LightWeightIndex",
-    "enumerate_paths",
-    "count_paths",
-    "BatchResult",
     "BatchStats",
     # constraints
     "PredicateConstraint",

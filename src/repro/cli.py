@@ -25,11 +25,6 @@ Sub-commands
     a page-aligned binary snapshot — raw (memory-mappable) or compressed
     (gap/varint block-coded neighbour lists) — for millisecond cold starts.
 
-``bench``
-    Run the overall comparison (a Table 3 row) on one dataset and print the
-    aggregated metrics; ``--batch`` routes every algorithm through the
-    batch executor instead of one-at-a-time runs.
-
 ``serve``
     Boot the asyncio query service on a TCP port: a persistent worker pool
     (threads, or processes over a shared-memory graph image) streaming
@@ -51,8 +46,8 @@ Sub-commands
     percentiles, or fetch server statistics (``--server-stats`` — for a
     router this includes the per-shard health probe).
 
-Both ``batch-query`` and ``bench`` accept ``--processes`` (and ``--shards``)
-to fan the batch out over target-sharded worker processes attached to a
+``batch-query`` accepts ``--processes`` (and ``--shards``) to fan the
+batch out over target-sharded worker processes attached to a
 shared-memory copy of the graph; ``--workers`` keeps selecting the in-process
 thread pool.
 
@@ -66,13 +61,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.api import Database, Q
-from repro.baselines.registry import PAPER_ALGORITHMS, available_algorithms, get_algorithm
-from repro.bench.comparison import overall_comparison
-from repro.bench.reporting import format_table
-from repro.bench.runner import BenchmarkSettings
+from repro.baselines.registry import available_algorithms, get_algorithm
 from repro.core.listener import ENGINE_CHOICES
 from repro.errors import VertexNotFoundError
 from repro.core.query import Query
@@ -82,16 +76,82 @@ from repro.server.protocol import DEFAULT_PORT as SERVE_DEFAULT_PORT
 from repro.server.protocol import DEFAULT_ROUTER_PORT as ROUTE_DEFAULT_PORT
 from repro.graph.properties import summarize
 from repro.workloads.datasets import dataset_names, load_dataset, registry
-from repro.workloads.queries import (
-    QuerySetting,
-    generate_query_set,
-    generate_target_centric_set,
-)
+from repro.workloads.queries import generate_target_centric_set
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "format_table", "latency_summary"]
 
 #: Snapshot storage backends selectable from the command line.
 STORE_CHOICES = ("auto", "mmap", "compressed", "heap", "shared_memory")
+
+#: Percentiles reported by :func:`latency_summary`.
+SUMMARY_PERCENTILES = (50.0, 95.0, 99.0, 99.9)
+
+
+def format_value(value: object, *, scientific: bool = True) -> str:
+    """Render one table cell the way the paper's tables do (``2.28e-01``)."""
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        if scientific:
+            return f"{value:.2e}"
+        return f"{value:.3f}"
+    return str(value)
+
+
+def format_table(
+    rows: Sequence[Mapping[str, object]],
+    *,
+    columns: Optional[Sequence[str]] = None,
+    title: Optional[str] = None,
+    scientific: bool = True,
+) -> str:
+    """Render rows of dicts as an aligned plain-text table."""
+    if not rows:
+        return f"{title}\n(no rows)" if title else "(no rows)"
+    if columns is None:
+        columns = list(rows[0].keys())
+    rendered: List[List[str]] = [[str(c) for c in columns]]
+    for row in rows:
+        rendered.append([format_value(row.get(c), scientific=scientific) for c in columns])
+    widths = [max(len(r[i]) for r in rendered) for i in range(len(columns))]
+    lines = [title] if title else []
+    header, *body = rendered
+    lines.append("  ".join(cell.ljust(width) for cell, width in zip(header, widths)))
+    lines.append("  ".join("-" * width for width in widths))
+    for row_cells in body:
+        lines.append("  ".join(cell.ljust(width) for cell, width in zip(row_cells, widths)))
+    return "\n".join(lines)
+
+
+def latency_summary(
+    latencies_ms: Sequence[float],
+    *,
+    percentiles: Sequence[float] = SUMMARY_PERCENTILES,
+) -> Dict[str, float]:
+    """Count, mean, percentiles and max of a millisecond latency series.
+
+    Keys: ``count``, ``mean_ms``, one ``pXX_ms`` per percentile (``99.9``
+    renders as ``p99_9_ms``) and ``max_ms``.
+    """
+    if len(latencies_ms) == 0:
+        raise ValueError("cannot summarise an empty latency sequence")
+    values = np.sort(np.asarray(latencies_ms, dtype=np.float64))
+    points = np.percentile(values, list(percentiles))
+    summary: Dict[str, float] = {"count": int(values.size), "mean_ms": float(values.mean())}
+    for percentile, point in zip(percentiles, points):
+        label = f"{percentile:g}".replace(".", "_")
+        summary[f"p{label}_ms"] = float(point)
+    summary["max_ms"] = float(values[-1])
+    return summary
+
+
+def format_latency_summary(
+    summary: Mapping[str, float], *, title: Optional[str] = None, scientific: bool = False
+) -> str:
+    """Render one :func:`latency_summary` dict as a one-row table."""
+    return format_table([dict(summary)], title=title, scientific=scientific)
 
 
 def _is_snapshot_file(path: str) -> bool:
@@ -229,42 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--codec", choices=("raw", "compressed"), default="raw",
         help="raw = flat arrays for mmap attach; compressed = gap/varint "
              "block-coded neighbour lists (smaller file and resident set)",
-    )
-
-    bench_parser = subparsers.add_parser("bench", help="run the overall comparison on one dataset")
-    bench_parser.add_argument("--dataset", default="gg", choices=dataset_names())
-    bench_parser.add_argument("-k", "--hops", type=int, default=4)
-    bench_parser.add_argument("--queries", type=int, default=20, help="number of queries")
-    bench_parser.add_argument(
-        "--algorithms",
-        nargs="+",
-        default=list(PAPER_ALGORITHMS),
-        help="algorithms to compare",
-    )
-    bench_parser.add_argument("--time-limit", type=float, default=2.0)
-    bench_parser.add_argument("--seed", type=int, default=0)
-    bench_parser.add_argument(
-        "--batch", action="store_true",
-        help="route algorithms through the batch execution engine",
-    )
-    bench_parser.add_argument(
-        "--workers", type=int, default=1, help="batch thread-pool size (implies --batch)"
-    )
-    bench_parser.add_argument(
-        "--processes", type=int, default=1,
-        help="worker processes for batch execution (implies --batch)",
-    )
-    bench_parser.add_argument(
-        "--shards", type=int, default=None,
-        help="target shards for --processes (default: one per process)",
-    )
-    bench_parser.add_argument(
-        "--start-method", choices=("fork", "spawn", "forkserver"), default=None,
-        help="multiprocessing start method for --processes (default: fork on Linux)",
-    )
-    bench_parser.add_argument(
-        "--engine", choices=ENGINE_CHOICES, default="auto",
-        help="enumeration engine: compiled native (the kernels without its C library), iterative kernels or recursive reference",
     )
 
     serve_parser = subparsers.add_parser(
@@ -671,49 +695,6 @@ def _command_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_bench(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        print("--workers must be at least 1", file=sys.stderr)
-        return 2
-    if args.processes < 1:
-        print("--processes must be at least 1", file=sys.stderr)
-        return 2
-    if args.processes > 1 and args.workers > 1:
-        print("--workers and --processes are mutually exclusive", file=sys.stderr)
-        return 2
-    graph = load_dataset(args.dataset)
-    workload = generate_query_set(
-        graph,
-        count=args.queries,
-        k=args.hops,
-        setting=QuerySetting.HIGH_HIGH,
-        seed=args.seed,
-        graph_name=args.dataset,
-    )
-    settings = BenchmarkSettings(time_limit_seconds=args.time_limit, engine=args.engine)
-    use_batch = args.batch or args.workers > 1 or args.processes > 1
-    metrics = overall_comparison(
-        graph,
-        workload,
-        args.algorithms,
-        settings=settings,
-        batch=use_batch,
-        max_workers=args.workers,
-        processes=args.processes,
-        shards=args.shards,
-        start_method=args.start_method,
-    )
-    rows = [m.as_row() for m in metrics.values()]
-    if args.processes > 1:
-        mode = f" [batch, {args.processes} processes]"
-    else:
-        mode = " [batch]" if use_batch else ""
-    print(format_table(
-        rows, title=f"Overall comparison on {args.dataset} (k={args.hops}){mode}"
-    ))
-    return 0
-
-
 def _command_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -816,8 +797,6 @@ def _client_update_replay(args: argparse.Namespace) -> int:
     import asyncio
     import random as random_module
 
-    from repro.bench.metrics import latency_summary
-    from repro.bench.reporting import format_latency_summary
     from repro.server.client import QueryClient
 
     if args.updates < 1:
@@ -878,8 +857,6 @@ def _client_update_replay(args: argparse.Namespace) -> int:
 def _command_client(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.bench.metrics import latency_summary
-    from repro.bench.reporting import format_latency_summary
     from repro.server.client import QueryClient, open_loop_load
     from repro.workloads.queries import poisson_arrival_times
 
@@ -1011,8 +988,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _command_info(args)
     if args.command == "convert":
         return _command_convert(args)
-    if args.command == "bench":
-        return _command_bench(args)
     if args.command == "serve":
         return _command_serve(args)
     if args.command == "route":

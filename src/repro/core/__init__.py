@@ -6,8 +6,6 @@ Public surface:
   cost-based optimizer + DFS/join execution);
 * :class:`~repro.core.engine.IdxDfs` / :class:`~repro.core.engine.IdxJoin` —
   the fixed-plan variants evaluated in the paper;
-* :func:`~repro.core.engine.enumerate_paths` /
-  :func:`~repro.core.engine.count_paths` — one-call convenience API;
 * :class:`~repro.core.query.Query`, :class:`~repro.core.listener.RunConfig`,
   :class:`~repro.core.result.QueryResult` — query/result plumbing;
 * :class:`~repro.core.index.LightWeightIndex` and the estimator/optimizer
@@ -28,7 +26,6 @@ from repro.core.constraints import (
 )
 from repro.core.dfs import run_idx_dfs
 from repro.core.engine import (
-    BatchResult,
     BatchStats,
     ExecutorCore,
     IdxDfs,
@@ -36,8 +33,6 @@ from repro.core.engine import (
     PathEnum,
     QuerySession,
     StreamRun,
-    count_paths,
-    enumerate_paths,
 )
 from repro.core.estimator import (
     CardinalityEstimate,
@@ -65,10 +60,7 @@ __all__ = [
     "QuerySession",
     "ExecutorCore",
     "StreamRun",
-    "BatchResult",
     "BatchStats",
-    "enumerate_paths",
-    "count_paths",
     "Query",
     "RunConfig",
     "ENGINE_CHOICES",

@@ -49,7 +49,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import multiprocessing
@@ -95,10 +95,7 @@ __all__ = [
     "QuerySession",
     "ExecutorCore",
     "StreamRun",
-    "BatchResult",
     "BatchStats",
-    "enumerate_paths",
-    "count_paths",
     "is_distance_aware",
 ]
 
@@ -528,35 +525,6 @@ class QuerySession:
         """Evaluate a query given external vertex ids."""
         query = Query.from_external(self.graph, source, target, k)
         return self.run(query, config)
-
-
-@dataclass
-class BatchResult:
-    """Outcome of evaluating a workload as one batch
-    (:func:`repro.bench.runner.run_workload_batched`)."""
-
-    #: Per-query results, in workload order.
-    results: List[QueryResult] = field(default_factory=list)
-    #: Aggregate session statistics for the batch.
-    stats: BatchStats = field(default_factory=BatchStats)
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def __iter__(self):
-        return iter(self.results)
-
-    @property
-    def total_paths(self) -> int:
-        """Sum of per-query result counts."""
-        return sum(result.count for result in self.results)
-
-    @property
-    def throughput(self) -> float:
-        """Paths per second over the batch wall clock."""
-        if self.stats.wall_seconds <= 0.0:
-            return float(self.total_paths)
-        return self.total_paths / self.stats.wall_seconds
 
 
 # --------------------------------------------------------------------- #
@@ -1864,63 +1832,3 @@ class ExecutorCore:
         finally:
             reader.close()
             result_segments.sweep(channel.prefix)
-
-
-# --------------------------------------------------------------------- #
-# module-level convenience functions (the quickstart API)
-# --------------------------------------------------------------------- #
-def enumerate_paths(
-    graph: DiGraph,
-    source: Hashable,
-    target: Hashable,
-    k: int,
-    *,
-    external_ids: bool = False,
-    constraint: Optional[PathConstraint] = None,
-    result_limit: Optional[int] = None,
-    time_limit_seconds: Optional[float] = None,
-) -> List[Tuple[int, ...]]:
-    """Enumerate all hop-constrained s-t paths with PathEnum.
-
-    This is the one-call API used by the examples: it builds the query (from
-    external ids when requested), runs the full PathEnum pipeline and returns
-    the list of paths (as internal-id tuples, or external ids when
-    ``external_ids`` is set).
-    """
-    engine = PathEnum()
-    query = (
-        Query.from_external(graph, source, target, k)
-        if external_ids
-        else Query(int(source), int(target), k)
-    )
-    config = RunConfig(
-        store_paths=True,
-        constraint=constraint,
-        result_limit=result_limit,
-        time_limit_seconds=time_limit_seconds,
-    )
-    result = engine.run(graph, query, config)
-    paths = result.paths or []
-    if external_ids:
-        return [graph.translate_path(p) for p in paths]
-    return paths
-
-
-def count_paths(
-    graph: DiGraph,
-    source: Hashable,
-    target: Hashable,
-    k: int,
-    *,
-    external_ids: bool = False,
-    time_limit_seconds: Optional[float] = None,
-) -> int:
-    """Count hop-constrained s-t paths without materialising them."""
-    engine = PathEnum()
-    query = (
-        Query.from_external(graph, source, target, k)
-        if external_ids
-        else Query(int(source), int(target), k)
-    )
-    config = RunConfig(store_paths=False, time_limit_seconds=time_limit_seconds)
-    return engine.run(graph, query, config).count

@@ -1,37 +1,32 @@
-"""Unit tests for the per-phase breakdown harnesses (Figures 6, 7, 17; Table 4)."""
+"""Unit tests for the per-phase projections (Figures 6, 7, 17; Table 4)."""
 
 from __future__ import annotations
 
+import paper
 import pytest
 
-from repro.bench.breakdown import (
-    detailed_metrics,
-    phase_breakdown,
-    query_time_distribution,
-    technique_breakdown,
-)
+
+def _results(graph, workload, algorithm, k, config):
+    return paper.run_queries(graph, algorithm, workload.with_k(k), config)
 
 
 class TestPhaseBreakdown:
-    def test_figure7_shape(self, bench_graph, bench_workload, bench_settings):
-        breakdown = phase_breakdown(
-            bench_graph, bench_workload, ["IDX-DFS", "BC-DFS"], ks=(3, 4),
-            settings=bench_settings,
-        )
-        assert set(breakdown) == {3, 4}
-        for per_algorithm in breakdown.values():
-            assert set(per_algorithm) == {"IDX-DFS", "BC-DFS"}
-            for timings in per_algorithm.values():
-                assert timings["preprocessing_ms"] >= 0.0
-                assert timings["enumeration_ms"] >= 0.0
+    def test_figure7_shape(self, bench_graph, bench_workload, bench_config):
+        for k in (3, 4):
+            for algorithm in ("IDX-DFS", "BC-DFS"):
+                results = _results(bench_graph, bench_workload, algorithm, k, bench_config)
+                row = paper.phase_row(results)
+                assert set(row) == {"preprocessing_ms", "enumeration_ms"}
+                assert row["preprocessing_ms"] >= 0.0
+                assert row["enumeration_ms"] >= 0.0
 
 
 class TestTechniqueBreakdown:
-    def test_figure17_columns(self, bench_graph, bench_workload, bench_settings):
-        breakdown = technique_breakdown(
-            bench_graph, bench_workload, ks=(4,), settings=bench_settings
+    def test_figure17_columns(self, bench_graph, bench_workload, bench_config):
+        row = paper.technique_row(
+            _results(bench_graph, bench_workload, "IDX-DFS", 4, bench_config),
+            _results(bench_graph, bench_workload, "IDX-JOIN", 4, bench_config),
         )
-        row = breakdown[4]
         expected_columns = {
             "bfs_ms",
             "index_construction_ms",
@@ -48,23 +43,26 @@ class TestTechniqueBreakdown:
 
 
 class TestDetailedMetrics:
-    def test_figure6_shape_and_index_advantage(self, bench_graph, bench_workload, bench_settings):
-        metrics = detailed_metrics(
-            bench_graph, bench_workload, ["BC-DFS", "IDX-DFS"], ks=(4,),
-            settings=bench_settings,
-        )
-        row = metrics[4]
-        assert row["BC-DFS"]["results"] == pytest.approx(row["IDX-DFS"]["results"])
+    def test_figure6_shape_and_index_advantage(self, bench_graph, bench_workload, bench_config):
+        row = {
+            algorithm: paper.detail_row(
+                _results(bench_graph, bench_workload, algorithm, 4, bench_config)
+            )
+            for algorithm in ("BC-DFS", "IDX-DFS")
+        }
+        assert row["BC-DFS"]["#results"] == pytest.approx(row["IDX-DFS"]["#results"])
         # The light-weight index reads no more edges than the raw adjacency scan.
-        assert row["IDX-DFS"]["edges"] <= row["BC-DFS"]["edges"]
+        assert row["IDX-DFS"]["#edges"] <= row["BC-DFS"]["#edges"]
 
 
 class TestQueryTimeDistribution:
-    def test_table4_fractions(self, bench_graph, bench_workload, bench_settings):
-        distribution = query_time_distribution(
-            bench_graph, bench_workload, ["IDX-DFS"], ks=(4,), settings=bench_settings
+    def test_table4_fractions(self, bench_graph, bench_workload, bench_config):
+        limit_ms = bench_config.time_limit_seconds * 1e3
+        row = paper.time_distribution(
+            _results(bench_graph, bench_workload, "IDX-DFS", 4, bench_config),
+            fast_ms=0.5 * limit_ms,
+            slow_ms=limit_ms,
         )
-        row = distribution[4]["IDX-DFS"]
         assert 0.0 <= row["fast"] <= 1.0
         assert 0.0 <= row["slow"] <= 1.0
         assert row["fast"] + row["slow"] <= 1.0 + 1e-9

@@ -1,51 +1,41 @@
-"""Unit tests for the cardinality-estimation accuracy harness (Figure 18)."""
+"""Unit tests for the cardinality-estimation projection (Figure 18)."""
 
 from __future__ import annotations
 
-import pytest
+import paper
 
-from repro.bench.cardinality import estimation_accuracy
+
+def _row(graph, workload, k, config):
+    queries = workload.with_k(k)
+    results = paper.run_queries(graph, "IDX-DFS", queries, config)
+    return paper.estimation_row(graph, queries, results)
 
 
 class TestEstimationAccuracy:
-    def test_figure18_series_shape(self, bench_graph, bench_workload, bench_settings):
-        accuracy = estimation_accuracy(
-            bench_graph, bench_workload, ks=(3, 4), settings=bench_settings
-        )
-        assert set(accuracy) == {3, 4}
-        for k, row in accuracy.items():
-            assert row.k == k
-            assert row.actual >= 0.0
-            assert row.full_fledged >= 0.0
-            assert row.preliminary >= 0.0
+    def test_figure18_series_shape(self, bench_graph, bench_workload, bench_config):
+        for k in (3, 4):
+            row = _row(bench_graph, bench_workload, k, bench_config)
+            assert row["#results"] >= 0.0
+            assert row["full_fledged"] >= 0.0
+            assert row["preliminary"] >= 0.0
 
-    def test_full_fledged_upper_bounds_actual(self, bench_graph, bench_workload, bench_settings):
+    def test_full_fledged_upper_bounds_actual(self, bench_graph, bench_workload, bench_config):
         """The walk count can only over-estimate the simple-path count."""
-        accuracy = estimation_accuracy(
-            bench_graph, bench_workload, ks=(4,), settings=bench_settings
-        )
-        row = accuracy[4]
-        assert row.full_fledged >= row.actual
-        assert row.full_fledged_ratio >= 1.0
+        row = _row(bench_graph, bench_workload, 4, bench_config)
+        assert row["full_fledged"] >= row["#results"]
+        assert paper.ratio(row["full_fledged"], row["#results"]) >= 1.0
 
-    def test_estimates_grow_with_k(self, bench_graph, bench_workload, bench_settings):
-        accuracy = estimation_accuracy(
-            bench_graph, bench_workload, ks=(3, 5), settings=bench_settings
-        )
-        assert accuracy[5].actual >= accuracy[3].actual
-        assert accuracy[5].full_fledged >= accuracy[3].full_fledged
+    def test_estimates_grow_with_k(self, bench_graph, bench_workload, bench_config):
+        small = _row(bench_graph, bench_workload, 3, bench_config)
+        large = _row(bench_graph, bench_workload, 5, bench_config)
+        assert large["#results"] >= small["#results"]
+        assert large["full_fledged"] >= small["full_fledged"]
 
-    def test_as_row(self, bench_graph, bench_workload, bench_settings):
-        accuracy = estimation_accuracy(
-            bench_graph, bench_workload, ks=(3,), settings=bench_settings
-        )
-        row = accuracy[3].as_row()
-        assert {"k", "#results", "full_fledged", "preliminary"} == set(row)
+    def test_as_row(self, bench_graph, bench_workload, bench_config):
+        row = _row(bench_graph, bench_workload, 3, bench_config)
+        assert {"#results", "full_fledged", "preliminary"} == set(row)
 
     def test_ratio_handles_zero_actual(self):
-        from repro.bench.cardinality import EstimationAccuracy
-
-        empty = EstimationAccuracy(k=3, actual=0.0, full_fledged=0.0, preliminary=0.0)
-        assert empty.full_fledged_ratio == 1.0
-        nonzero = EstimationAccuracy(k=3, actual=0.0, full_fledged=5.0, preliminary=0.0)
-        assert nonzero.full_fledged_ratio == float("inf")
+        assert paper.ratio(0.0, 0.0) == 1.0
+        assert paper.ratio(5.0, 0.0) == float("inf")
+        assert paper.ratio(6.0, 3.0) == 2.0

@@ -1,77 +1,71 @@
-"""Unit tests for the comparison harnesses (Tables 3, 5, 6 and Figures 13-15)."""
+"""Unit tests for the comparison projections (Tables 3, 5, 6 and Figures 13-15)."""
 
 from __future__ import annotations
 
+import paper
 import pytest
 
-from repro.bench.comparison import (
-    outlier_split,
-    overall_comparison,
-    result_count_statistics,
-    sweep_k,
-)
-from repro.bench.runner import run_workload
+
+def _metrics(graph, workload, algorithms, config):
+    return {
+        name: paper.aggregate(paper.run_queries(graph, name, workload, config))
+        for name in algorithms
+    }
 
 
 class TestOverallComparison:
-    def test_all_algorithms_reported(self, bench_graph, bench_workload, bench_settings):
-        metrics = overall_comparison(
-            bench_graph, bench_workload, ["IDX-DFS", "IDX-JOIN", "PathEnum"],
-            settings=bench_settings,
+    def test_all_algorithms_reported(self, bench_graph, bench_workload, bench_config):
+        metrics = _metrics(
+            bench_graph, bench_workload, ["IDX-DFS", "IDX-JOIN", "PathEnum"], bench_config
         )
-        assert set(metrics) == {"IDX-DFS", "IDX-JOIN", "PathEnum"}
         for name, metric in metrics.items():
-            assert metric.algorithm == name
-            assert metric.num_queries == len(bench_workload)
-            assert metric.mean_query_ms > 0.0
+            assert metric["algorithm"] == name
+            assert metric["queries"] == len(bench_workload)
+            assert metric["query_ms"] > 0.0
 
-    def test_algorithms_agree_on_result_totals(self, bench_graph, bench_workload, bench_settings):
-        metrics = overall_comparison(
-            bench_graph, bench_workload, ["IDX-DFS", "BC-DFS"], settings=bench_settings
-        )
-        assert metrics["IDX-DFS"].total_results == metrics["BC-DFS"].total_results
+    def test_algorithms_agree_on_result_totals(self, bench_graph, bench_workload, bench_config):
+        metrics = _metrics(bench_graph, bench_workload, ["IDX-DFS", "BC-DFS"], bench_config)
+        assert metrics["IDX-DFS"]["results"] == metrics["BC-DFS"]["results"]
 
 
 class TestSweepK:
-    def test_sweep_produces_one_row_per_k(self, bench_graph, bench_workload, bench_settings):
-        sweep = sweep_k(
-            bench_graph, bench_workload, ["IDX-DFS"], ks=(3, 4), settings=bench_settings
-        )
-        assert set(sweep) == {3, 4}
-        assert "IDX-DFS" in sweep[3]
+    def test_sweep_produces_one_row_per_k(self, bench_graph, bench_workload, bench_config):
+        for k in (3, 4):
+            metrics = _metrics(bench_graph, bench_workload.with_k(k), ["IDX-DFS"], bench_config)
+            assert metrics["IDX-DFS"]["queries"] == len(bench_workload)
 
-    def test_result_counts_grow_with_k(self, bench_graph, bench_workload, bench_settings):
-        sweep = sweep_k(
-            bench_graph, bench_workload, ["IDX-DFS"], ks=(3, 5), settings=bench_settings
+    def test_result_counts_grow_with_k(self, bench_graph, bench_workload, bench_config):
+        small, large = (
+            _metrics(bench_graph, bench_workload.with_k(k), ["IDX-DFS"], bench_config)["IDX-DFS"]
+            for k in (3, 5)
         )
-        assert sweep[5]["IDX-DFS"].total_results >= sweep[3]["IDX-DFS"].total_results
+        assert large["results"] >= small["results"]
 
 
 class TestOutlierSplit:
-    def test_split_partitions_all_queries(self, bench_graph, bench_workload, bench_settings):
-        results = run_workload("IDX-DFS", bench_graph, bench_workload, settings=bench_settings)
-        outliers = outlier_split(results, short_threshold_ms=50.0)
-        assert outliers.num_short + outliers.num_long == len(results)
-        row = outliers.as_row()
+    def test_split_partitions_all_queries(self, bench_graph, bench_workload, bench_config):
+        results = paper.run_queries(bench_graph, "IDX-DFS", bench_workload, bench_config)
+        row = paper.outlier_split(results, 50.0)
+        assert row["#short"] + row["#long"] == len(results)
         assert row["algorithm"] == "IDX-DFS"
 
     def test_empty_results_rejected(self):
         with pytest.raises(ValueError):
-            outlier_split([], short_threshold_ms=1.0)
+            paper.outlier_split([], 1.0)
 
 
 class TestResultCountStatistics:
-    def test_table6_shape(self, bench_graph, bench_workload, bench_settings):
-        stats = result_count_statistics(
-            bench_graph, bench_workload, ks=(3, 4), settings=bench_settings
-        )
-        assert set(stats) == {3, 4}
-        for k, row in stats.items():
-            assert row["max"] >= row["avg"] >= 0.0
+    def _row(self, graph, workload, k, config):
+        return paper.count_row(paper.run_queries(graph, "IDX-DFS", workload.with_k(k), config))
 
-    def test_counts_monotone_in_k(self, bench_graph, bench_workload, bench_settings):
-        stats = result_count_statistics(
-            bench_graph, bench_workload, ks=(3, 5), settings=bench_settings
-        )
-        assert stats[5]["avg"] >= stats[3]["avg"]
-        assert stats[5]["max"] >= stats[3]["max"]
+    def test_table6_shape(self, bench_graph, bench_workload, bench_config):
+        for k in (3, 4):
+            row = self._row(bench_graph, bench_workload, k, bench_config)
+            assert row["max_results"] >= row["avg_results"] >= 0.0
+            assert row["truncated"] is False
+
+    def test_counts_monotone_in_k(self, bench_graph, bench_workload, bench_config):
+        small = self._row(bench_graph, bench_workload, 3, bench_config)
+        large = self._row(bench_graph, bench_workload, 5, bench_config)
+        assert large["avg_results"] >= small["avg_results"]
+        assert large["max_results"] >= small["max_results"]

@@ -1,16 +1,11 @@
-"""Unit tests for benchmark metric aggregation."""
+"""Unit tests for the driver's metric aggregation and the CLI latency summary."""
 
 from __future__ import annotations
 
 import pytest
+from paper import aggregate, cumulative_distribution, latency_percentile, time_distribution
 
-from repro.bench.metrics import (
-    aggregate,
-    cumulative_distribution,
-    latency_percentile,
-    latency_summary,
-    time_distribution,
-)
+from repro.cli import latency_summary
 from repro.core.result import EnumerationStats, Phase, QueryResult
 
 
@@ -32,30 +27,30 @@ def _result(ms: float, count: int = 10, timed_out: bool = False, response_ms=Non
 class TestAggregate:
     def test_mean_query_time(self):
         metrics = aggregate([_result(10.0), _result(30.0)])
-        assert metrics.mean_query_ms == pytest.approx(20.0)
-        assert metrics.num_queries == 2
-        assert metrics.total_results == 20
+        assert metrics["query_ms"] == pytest.approx(20.0)
+        assert metrics["queries"] == 2
+        assert metrics["results"] == 20
 
     def test_throughput_mean(self):
         metrics = aggregate([_result(1000.0, count=100), _result(1000.0, count=300)])
-        assert metrics.mean_throughput == pytest.approx(200.0)
+        assert metrics["throughput"] == pytest.approx(200.0)
 
     def test_response_time_mixes_probe_and_total(self):
         metrics = aggregate([_result(50.0, response_ms=5.0), _result(30.0)])
         # First query responded at 5 ms; second had fewer than response_k
         # results so its full query time counts.
-        assert metrics.mean_response_ms == pytest.approx((5.0 + 30.0) / 2)
+        assert metrics["response_ms"] == pytest.approx((5.0 + 30.0) / 2)
 
     def test_timeout_fraction(self):
         metrics = aggregate([_result(10.0), _result(10.0, timed_out=True)])
-        assert metrics.timeout_fraction == pytest.approx(0.5)
+        assert metrics["timeout_frac"] == pytest.approx(0.5)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             aggregate([])
 
     def test_as_row_keys(self):
-        row = aggregate([_result(10.0)]).as_row()
+        row = aggregate([_result(10.0)])
         assert {"algorithm", "query_ms", "throughput", "response_ms", "timeout_frac"} <= set(row)
 
 
@@ -71,7 +66,7 @@ class TestDistributions:
 
     def test_time_distribution_buckets(self):
         results = [_result(10.0), _result(10.0), _result(90.0), _result(200.0, timed_out=True)]
-        buckets = time_distribution(results, fast_threshold_ms=60.0, slow_threshold_ms=120.0)
+        buckets = time_distribution(results, fast_ms=60.0, slow_ms=120.0)
         assert buckets["fast"] == pytest.approx(0.5)
         assert buckets["slow"] == pytest.approx(0.25)
 
@@ -92,7 +87,7 @@ class TestDistributions:
         with pytest.raises(ValueError):
             latency_percentile([])
         with pytest.raises(ValueError):
-            time_distribution([], fast_threshold_ms=1.0, slow_threshold_ms=2.0)
+            time_distribution([], fast_ms=1.0, slow_ms=2.0)
         with pytest.raises(ValueError):
             cumulative_distribution([])
 

@@ -1,15 +1,10 @@
-"""Unit tests for the table/series text rendering."""
+"""Unit tests for the table rendering shared by the CLI and the driver's series."""
 
 from __future__ import annotations
 
-from repro.bench.reporting import (
-    format_latency_summary,
-    format_series,
-    format_table,
-    format_value,
-    print_series,
-    print_table,
-)
+from paper import format_series
+
+from repro.cli import format_latency_summary, format_table, format_value, latency_summary
 
 
 class TestFormatValue:
@@ -58,7 +53,7 @@ class TestFormatSeries:
             "BC-DFS": {3: 1.0, 4: 10.0},
             "IDX-DFS": {3: 0.5, 4: 2.0},
         }
-        text = format_series(series, x_label="k", title="Figure 13")
+        text = format_series(series, title="Figure 13")
         lines = text.splitlines()
         assert lines[0] == "Figure 13"
         assert lines[1].split() == ["k", "BC-DFS", "IDX-DFS"]
@@ -70,13 +65,11 @@ class TestFormatSeries:
         assert "-" in text
 
     def test_empty_series(self):
-        assert "(no series)" in format_series({})
+        assert "(no rows)" in format_series({}, title="Nothing")
 
 
 class TestLatencySummaryRendering:
     def test_renders_summary_keys_in_order(self):
-        from repro.bench.metrics import latency_summary
-
         summary = latency_summary([1.0, 2.0, 3.0, 10.0])
         rendered = format_latency_summary(summary, title="Latency (ms)")
         lines = rendered.splitlines()
@@ -85,14 +78,3 @@ class TestLatencySummaryRendering:
         assert header == ["count", "mean_ms", "p50_ms", "p95_ms", "p99_ms", "p99_9_ms", "max_ms"]
         assert "10.000" in rendered  # plain (non-scientific) by default
 
-
-class TestPrintHelpers:
-    def test_print_table(self, capsys):
-        print_table([{"a": 1}])
-        captured = capsys.readouterr().out
-        assert "a" in captured and captured.endswith("\n\n")
-
-    def test_print_series(self, capsys):
-        print_series({"A": {1: 2.0}})
-        captured = capsys.readouterr().out
-        assert "A" in captured

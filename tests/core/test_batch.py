@@ -14,7 +14,6 @@ import pytest
 
 from repro.api import Database, Q
 from repro.baselines.bc_dfs import BcDfs
-from repro.bench.runner import BenchmarkSettings, run_workload_batched
 from repro.core.constraints import PredicateConstraint
 from repro.core.engine import IdxDfs, IdxJoin, PathEnum, QuerySession
 from repro.core.listener import RunConfig
@@ -23,8 +22,11 @@ from repro.core.result import paths_are_valid
 from repro.graph.generators import erdos_renyi, power_law_graph
 from repro.workloads.queries import generate_target_centric_set
 
-#: Count-only settings for the batch-statistics tests.
-COUNT_ONLY = BenchmarkSettings(store_paths=False, time_limit_seconds=None)
+def _count_only_batch(graph, queries):
+    """Results and stream statistics of one count-only inline PathEnum batch."""
+    with Database(graph, algorithm=PathEnum()) as db:
+        stream = db.batch(list(queries), store_paths=False)
+        return stream.results(), stream.stats()
 
 
 @pytest.fixture(scope="module")
@@ -138,56 +140,46 @@ class TestBatchEquivalence:
 
 
 class TestBatchStats:
-    """Aggregate statistics of :func:`run_workload_batched`'s ``BatchResult``."""
+    """Aggregate statistics of an inline ``Database.batch`` stream."""
 
     def test_repeated_targets_run_strictly_fewer_bfs_than_queries(
         self, batch_graph, shared_target_queries
     ):
-        batch = run_workload_batched(
-            PathEnum(), batch_graph, shared_target_queries, settings=COUNT_ONLY
-        )
-        stats = batch.stats
-        assert stats.queries_run == len(shared_target_queries)
+        _, stats = _count_only_batch(batch_graph, shared_target_queries)
+        assert stats.completed == len(shared_target_queries)
         assert stats.reverse_bfs_runs == 3  # one per distinct target
-        assert stats.reverse_bfs_runs < stats.queries_run
-        assert stats.bfs_cache_hits == stats.queries_run - stats.reverse_bfs_runs
-        assert stats.bfs_cache_misses == stats.reverse_bfs_runs
+        assert stats.reverse_bfs_runs < stats.completed
+        assert stats.bfs_cache_hits == stats.completed - stats.reverse_bfs_runs
         assert 0.0 < stats.hit_rate < 1.0
         assert stats.wall_seconds > 0.0
 
     def test_per_query_cache_flag_marks_repeats_only(
         self, batch_graph, shared_target_queries
     ):
-        batch = run_workload_batched(
-            PathEnum(), batch_graph, shared_target_queries, settings=COUNT_ONLY
-        )
-        flags = [result.stats.bfs_cache_hit for result in batch.results]
+        results, _ = _count_only_batch(batch_graph, shared_target_queries)
+        flags = [result.stats.bfs_cache_hit for result in results]
         # The first sighting of each of the 3 targets pays for its BFS.
         assert flags.count(False) == 3
         assert all(flags[3:])
 
     def test_distinct_targets_get_no_hits(self, batch_graph):
         queries = [Query(0, t, 4) for t in (5, 6, 7) if t != 0]
-        batch = run_workload_batched(PathEnum(), batch_graph, queries, settings=COUNT_ONLY)
-        assert batch.stats.reverse_bfs_runs == len(queries)
-        assert batch.stats.bfs_cache_hits == 0
+        _, stats = _count_only_batch(batch_graph, queries)
+        assert stats.reverse_bfs_runs == len(queries)
+        assert stats.bfs_cache_hits == 0
 
     def test_stats_row_shape(self, batch_graph, shared_target_queries):
-        batch = run_workload_batched(
-            PathEnum(), batch_graph, shared_target_queries[:4], settings=COUNT_ONLY
-        )
-        row = batch.stats.as_row()
+        _, stats = _count_only_batch(batch_graph, shared_target_queries[:4])
+        row = stats.as_row()
         assert set(row) == {
-            "queries", "reverse_bfs_runs", "bfs_cache_hits", "hit_rate", "wall_ms",
+            "backend", "queries", "reverse_bfs_runs", "bfs_cache_hits", "hit_rate", "wall_ms",
         }
 
     def test_batch_result_aggregates(self, batch_graph, shared_target_queries):
-        batch = run_workload_batched(
-            PathEnum(), batch_graph, shared_target_queries, settings=COUNT_ONLY
-        )
-        assert len(batch) == len(shared_target_queries)
-        assert batch.total_paths == sum(r.count for r in batch)
-        assert batch.throughput > 0.0
+        results, stats = _count_only_batch(batch_graph, shared_target_queries)
+        assert len(results) == len(shared_target_queries)
+        assert stats.total_paths == sum(r.count for r in results)
+        assert stats.total_paths / stats.wall_seconds > 0.0
 
 
 class TestQuerySession:

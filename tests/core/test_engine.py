@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.engine import IdxDfs, IdxJoin, PathEnum, count_paths, enumerate_paths
+from repro.api import Database, Q
+from repro.core.engine import IdxDfs, IdxJoin, PathEnum
 from repro.core.listener import RunConfig
 from repro.core.query import Query
 from repro.core.result import Phase
@@ -117,23 +118,25 @@ class TestRunConfigHandling:
             PathEnum().run(paper_graph, paper_query, config)
 
 
-class TestModuleLevelApi:
-    def test_enumerate_paths_internal_ids(self, paper_graph, paper_query):
-        paths = enumerate_paths(
-            paper_graph, paper_query.source, paper_query.target, paper_query.k
-        )
-        assert len(paths) == 5
+class TestDatabaseQuery:
+    def test_query_internal_ids(self, paper_graph, paper_query):
+        with Database(paper_graph) as db:
+            result = db.query(Q(paper_query.source, paper_query.target, paper_query.k)).result()
+        assert len(result.paths) == 5
 
-    def test_enumerate_paths_external_ids(self, paper_graph):
-        paths = enumerate_paths(paper_graph, "s", "t", 4, external_ids=True)
-        assert ("s", "v0", "t") in paths
+    def test_query_external_ids(self, paper_graph):
+        with Database(paper_graph) as db:
+            result = db.query(Q("s", "t", 4), external=True).result()
+        assert ("s", "v0", "t") in [paper_graph.translate_path(p) for p in result.paths]
 
-    def test_count_paths(self, paper_graph):
-        assert count_paths(paper_graph, "s", "t", 4, external_ids=True) == 5
+    def test_count_only_query(self, paper_graph):
+        with Database(paper_graph) as db:
+            assert db.query(Q("s", "t", 4).count_only(), external=True).result().count == 5
 
-    def test_enumerate_paths_with_limit(self, paper_graph):
-        paths = enumerate_paths(paper_graph, "s", "t", 4, external_ids=True, result_limit=3)
-        assert len(paths) == 3
+    def test_query_with_limit(self, paper_graph):
+        with Database(paper_graph) as db:
+            result = db.query(Q("s", "t", 4).limit(3), external=True).result()
+        assert len(result.paths) == 3
 
 
 class TestStatisticsPopulation:

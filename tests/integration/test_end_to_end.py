@@ -10,11 +10,19 @@ from repro.core.constraints import (
     PredicateConstraint,
     SequenceAutomaton,
 )
-from repro.core.engine import PathEnum, enumerate_paths
+from repro.api import Database, Q
+from repro.core.engine import PathEnum
 from repro.core.listener import RunConfig
 from repro.core.query import Query
 from repro.graph.builder import GraphBuilder
 from repro.graph.dynamic import DynamicGraph
+
+
+def _external_paths(graph, source, target, k):
+    """Every path of at most ``k`` hops from ``source`` to ``target``, in external ids."""
+    with Database(graph) as db:
+        result = db.query(Q(source, target, k), external=True).result()
+    return [graph.translate_path(p) for p in result.paths]
 
 
 @pytest.fixture()
@@ -43,9 +51,7 @@ class TestMoneyLaunderingScenario:
     """Application 1: short high-risk flows between two target accounts."""
 
     def test_all_short_flows_are_found(self, transaction_graph):
-        paths = enumerate_paths(
-            transaction_graph, "source_acct", "dest_acct", k=3, external_ids=True
-        )
+        paths = _external_paths(transaction_graph, "source_acct", "dest_acct", 3)
         assert ("source_acct", "mule_1", "dest_acct") in paths
         assert ("source_acct", "mule_1", "mule_2", "dest_acct") in paths
         assert ("source_acct", "shop", "dest_acct") in paths
@@ -115,5 +121,5 @@ class TestKnowledgeGraphScenario:
         builder.add_edge("b", "c", label="r2")
         builder.add_edge("a", "c", label="r3")
         graph = builder.build()
-        paths = enumerate_paths(graph, "a", "c", k=2, external_ids=True)
+        paths = _external_paths(graph, "a", "c", 2)
         assert set(paths) == {("a", "c"), ("a", "b", "c")}

@@ -189,7 +189,9 @@ class TestMergedStream:
                 async with RouterServer(router, port=0) as front:
                     client = await QueryClient.connect(port=front.port)
                     async with client:
-                        return await client.run(triples, frames="path")
+                        outcome = await client.run(triples, frames="path")
+                await router.close()
+                return outcome
             finally:
                 await fleet.close()
 
@@ -484,6 +486,7 @@ class TestCancelFanOut:
                     replicas[0][0].stats()["jobs_cancelled"]
                     for replicas in fleet.shards
                 ]
+                await router.close()
                 return frames, terminal_delay, shard_counts
             finally:
                 await fleet.close()

@@ -29,11 +29,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["query", "--source", "a", "--target", "b", "-k", "4"])
 
-    def test_bench_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.dataset == "gg"
-        assert args.hops == 4
-
     def test_serve_requires_a_graph_source(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve"])
@@ -142,28 +137,6 @@ class TestOtherCommands:
         assert "Soc-Epinions1" in output
         assert "Twitter-mpi" in output
 
-    def test_bench_command_small(self, capsys):
-        exit_code = main(
-            [
-                "bench",
-                "--dataset",
-                "gg",
-                "-k",
-                "3",
-                "--queries",
-                "3",
-                "--algorithms",
-                "IDX-DFS",
-                "PathEnum",
-                "--time-limit",
-                "1.0",
-            ]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "IDX-DFS" in output and "PathEnum" in output
-        assert "query_ms" in output
-
 
 class TestBatchQueryCommand:
     def test_explicit_pairs_on_edge_list(self, edge_list_file, capsys):
@@ -228,26 +201,6 @@ class TestBatchQueryCommand:
         assert args.workers == 4
 
 
-class TestBenchBatchMode:
-    def test_bench_batch_flag(self, capsys):
-        exit_code = main(
-            [
-                "bench",
-                "--dataset",
-                "ye",
-                "-k",
-                "3",
-                "--queries",
-                "4",
-                "--algorithms",
-                "PathEnum",
-                "--batch",
-            ]
-        )
-        assert exit_code == 0
-        assert "[batch]" in capsys.readouterr().out
-
-
 class TestInfoCommand:
     def test_info_on_dataset(self, capsys):
         exit_code = main(["info", "ye"])
@@ -291,14 +244,3 @@ class TestProcessFlags:
         )
         assert exit_code == 2
         assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_bench_processes_flag(self, capsys):
-        exit_code = main(
-            [
-                "bench", "--dataset", "ye", "-k", "3",
-                "--queries", "4", "--algorithms", "PathEnum",
-                "--processes", "2",
-            ]
-        )
-        assert exit_code == 0
-        assert "2 processes" in capsys.readouterr().out
