@@ -8,9 +8,9 @@ its results are exactly the cycles of length at most k that the new
 transaction closes.
 
 The script simulates a stream of transactions over a synthetic marketplace,
-replays them against a :class:`~repro.graph.dynamic.DynamicGraph`, and
-reports every cycle ring it finds in real time, together with per-update
-latencies.
+inserts them one by one into a live :class:`~repro.api.Database`
+(:meth:`~repro.api.Database.insert_edges`), and reports every cycle ring it
+finds in real time, together with per-update latencies.
 
 Run with:
 
@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from repro import Database, DynamicGraph, Q
+from repro import Database, Q
 from repro.graph.generators import power_law_graph
 
 #: Hop constraint on cycle length; the paper's application uses k = 6 because
@@ -58,33 +58,30 @@ def build_transaction_stream(graph, *, seed: int = 11, length: int = STREAM_LENG
 def main() -> None:
     base_graph = simulate_marketplace()
     stream = build_transaction_stream(base_graph)
-    dynamic = DynamicGraph.from_graph(base_graph)
 
     print(f"marketplace: {base_graph.num_vertices} users, {base_graph.num_edges} transactions")
     print(f"replaying {len(stream)} new transactions, cycle limit k={CYCLE_HOP_LIMIT}\n")
 
     alerts = 0
     latencies_ms = []
-    for buyer, seller in stream:
-        inserted = dynamic.add_edge(buyer, seller)
-        if not inserted:
-            continue
-        snapshot = dynamic.snapshot()
-        # Cycles through the new edge (buyer -> seller) are paths from the
-        # seller back to the buyer with at most k - 1 hops.
-        spec = Q(seller, buyer, CYCLE_HOP_LIMIT - 1).deadline(1.0)
-        started = time.perf_counter()
-        with Database(snapshot) as db:
+    with Database(base_graph) as db:
+        for buyer, seller in stream:
+            if db.insert_edges([(buyer, seller)], external=True)["added"] == 0:
+                continue
+            # Cycles through the new edge (buyer -> seller) are paths from the
+            # seller back to the buyer with at most k - 1 hops.
+            spec = Q(seller, buyer, CYCLE_HOP_LIMIT - 1).deadline(1.0)
+            started = time.perf_counter()
             result = db.query(spec, external=True).result()
-        latencies_ms.append(1e3 * (time.perf_counter() - started))
-        if result.count:
-            alerts += 1
-            shortest = min(result.paths, key=len)
-            cycle = (buyer, *(snapshot.to_external(v) for v in shortest))
-            print(
-                f"ALERT transaction {buyer}->{seller}: closes {result.count} cycle(s); "
-                f"shortest ring: {' -> '.join(str(v) for v in cycle)}"
-            )
+            latencies_ms.append(1e3 * (time.perf_counter() - started))
+            if result.count:
+                alerts += 1
+                shortest = min(result.paths, key=len)
+                cycle = (buyer, *(db.graph.to_external(v) for v in shortest))
+                print(
+                    f"ALERT transaction {buyer}->{seller}: closes {result.count} cycle(s); "
+                    f"shortest ring: {' -> '.join(str(v) for v in cycle)}"
+                )
 
     latencies = np.asarray(latencies_ms)
     print(f"\nprocessed {len(latencies)} updates, {alerts} raised an alert")

@@ -55,7 +55,7 @@ from repro.core import (
 )
 from repro.distance import LandmarkOracle
 from repro.errors import ReproError
-from repro.graph import DiGraph, DynamicGraph, GraphBuilder, read_edge_list
+from repro.graph import DiGraph, GraphBuilder, read_edge_list
 
 __all__ = [
     "__version__",
@@ -69,7 +69,6 @@ __all__ = [
     # graphs
     "DiGraph",
     "GraphBuilder",
-    "DynamicGraph",
     "read_edge_list",
     # queries and results
     "Query",

@@ -12,8 +12,8 @@ the hash covers the source, so an edited source rebuilds) and loaded through
 This module imports nothing from :mod:`repro`, so the graph layer can call
 into C without importing the enumeration engine.  ``REPRO_NATIVE=off``
 skips the build and every caller keeps its NumPy / Python reference path
-(``engine="native"`` then runs the kernels); a library that fails to build
-or load is logged once and handled the same way.
+(the native enumeration tier then runs the kernels); a library that fails
+to build or load is logged once and handled the same way.
 """
 
 from __future__ import annotations

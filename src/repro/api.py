@@ -10,10 +10,10 @@ through the same three concepts:
   memory, TCP connections) and releases it on :meth:`Database.close` /
   context-manager exit.
 * :class:`QuerySpec` — a frozen, declarative query: endpoints, hop budget
-  and the run options (result limit, deadline, engine, path storage).  The
+  and the run options (result limit, deadline, path storage).  The
   fluent builder :class:`Q` constructs specs readably::
 
-      Q("alice", "bob", 4).limit(100).engine("kernel")
+      Q("alice", "bob", 4).limit(100).deadline(2.0)
 
 * :class:`ResultStream` — what every call returns, whichever backend runs
   it: a lazily-materialising stream of
@@ -39,9 +39,8 @@ target) all satisfy the :class:`ExecutionBackend` protocol:
     shared-memory graph image and a packed distance cache.
 ``remote``
     A `repro serve` instance over one persistent TCP connection: specs
-    travel as submit frames (``engine`` included, honored server-side like
-    a local run), and per-query result frames stream back into the same
-    ``ResultStream`` shape.
+    travel as submit frames, and per-query result frames stream back into
+    the same ``ResultStream`` shape.
 ``router``
     A distributed deployment: either a running ``repro route`` front end
     (``Database("router://host:port")``) or a client-side
@@ -87,7 +86,7 @@ from repro.core.engine import (
     QuerySession,
     is_distance_aware,
 )
-from repro.core.listener import ENGINE_CHOICES, RunConfig
+from repro.core.listener import RunConfig
 from repro.core.native import warmup as native_warmup
 from repro.core.query import MIN_HOP_CONSTRAINT, Query
 from repro.core.result import EnumerationStats, Phase, QueryResult
@@ -129,7 +128,7 @@ def _as_int(value) -> Optional[int]:
 #: The run-option fields of a spec — everything but the query triple.  One
 #: batch must agree on all of them (they become a single RunConfig / submit
 #: frame), which :func:`_common_options` enforces with a precise error.
-_OPTION_FIELDS = ("limit", "deadline", "engine", "store_paths", "response_k", "constraint")
+_OPTION_FIELDS = ("limit", "deadline", "store_paths", "response_k", "constraint")
 
 
 @dataclass(frozen=True)
@@ -151,8 +150,6 @@ class QuerySpec:
     limit: Optional[int] = None
     #: Cooperative per-query time limit in seconds (``None`` = no limit).
     deadline: Optional[float] = None
-    #: Enumeration engine: ``auto`` / ``native`` / ``kernel`` / ``recursive``.
-    engine: str = "auto"
     #: Keep the enumerated paths on the result (off = count only).
     store_paths: bool = True
     #: Record the response time at this many results (the paper uses 1000).
@@ -172,10 +169,6 @@ class QuerySpec:
         if self.source == self.target:
             raise QuerySpecError(
                 f"source and target must be distinct vertices, both are {self.source!r}"
-            )
-        if self.engine not in ENGINE_CHOICES:
-            raise QuerySpecError(
-                f"unknown engine {self.engine!r}: use one of {ENGINE_CHOICES}"
             )
         if self.limit is not None:
             limit = _as_int(self.limit)
@@ -211,7 +204,7 @@ class Q:
     Every method returns a *new* builder, so partial queries can be forked::
 
         base = Q(s, t, 4).deadline(2.0)
-        quick, full = base.limit(100), base.engine("recursive")
+        quick, full = base.limit(100), base.count_only()
 
     A ``Q`` is accepted anywhere a spec is (``Database.query(Q(s, t, 4))``);
     :meth:`spec` freezes it explicitly.  Validation happens when the spec is
@@ -236,10 +229,6 @@ class Q:
     def deadline(self, seconds: Optional[float]) -> "Q":
         """Give up cooperatively after ``seconds`` (``None`` removes it)."""
         return self._with(deadline=seconds)
-
-    def engine(self, name: str) -> "Q":
-        """Select the engine (``auto`` / ``native`` / ``kernel`` / ``recursive``)."""
-        return self._with(engine=name)
 
     def count_only(self) -> "Q":
         """Do not keep paths on the result — count them only."""
@@ -322,7 +311,6 @@ def _run_config(options: QuerySpec) -> RunConfig:
         result_limit=options.limit,
         time_limit_seconds=options.deadline,
         response_k=options.response_k,
-        engine=options.engine,
         constraint=options.constraint,
     )
 
@@ -993,7 +981,6 @@ class _WireBackend(ExecutionBackend):
             "time_limit_seconds": options.deadline,
             "response_k": options.response_k,
             "external": external,
-            "engine": None if options.engine == "auto" else options.engine,
         }
         job = _WireJob()
         self._jobs.add(job)
@@ -1091,7 +1078,7 @@ class RemoteBackend(_WireBackend):
     callers on any thread, and redialled by the next call after it is found
     dead.  Jobs in flight on a lost connection end in
     :class:`~repro.errors.ConnectionLost`; nothing is resubmitted silently.
-    All run options, ``engine`` included, travel in the submit frame.
+    All run options travel in the submit frame.
     """
 
     name = "remote"

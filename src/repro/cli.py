@@ -67,7 +67,6 @@ import numpy as np
 
 from repro.api import Database, Q
 from repro.baselines.registry import available_algorithms, get_algorithm
-from repro.core.listener import ENGINE_CHOICES
 from repro.errors import VertexNotFoundError
 from repro.core.query import Query
 from repro.graph.io import _load_npz, read_edge_list
@@ -202,10 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     query_parser.add_argument(
         "--time-limit", type=float, default=None, help="per-query time limit in seconds"
     )
-    query_parser.add_argument(
-        "--engine", choices=ENGINE_CHOICES, default="auto",
-        help="enumeration engine: compiled native (the kernels without its C library), iterative kernels or recursive reference",
-    )
 
     batch_parser = subparsers.add_parser(
         "batch-query", help="evaluate a query set through the batch execution engine"
@@ -252,10 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch_parser.add_argument("--time-limit", type=float, default=None)
     batch_parser.add_argument("--limit", type=int, default=None, help="result cap per query")
     batch_parser.add_argument("--seed", type=int, default=0)
-    batch_parser.add_argument(
-        "--engine", choices=ENGINE_CHOICES, default="auto",
-        help="enumeration engine: compiled native (the kernels without its C library), iterative kernels or recursive reference",
-    )
 
     datasets_parser = subparsers.add_parser("datasets", help="list the synthetic dataset registry")
     datasets_parser.add_argument(
@@ -440,10 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--count-only", action="store_true", help="do not stream paths back"
     )
     client_parser.add_argument(
-        "--engine", choices=ENGINE_CHOICES, default="auto",
-        help="enumeration engine applied server-side, exactly like a local run",
-    )
-    client_parser.add_argument(
         "--updates", type=int, default=None,
         help="live-update replay mode: remove and re-insert N edges sampled "
              "from --dataset through `update` frames (the server's graph "
@@ -471,7 +458,6 @@ def _command_query(args: argparse.Namespace) -> int:
         Q(source, target, args.hops)
         .limit(args.limit)
         .deadline(args.time_limit)
-        .engine(args.engine)
         .store_paths(not args.count_only)
     )
     with Database(graph, algorithm=get_algorithm(args.algorithm)) as db:
@@ -559,7 +545,6 @@ def _command_batch_query(args: argparse.Namespace) -> int:
             store_paths=False,
             limit=args.limit,
             deadline=args.time_limit,
-            engine=args.engine,
         )
         results = stream.results()
         stats = stream.stats()
@@ -912,7 +897,6 @@ def _command_client(args: argparse.Namespace) -> int:
                 result_limit=args.limit,
                 time_limit_seconds=args.time_limit,
                 external=external,
-                engine=None if args.engine == "auto" else args.engine,
             )
         )
         if report.errors:
@@ -936,7 +920,7 @@ def _command_client(args: argparse.Namespace) -> int:
         return 1 if report.errors else 0
 
     # One-shot batch mode goes through the same façade as local execution:
-    # the remote backend ships the specs (engine selection included) as one
+    # the remote backend ships the specs (run options included) as one
     # submit frame and rebuilds the streamed result frames.
     try:
         with Database(f"{args.host}:{args.port}") as db:
@@ -946,7 +930,6 @@ def _command_client(args: argparse.Namespace) -> int:
                 store_paths=not args.count_only,
                 limit=args.limit,
                 deadline=args.time_limit,
-                engine=args.engine,
             )
             results = stream.results()
             stats = stream.stats()

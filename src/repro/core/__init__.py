@@ -45,7 +45,7 @@ from repro.core.estimator import (
 from repro.core.index import LightWeightIndex
 from repro.core.join import run_idx_join
 from repro.core.kernels import run_dfs_kernel, run_join_kernel, run_subquery_kernel
-from repro.core.listener import ENGINE_CHOICES, Deadline, ResultCollector, RunConfig
+from repro.core.listener import Deadline, ResultCollector, RunConfig
 from repro.core.optimizer import DEFAULT_TAU, Plan, choose_plan
 from repro.core.query import Query
 from repro.core.relations import ChainRelations, Relation, build_relations
@@ -63,7 +63,6 @@ __all__ = [
     "BatchStats",
     "Query",
     "RunConfig",
-    "ENGINE_CHOICES",
     "QueryResult",
     "PathBuffer",
     "EnumerationStats",

@@ -54,6 +54,7 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, 
 
 import multiprocessing
 import os
+import select
 import signal
 import sys
 from multiprocessing import shared_memory
@@ -66,14 +67,8 @@ from repro.core.constraints import PathConstraint
 from repro.core.dfs import run_idx_dfs
 from repro.core.index import LightWeightIndex
 from repro.core.join import run_idx_join
-from repro.core.kernels import run_dfs_kernel, run_join_kernel
-from repro.core.listener import ENGINE_CHOICES, RunConfig
-from repro.core.native import (
-    jit_ready,
-    run_dfs_native,
-    run_join_native,
-    warmup as native_warmup,
-)
+from repro.core.listener import RunConfig
+from repro.core.native import run_dfs_native, run_join_native, warmup as native_warmup
 from repro.core.optimizer import DEFAULT_TAU, Plan, choose_plan
 from repro.core.query import Query
 from repro.core.result import Phase, QueryResult
@@ -129,27 +124,6 @@ class _IndexedAlgorithm(Algorithm):
         constraint = config.constraint
         if constraint is not None and not isinstance(constraint, PathConstraint):
             raise TypeError("config.constraint must be a PathConstraint instance")
-        if config.engine not in ENGINE_CHOICES:
-            raise ValueError(
-                f"unknown engine {config.engine!r}: use one of {ENGINE_CHOICES}"
-            )
-        if config.engine == "kernel" and constraint is not None:
-            raise ValueError(
-                "the iterative kernels cannot evaluate constrained queries "
-                "(per-level constraint state is recursive-only); use "
-                "engine='auto' to fall back automatically"
-            )
-        # Constraint extensions (Appendix E) carry per-level state the flat
-        # int frames cannot hold: constrained queries keep the recursive
-        # engines.  Otherwise ``auto`` prefers ``native`` exactly when the
-        # compiled C library is loaded — so environments without a C
-        # compiler, or with ``REPRO_NATIVE=off``, run the kernels (a forced
-        # ``native`` runs them too, inside :mod:`repro.core.native`).
-        engine = config.engine
-        if constraint is not None:
-            engine = "recursive"
-        elif engine == "auto":
-            engine = "native" if jit_ready() else "kernel"
         prebuilt = index
 
         def body(collector, deadline, stats) -> None:
@@ -174,47 +148,32 @@ class _IndexedAlgorithm(Algorithm):
             # The enumeration phase is recorded in a ``finally`` block so that
             # queries interrupted by the deadline or a result limit still
             # report how long they enumerated (Figure 7 / Figure 17 depend on
-            # this for timed-out queries).
+            # this for timed-out queries).  Constraint extensions (Appendix E)
+            # carry per-level state the flat int frames cannot hold, so a
+            # constrained query runs the recursive engines; every other query
+            # runs the native tier, which is the iterative kernels whenever
+            # the C library is not loaded (no compiler, or REPRO_NATIVE=off).
             enumeration_started = time.perf_counter()
             if plan.kind == "join":
                 cut = plan.cut_position if plan.cut_position is not None else max(1, query.k // 2)
                 try:
-                    if engine == "native":
-                        run_join_native(
-                            index, cut, collector, deadline=deadline, stats=stats
-                        )
-                    elif engine == "kernel":
-                        run_join_kernel(
-                            index, cut, collector, deadline=deadline, stats=stats
-                        )
+                    if constraint is None:
+                        run_join_native(index, cut, collector, deadline=deadline, stats=stats)
                     else:
                         run_idx_join(
-                            index,
-                            cut,
-                            collector,
-                            deadline=deadline,
-                            stats=stats,
-                            constraint=constraint,
+                            index, cut, collector,
+                            deadline=deadline, stats=stats, constraint=constraint,
                         )
                 finally:
                     stats.add_phase(Phase.JOIN, time.perf_counter() - enumeration_started)
             else:
                 try:
-                    if engine == "native":
-                        run_dfs_native(
-                            index, collector, deadline=deadline, stats=stats
-                        )
-                    elif engine == "kernel":
-                        run_dfs_kernel(
-                            index, collector, deadline=deadline, stats=stats
-                        )
+                    if constraint is None:
+                        run_dfs_native(index, collector, deadline=deadline, stats=stats)
                     else:
                         run_idx_dfs(
-                            index,
-                            collector,
-                            deadline=deadline,
-                            stats=stats,
-                            constraint=constraint,
+                            index, collector,
+                            deadline=deadline, stats=stats, constraint=constraint,
                         )
                 finally:
                     stats.add_phase(
@@ -563,12 +522,48 @@ def _reset_inherited_signal_state() -> None:
             pass
 
 
+def _exit_with_owner(owner: int) -> None:
+    """End this worker as soon as process ``owner`` (the pool's owner) ends.
+
+    An owner killed outright (SIGKILL, the OOM killer) never shuts its pool
+    down, and its workers would wait on their call queue indefinitely.
+    ``PR_SET_PDEATHSIG`` does not fit: it fires when the *thread* that
+    forked the worker exits, and ``ProcessPoolExecutor`` forks from whichever
+    thread submits, so a batch submitted from a short-lived thread would
+    lose healthy workers.  A daemon thread watches the owner process
+    instead: it blocks on a pidfd of the owner (readable once the owner has
+    exited; an owner already gone ends the worker at once), or, where
+    ``pidfd_open`` is missing, polls ``getppid()`` — the parent is the owner,
+    or under ``forkserver`` the fork server, which exits with the owner.
+    """
+    parent = os.getppid()
+    try:
+        pidfd = os.pidfd_open(owner)
+    except ProcessLookupError:
+        os._exit(1)
+    except (AttributeError, OSError):
+        pidfd = None
+
+    def watch() -> None:
+        if pidfd is not None:
+            poller = select.poll()
+            poller.register(pidfd, select.POLLIN)
+            poller.poll()
+        else:
+            while os.getppid() == parent:
+                time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-owner-watch", daemon=True).start()
+
+
 def _process_worker_init(
     graph_handle: StoreHandle,
     algorithm: Algorithm,
     writer,
     write_lock,
     segment_prefix: str,
+    owner: int,
 ) -> None:
     """Attach the shared graph in a freshly spawned/forked worker.
 
@@ -577,7 +572,9 @@ def _process_worker_init(
     locks can only cross the process boundary while a child is being
     spawned.  ``segment_prefix`` names the worker's result segments
     (:mod:`repro.core.result_segments`) so the owning core can sweep them.
+    ``owner`` is the pid of the pool's owner; the worker exits with it.
     """
+    _exit_with_owner(owner)
     _reset_inherited_signal_state()
     _WORKER_STATE["graph"] = DiGraph.from_handle(graph_handle)
     _WORKER_STATE["algorithm"] = algorithm
@@ -1674,7 +1671,8 @@ class ExecutorCore:
             mp_context=context,
             initializer=_process_worker_init,
             initargs=(
-                graph_handle, self.algorithm, channel.writer, channel.lock, channel.prefix
+                graph_handle, self.algorithm, channel.writer, channel.lock, channel.prefix,
+                os.getpid(),
             ),
         )
         return self._pool

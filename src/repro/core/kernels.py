@@ -30,8 +30,8 @@ and without mid-run interruption.
 
 The constraint extensions of Appendix E (accumulative values, automaton
 states) carry per-level state objects that the flat int frames cannot hold;
-constrained queries keep the recursive engines, and plan execution falls
-back automatically (:class:`repro.core.engine._IndexedAlgorithm`).
+constrained queries run the recursive engines (the tier rule lives in
+:class:`repro.core.engine._IndexedAlgorithm`).
 """
 
 from __future__ import annotations

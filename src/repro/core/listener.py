@@ -16,17 +16,15 @@ paper's pseudocode.
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.result import PathBuffer
 from repro.errors import EnumerationTimeout, ResultLimitReached
 
-__all__ = ["Deadline", "ResultCollector", "RunConfig", "ENGINE_CHOICES"]
-
-#: Recognised values of :attr:`RunConfig.engine`.
-ENGINE_CHOICES = ("auto", "native", "kernel", "recursive")
+__all__ = ["Deadline", "ResultCollector", "RunConfig"]
 
 Path = Tuple[int, ...]
 
@@ -315,15 +313,6 @@ class RunConfig:
     constraint: Optional[object] = None
     #: Streaming callback for each result.
     on_result: Optional[Callable[[Path], None]] = None
-    #: Enumeration engine selection: ``"auto"`` picks the fastest engine the
-    #: query supports — the compiled native engine (:mod:`repro.core.native`)
-    #: when its C library is loaded, the iterative kernels otherwise, and the
-    #: recursive engines whenever the query is constrained.  ``"native"`` /
-    #: ``"kernel"`` / ``"recursive"`` force one tier; a forced ``"native"``
-    #: run without the library runs the kernels, and constrained specs fall
-    #: back to the recursive engines (forcing ``"kernel"`` on a constrained query
-    #: raises, since the constraint protocol is recursive-only).
-    engine: str = "auto"
 
     def make_collector(self) -> ResultCollector:
         """Build a collector matching this configuration."""
@@ -340,15 +329,4 @@ class RunConfig:
 
     def replace(self, **changes) -> "RunConfig":
         """Return a copy with the given fields changed."""
-        data = {
-            "store_paths": self.store_paths,
-            "result_limit": self.result_limit,
-            "time_limit_seconds": self.time_limit_seconds,
-            "response_k": self.response_k,
-            "tau": self.tau,
-            "constraint": self.constraint,
-            "on_result": self.on_result,
-            "engine": self.engine,
-        }
-        data.update(changes)
-        return RunConfig(**data)
+        return dataclasses.replace(self, **changes)

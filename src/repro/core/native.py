@@ -1,4 +1,4 @@
-"""Compiled native enumeration engine (``engine="native"``).
+"""Compiled native enumeration engine: the default tier of unconstrained queries.
 
 The iterative kernels of :mod:`repro.core.kernels` removed the recursion and
 the per-path tuples, but still execute one interpreted Python iteration per
@@ -23,13 +23,11 @@ result-limit and deadline interruption stay exact.  :func:`warmup` loads
 Without the library (no compiler, or ``REPRO_NATIVE=off``) every entry point
 *is* its kernel: :func:`run_dfs_native` runs
 :func:`~repro.core.kernels.run_dfs_kernel` and :func:`run_join_native` runs
-:func:`~repro.core.kernels.run_join_kernel`.  Either way the engine emits
-exactly the same paths in exactly the same order as the recursive engines
-and the kernels, and charges the same statistics counters;
-``tests/core/test_native.py`` asserts this over randomised graphs.
-
-Like the kernels, the native engine does not support path constraints;
-constrained queries fall back to the recursive engines.
+:func:`~repro.core.kernels.run_join_kernel`.  Either way the tier emits the
+same paths in the same order as the recursive engines and charges the same
+statistics counters; ``tests/core/test_native.py`` asserts this over
+randomised graphs.  Constrained queries never reach this module (see
+:class:`repro.core.engine._IndexedAlgorithm`).
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ synthetic generators in :mod:`repro.graph.generators`.
 
 from repro.graph.builder import GraphBuilder
 from repro.graph.digraph import DiGraph
-from repro.graph.dynamic import DynamicGraph
 from repro.graph.generators import (
     chain_graph,
     complete_graph,
@@ -33,7 +32,6 @@ from repro.graph.traversal import (
 __all__ = [
     "DiGraph",
     "GraphBuilder",
-    "DynamicGraph",
     "GraphSummary",
     "summarize",
     "read_edge_list",

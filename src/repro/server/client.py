@@ -290,15 +290,11 @@ class QueryClient:
         response_k: int = 1000,
         external: bool = False,
         frames: str = "result",
-        engine: Optional[str] = None,
         protocol: Optional[int] = PROTOCOL_VERSION,
     ) -> str:
         """Send one submit frame; returns the job id to stream/collect.
 
-        ``engine`` selects the enumeration engine server-side
-        (``auto`` / ``kernel`` / ``recursive``), exactly like the ``engine``
-        option of a local :class:`~repro.core.listener.RunConfig`; ``None``
-        leaves the server default (``auto``) in place.  ``protocol`` is the
+        ``protocol`` is the
         frame version announced to the server (``None`` announces none, a
         version-1 submitter): from 4 on, ``result`` frames may arrive
         columnar, which :meth:`collect` and
@@ -324,8 +320,6 @@ class QueryClient:
             opts["external"] = True
         if frames != "result":
             opts["frames"] = frames
-        if engine is not None:
-            opts["engine"] = engine
         message: Dict[str, object] = {
             "type": "submit",
             "id": job_id,
@@ -577,7 +571,6 @@ async def open_loop_load(
     result_limit: Optional[int] = None,
     time_limit_seconds: Optional[float] = None,
     external: bool = False,
-    engine: Optional[str] = None,
     overload_retries: int = 3,
     rng: Optional[random.Random] = None,
     keep_outcomes: bool = False,
@@ -635,7 +628,6 @@ async def open_loop_load(
                     result_limit=result_limit,
                     time_limit_seconds=time_limit_seconds,
                     external=external,
-                    engine=engine,
                 )
                 outcome = await client.collect(job_id)
             except (ConnectionError, OSError):

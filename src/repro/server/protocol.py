@@ -17,9 +17,7 @@ Client → server messages (``type`` field):
     ``response_k`` (int), ``external`` (bool — endpoints are external vertex
     ids, translated server-side, results translated back), ``frames``
     (``"result"`` (default) or ``"path"`` — additionally stream one frame
-    per emitted path), ``engine`` (``"auto"`` (default), ``"native"``,
-    ``"kernel"`` or ``"recursive"`` — enumeration engine selection, see
-    :attr:`repro.core.listener.RunConfig.engine`).  ``protocol`` announces
+    per emitted path).  Unknown options are ignored.  ``protocol`` announces
     the version of frames the submitter reads (absent ⇒ version 1); see
     *Columnar result frames* below.
 ``cancel``

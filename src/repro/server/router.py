@@ -769,7 +769,6 @@ class ShardRouter:
             "response_k": int(opts.get("response_k", 1000)),
             "external": bool(opts.get("external", False)),
             "frames": str(opts.get("frames", "result")),
-            "engine": opts.get("engine"),
         }
 
     # -- health & teardown ---------------------------------------------- #

@@ -19,7 +19,7 @@ import itertools
 import signal
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.listener import ENGINE_CHOICES, RunConfig
+from repro.core.listener import RunConfig
 from repro.core.query import Query
 from repro.errors import ReproError, ServiceOverloaded, VertexNotFoundError
 from repro.server.protocol import (
@@ -44,15 +44,11 @@ def _config_from_opts(opts: Dict[str, object]) -> RunConfig:
     """Build the per-job :class:`RunConfig` from a submit frame's options."""
     result_limit = opts.get("result_limit")
     time_limit = opts.get("time_limit_seconds")
-    engine = str(opts.get("engine", "auto"))
-    if engine not in ENGINE_CHOICES:
-        raise ValueError(f"unknown engine {engine!r}: use one of {ENGINE_CHOICES}")
     return RunConfig(
         store_paths=bool(opts.get("store_paths", True)),
         result_limit=None if result_limit is None else int(result_limit),
         time_limit_seconds=None if time_limit is None else float(time_limit),
         response_k=int(opts.get("response_k", 1000)),
-        engine=engine,
     )
 
 

@@ -98,7 +98,7 @@ class QueryWorkload:
     def to_specs(self, **options) -> List["QuerySpec"]:
         """The workload as :class:`~repro.api.QuerySpec` objects.
 
-        ``options`` (``limit``, ``deadline``, ``engine``, ``store_paths``,
+        ``options`` (``limit``, ``deadline``, ``store_paths``, ``response_k``,
         ...) apply to every spec, which also makes the list a valid single
         :meth:`~repro.api.Database.batch` argument — one batch must share
         its run options.

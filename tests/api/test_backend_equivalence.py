@@ -4,8 +4,8 @@ The acceptance contract of the façade: the same :class:`~repro.api.QuerySpec`
 batch produces byte-identical :meth:`~repro.api.ResultStream.payload_bytes`
 whichever backend executes it — inline, thread pool, worker processes or a
 TCP server — including runs interrupted by a result limit or a deadline,
-and under forced engine selection (the ``engine`` option travels in the
-remote submit frame and is honored server-side).
+on the kernel tier (no C library) and against a reference taken from the
+recursive engines.
 """
 
 from __future__ import annotations
@@ -19,9 +19,12 @@ import pytest
 from repro.api import Database
 from repro.graph.generators import erdos_renyi
 from repro.server.client import QueryClient
+from repro.server.protocol import write_frame
 from repro.server.server import QueryServer
 from repro.server.service import QueryService
 from repro.workloads.queries import generate_target_centric_set
+
+from tests.helpers import UNCONSTRAINED_TIERS, accept_all
 
 BACKENDS = ("inline", "threads", "processes", "remote")
 
@@ -97,22 +100,36 @@ def _open(graph, backend, remote_url):
     return Database(graph, backend=backend, workers=2)
 
 
-def _payload(graph, backend, remote_url, triples, options):
-    with _open(graph, backend, remote_url) as db:
+def _payload(graph, backend, remote_url, triples, options, tier="native"):
+    """The payload of one backend run; ``tier`` ``kernel`` runs it without
+    the C library, ``recursive`` (inline only) under an accept-all
+    constraint."""
+    if tier == "recursive":
+        assert backend == "inline", "constraints cannot leave an inline Database"
+        options = {**options, "constraint": accept_all(graph)}
+        tier = "native"
+    with UNCONSTRAINED_TIERS[tier](), _open(graph, backend, remote_url) as db:
         return db.batch(triples, **options).payload_bytes()
 
 
-#: Scenario name -> run options; every scenario runs the same spec list on
-#: all four backends and the payloads must agree byte for byte.
+#: Scenario name -> (run options, enumeration tier).  Every scenario runs the
+#: same spec list on all four backends and the payloads must agree byte for
+#: byte with the inline reference.  ``kernel`` runs both sides without the C
+#: library; ``recursive`` takes the reference from the recursive engines.
 SCENARIOS = {
-    "plain": {},
-    "count_only": {"store_paths": False},
-    "limit_interrupted": {"limit": 3},
-    "engine_kernel": {"engine": "kernel"},
-    "engine_native": {"engine": "native"},
-    "engine_recursive": {"engine": "recursive"},
-    "engine_native_limit": {"engine": "native", "limit": 3},
+    "plain": ({}, "native"),
+    "count_only": ({"store_paths": False}, "native"),
+    "limit_interrupted": ({"limit": 3}, "native"),
+    "engine_kernel": ({}, "kernel"),
+    "engine_kernel_limit": ({"limit": 3}, "kernel"),
+    "engine_recursive": ({}, "recursive"),
+    "engine_recursive_limit": ({"limit": 3}, "recursive"),
 }
+
+
+def _reference(graph, remote_url, triples, scenario):
+    options, tier = SCENARIOS[scenario]
+    return _payload(graph, "inline", remote_url, triples, options, tier)
 
 
 class TestPayloadEquivalence:
@@ -121,10 +138,11 @@ class TestPayloadEquivalence:
     def test_backend_matches_inline_reference(
         self, graph, shared_target_triples, remote_url, backend, scenario
     ):
-        options = SCENARIOS[scenario]
-        reference = _payload(graph, "inline", remote_url, shared_target_triples, options)
-        actual = _payload(graph, backend, remote_url, shared_target_triples, options)
-        assert actual == reference
+        triples = shared_target_triples
+        reference = _reference(graph, remote_url, triples, scenario)
+        options, tier = SCENARIOS[scenario]
+        tier = "native" if tier == "recursive" else tier  # constraints stay inline
+        assert _payload(graph, backend, remote_url, triples, options, tier) == reference
 
     @pytest.mark.parametrize("scenario", ["plain", "limit_interrupted", "engine_recursive"])
     def test_remote_results_are_buffer_backed(
@@ -132,12 +150,12 @@ class TestPayloadEquivalence:
     ):
         """Remote paths arrive as columns: the results wrap the frame bytes
         in a PathBuffer, and the payload stays byte-identical to inline."""
-        options = SCENARIOS[scenario]
+        options, _ = SCENARIOS[scenario]
         with Database(remote_url) as db:
             stream = db.batch(shared_target_triples, **options)
             assert all(result.path_buffer is not None for result in stream.results())
             actual = stream.payload_bytes()
-        assert actual == _payload(graph, "inline", remote_url, shared_target_triples, options)
+        assert actual == _reference(graph, remote_url, shared_target_triples, scenario)
 
     def test_limit_scenario_actually_truncates(self, graph, shared_target_triples):
         with Database(graph) as db:
@@ -148,15 +166,10 @@ class TestPayloadEquivalence:
     def test_engine_choice_does_not_change_the_payload(
         self, graph, shared_target_triples, remote_url
     ):
-        kernel = _payload(
-            graph, "remote", remote_url, shared_target_triples, {"engine": "kernel"}
-        )
-        recursive = _payload(
-            graph, "remote", remote_url, shared_target_triples, {"engine": "recursive"}
-        )
-        native = _payload(
-            graph, "remote", remote_url, shared_target_triples, {"engine": "native"}
-        )
+        triples = shared_target_triples
+        kernel = _payload(graph, "remote", remote_url, triples, {}, "kernel")
+        native = _payload(graph, "remote", remote_url, triples, {}, "native")
+        recursive = _payload(graph, "inline", remote_url, triples, {}, "recursive")
         assert kernel == recursive
         assert native == recursive
 
@@ -198,21 +211,25 @@ class TestCacheFlagEquivalence:
 
 
 class TestRemoteEnginePlumbing:
-    def test_unknown_engine_is_rejected_server_side(self, remote_url):
-        """The submit frame carries the engine opt — the server validates it."""
+    def test_legacy_engine_option_is_ignored(self, graph, shared_target_triples, remote_url):
+        """Older clients sent an ``engine`` submit option; the server ignores
+        it like any unknown option and answers with the inline paths."""
         host, port = remote_url.rsplit(":", 1)
+        frame = {
+            "type": "submit",
+            "id": "legacy",
+            "queries": [list(triple) for triple in shared_target_triples],
+            "opts": {"engine": "recursive"},
+        }
 
         async def scenario():
-            client = await QueryClient.connect(host, int(port))
-            async with client:
-                job_id = await client.submit([[0, 10, 4]], engine="bogus")
-                return await client.collect(job_id)
+            async with await QueryClient.connect(host, int(port)) as client:
+                client._jobs["legacy"] = asyncio.Queue()
+                await write_frame(client._writer, frame)
+                return await client.collect("legacy")
 
         outcome = asyncio.run(scenario())
-        assert outcome.status == "error"
-        assert "unknown engine 'bogus'" in str(outcome.info.get("error"))
-
-    def test_explicit_engine_runs_server_side(self, remote_url):
-        with Database(remote_url) as db:
-            result = db.query((0, 10, 4), engine="kernel").result()
-        assert result.count >= 0
+        assert outcome.status == "done"
+        with Database(graph) as db:
+            inline = db.batch(shared_target_triples).results()
+        assert [list(r.paths) for r in outcome.results] == [list(r.paths) for r in inline]

@@ -13,11 +13,10 @@ from repro.errors import QuerySpecError, ReproError
 
 class TestQuerySpecValidation:
     def test_valid_spec_round_trips_fields(self):
-        spec = QuerySpec(0, 5, 4, limit=10, deadline=1.5, engine="kernel")
+        spec = QuerySpec(0, 5, 4, limit=10, deadline=1.5)
         assert spec.triple == (0, 5, 4)
         assert spec.limit == 10
         assert spec.deadline == 1.5
-        assert spec.engine == "kernel"
         assert spec.store_paths is True
 
     def test_negative_k_is_rejected(self):
@@ -39,10 +38,6 @@ class TestQuerySpecValidation:
     def test_identical_external_endpoints_are_rejected(self):
         with pytest.raises(QuerySpecError, match="both are 'alice'"):
             QuerySpec("alice", "alice", 4)
-
-    def test_unknown_engine_is_rejected(self):
-        with pytest.raises(QuerySpecError, match="unknown engine 'warp'"):
-            QuerySpec(0, 1, 4, engine="warp")
 
     def test_non_positive_limit_is_rejected(self):
         with pytest.raises(QuerySpecError, match="result limit must be a positive int"):
@@ -73,27 +68,25 @@ class TestQuerySpecValidation:
         spec = QuerySpec(0, 1, 4)
         assert spec.replace(k=6).k == 6
         with pytest.raises(QuerySpecError):
-            spec.replace(engine="nope")
+            spec.replace(k=1)
 
 
 class TestQBuilder:
     def test_fluent_chain_builds_the_spec(self):
-        spec = Q(0, 9, 4).limit(100).engine("kernel").deadline(2.0).count_only().spec()
-        assert spec == QuerySpec(
-            0, 9, 4, limit=100, engine="kernel", deadline=2.0, store_paths=False
-        )
+        spec = Q(0, 9, 4).limit(100).deadline(2.0).count_only().spec()
+        assert spec == QuerySpec(0, 9, 4, limit=100, deadline=2.0, store_paths=False)
 
     def test_builder_methods_fork(self):
         base = Q(0, 9, 4).deadline(1.0)
         quick = base.limit(10)
-        full = base.engine("recursive")
+        full = base.count_only()
         assert quick.spec().limit == 10
-        assert quick.spec().engine == "auto"
+        assert quick.spec().store_paths is True
         assert full.spec().limit is None
-        assert full.spec().engine == "recursive"
+        assert full.spec().store_paths is False
         # The shared prefix is untouched by either fork.
         assert base.spec().limit is None
-        assert base.spec().engine == "auto"
+        assert base.spec().store_paths is True
 
     def test_builder_validates_at_spec_time(self):
         bad = Q(3, 3, 4)  # no error yet: validation happens on freeze

@@ -50,6 +50,11 @@ class TestDetailedMetrics:
             )
             for algorithm in ("BC-DFS", "IDX-DFS")
         }
+        for metrics in row.values():
+            assert set(metrics) == {"#edges", "#invalid", "#results", "timeout_frac"}
+            assert 0.0 <= metrics["timeout_frac"] <= 1.0
+        # Neither algorithm is cut by the limit here, so the counts are whole.
+        assert row["BC-DFS"]["timeout_frac"] == row["IDX-DFS"]["timeout_frac"] == 0.0
         assert row["BC-DFS"]["#results"] == pytest.approx(row["IDX-DFS"]["#results"])
         # The light-weight index reads no more edges than the raw adjacency scan.
         assert row["IDX-DFS"]["#edges"] <= row["BC-DFS"]["#edges"]

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import paper
 import pytest
 from paper import loglog_fit
+
+from tests.helpers import numpy_reference
 
 
 class TestLogLogFit:
@@ -58,6 +58,6 @@ class TestFigureHarnesses:
         each, which the compiled tier enumerates in well under 0.1 ms, so
         its per-query fixed cost, not the result count, would set the time.
         """
-        config = dataclasses.replace(bench_config, engine="kernel")
-        results = paper.run_queries(bench_graph, "IDX-DFS", bench_workload, config)
+        with numpy_reference():
+            results = paper.run_queries(bench_graph, "IDX-DFS", bench_workload, bench_config)
         assert loglog_fit(*zip(*paper.count_points(results)))["correlation"] > 0.0

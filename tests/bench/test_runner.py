@@ -15,7 +15,6 @@ class TestBenchmarkSettings:
         assert paper.CONFIG.response_k == 100
         assert paper.CONFIG.result_limit is None
         assert paper.CONFIG.store_paths is False
-        assert paper.CONFIG.engine == "auto"
         assert paper.QUERIES == 4
         assert paper.K_SWEEP == (3, 4, 5, 6)
 

@@ -49,6 +49,16 @@ def _no_leaked_result_segments():
         pytest.fail(f"shared-memory segments outlived the test: {sorted(leaked)}")
 
 
+@pytest.fixture
+def without_library():
+    """Run the test as on a machine where the C library cannot load: every
+    unconstrained query runs the kernel tier.  Reaches the calling thread,
+    thread pools, in-process servers and process workers forked inside the
+    test; ``REPRO_NATIVE=off`` covers every backend."""
+    with numpy_reference():
+        yield
+
+
 @pytest.fixture(params=("compiled", "numpy"))
 def tier(request):
     """Run the test on the compiled C sweep and index build, then on their

@@ -6,7 +6,8 @@ engines, charge the same statistics counters, and behave identically under
 result-limit interruption; deadline interruption yields a prefix of the
 full enumeration.  On top sit unit tests for the columnar plumbing the
 kernels introduced: :class:`PathBuffer`, block emission on the collector,
-buffer-backed :class:`QueryResult` and engine selection.
+buffer-backed :class:`QueryResult` and the kernel tier inside the full
+algorithms.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from repro.core.result import EnumerationStats, PathBuffer, QueryResult
 from repro.core.constraints import PredicateConstraint
 from repro.errors import EnumerationTimeout, ResultLimitReached
 from repro.graph.generators import complete_graph, erdos_renyi
+
+from tests.helpers import accept_all, numpy_reference
 
 #: Counters that must agree exactly between a kernel and a recursive run.
 COUNTERS = (
@@ -400,20 +403,21 @@ class TestBufferBackedQueryResult:
 
 
 class TestEngineSelection:
-    def test_kernel_and_recursive_runs_match(self, paper_graph, paper_query):
+    """The kernel tier (no C library) against the recursive engines (an
+    accept-all constraint), through the full algorithms."""
+
+    def test_kernel_and_recursive_runs_match(self, paper_graph, paper_query, without_library):
         for algorithm in (PathEnum(), IdxDfs(), IdxJoin()):
-            kernel = algorithm.run(
-                paper_graph, paper_query, RunConfig(engine="kernel")
-            )
+            kernel = algorithm.run(paper_graph, paper_query, RunConfig())
             recursive = algorithm.run(
-                paper_graph, paper_query, RunConfig(engine="recursive")
+                paper_graph, paper_query, RunConfig(constraint=accept_all(paper_graph))
             )
             assert kernel.paths == recursive.paths
             assert kernel.count == recursive.count
             assert kernel.stats.plan == recursive.stats.plan
 
     @pytest.mark.parametrize("algorithm_cls", [IdxDfs, IdxJoin])
-    def test_dense_graphs_match_for_both_fixed_plans(self, algorithm_cls):
+    def test_dense_graphs_match_for_both_fixed_plans(self, algorithm_cls, without_library):
         # Enumeration-heavy queries — a clique and a dense random digraph,
         # thousands of paths each — where every candidate range is long.
         cases = (
@@ -421,8 +425,10 @@ class TestEngineSelection:
             (erdos_renyi(50, 12.0, seed=3), Query(0, 1, 5)),
         )
         for graph, query in cases:
-            kernel = algorithm_cls().run(graph, query, RunConfig(engine="kernel"))
-            recursive = algorithm_cls().run(graph, query, RunConfig(engine="recursive"))
+            kernel = algorithm_cls().run(graph, query, RunConfig())
+            recursive = algorithm_cls().run(
+                graph, query, RunConfig(constraint=accept_all(graph))
+            )
             assert kernel.count == recursive.count > 1000
             assert kernel.paths == recursive.paths
             for counter in COUNTERS:
@@ -441,19 +447,22 @@ class TestEngineSelection:
             s, t = (int(v) for v in rng.choice(graph.num_vertices, size=2, replace=False))
             triples.append((s, t, int(rng.integers(3, 6))))
         with Database(graph) as db:
-            reference = db.batch(triples, engine="recursive")
+            reference = db.batch(triples, constraint=accept_all(graph))
             payload = reference.payload_bytes()
             assert reference.stats().total_paths > 1000
-            assert db.batch(triples, engine="kernel").payload_bytes() == payload
-        with Database(graph, backend="threads", workers=2) as db:
-            assert db.batch(triples, engine="kernel").payload_bytes() == payload
+            with numpy_reference():
+                assert db.batch(triples).payload_bytes() == payload
+        with numpy_reference(), Database(graph, backend="threads", workers=2) as db:
+            assert db.batch(triples).payload_bytes() == payload
 
     def test_auto_uses_columnar_fast_path(self, paper_graph, paper_query):
         result = IdxDfs().run(paper_graph, paper_query, RunConfig())
         assert result.path_buffer is not None
 
     def test_recursive_engine_has_no_buffer(self, paper_graph, paper_query):
-        result = IdxDfs().run(paper_graph, paper_query, RunConfig(engine="recursive"))
+        result = IdxDfs().run(
+            paper_graph, paper_query, RunConfig(constraint=accept_all(paper_graph))
+        )
         assert result.path_buffer is None
         assert result.count == 5
 
@@ -464,15 +473,3 @@ class TestEngineSelection:
             paper_graph, paper_query, RunConfig(constraint=constraint)
         )
         assert constrained.paths == plain.paths
-
-    def test_forcing_kernel_on_constrained_query_rejected(self, paper_graph, paper_query):
-        constraint = PredicateConstraint(lambda u, v, w, l: True, paper_graph)
-        with pytest.raises(ValueError):
-            PathEnum().run(
-                paper_graph, paper_query,
-                RunConfig(constraint=constraint, engine="kernel"),
-            )
-
-    def test_unknown_engine_rejected(self, paper_graph, paper_query):
-        with pytest.raises(ValueError):
-            PathEnum().run(paper_graph, paper_query, RunConfig(engine="vectorised"))

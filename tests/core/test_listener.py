@@ -197,8 +197,3 @@ class TestRunConfig:
         assert config.response_k == 1000
         assert config.tau == pytest.approx(1e5)
         assert config.time_limit_seconds is None
-        assert config.engine == "auto"
-
-    def test_replace_carries_engine(self):
-        config = RunConfig(engine="recursive")
-        assert config.replace(store_paths=False).engine == "recursive"

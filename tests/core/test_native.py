@@ -10,9 +10,9 @@ enumeration.  The resumable DFS core is driven in its Python form
 compiled — the C loops are held to the Python kernels step for step,
 including where a result limit or an expired deadline interrupts them.
 
-Also covered here: the engine-selection matrix around ``"native"`` (auto
-preference, the kernel when the library is missing, constrained-query
-fallback), building and loading the library (concurrent builders, no
+Also covered here: the tier rule (native for unconstrained queries, the
+kernel when the library is missing, the recursive engines for constrained
+queries), building and loading the library (concurrent builders, no
 compiler, an unusable cache dir, ``REPRO_NATIVE=off``), the group-fused
 index build, and CSR-mirror memoisation.
 """
@@ -50,6 +50,8 @@ from repro.core.result import EnumerationStats, PathBuffer
 from repro.errors import EnumerationTimeout, ResultLimitReached
 from repro.graph.generators import complete_graph, erdos_renyi
 from repro.graph.traversal import multi_source_bfs_distances_bounded, bfs_distances_bounded
+
+from tests.helpers import accept_all
 
 #: Counters that must agree exactly between a native and a recursive run.
 COUNTERS = (
@@ -106,13 +108,6 @@ def _dfs_runners():
     yield "fill-loop", _fill_loop(native._dfs_fill)
     if jit_ready():
         yield "compiled", _fill_loop(native._c_dfs_filler(native._library()))
-
-
-@pytest.fixture
-def without_library(monkeypatch):
-    """Run the test as on a machine where the C library cannot load."""
-    monkeypatch.setitem(native._LIB, "checked", True)
-    monkeypatch.setitem(native._LIB, "lib", None)
 
 
 @pytest.fixture
@@ -323,29 +318,28 @@ class TestEngineSelection:
     def test_native_runs_match_recursive(self, paper_graph, paper_query):
         for algorithm in (PathEnum(), IdxDfs(), IdxJoin()):
             recursive = algorithm.run(
-                paper_graph, paper_query, RunConfig(engine="recursive")
+                paper_graph, paper_query, RunConfig(constraint=accept_all(paper_graph))
             )
-            native_run = algorithm.run(
-                paper_graph, paper_query, RunConfig(engine="native")
-            )
+            native_run = algorithm.run(paper_graph, paper_query, RunConfig())
             assert native_run.paths == recursive.paths
             assert native_run.count == recursive.count
             assert native_run.stats.plan == recursive.stats.plan
 
     def test_native_uses_columnar_fast_path(self, paper_graph, paper_query):
-        result = IdxDfs().run(paper_graph, paper_query, RunConfig(engine="native"))
+        result = IdxDfs().run(paper_graph, paper_query, RunConfig())
         assert result.path_buffer is not None
 
     def test_auto_without_library_keeps_kernel_tier(
         self, paper_graph, paper_query, without_library, monkeypatch
     ):
-        def native_must_not_run(*args, **kwargs):
-            raise AssertionError("auto chose native without the library")
+        def compiled_must_not_run(*args, **kwargs):
+            raise AssertionError("the compiled loop ran without the library")
 
-        monkeypatch.setattr(engine_module, "run_dfs_native", native_must_not_run)
-        kernel = IdxDfs().run(paper_graph, paper_query, RunConfig(engine="kernel"))
+        monkeypatch.setattr(native, "_c_dfs_filler", compiled_must_not_run)
+        kernel = ResultCollector()
+        run_dfs_kernel(LightWeightIndex.build(paper_graph, paper_query), kernel)
         auto = IdxDfs().run(paper_graph, paper_query, RunConfig())
-        assert auto.paths == kernel.paths
+        assert auto.paths == _paths_of(kernel)
 
     def test_constrained_native_falls_back_to_recursive(
         self, paper_graph, paper_query
@@ -353,10 +347,10 @@ class TestEngineSelection:
         constraint = PredicateConstraint(lambda u, v, w, l: True, paper_graph)
         plain = PathEnum().run(paper_graph, paper_query, RunConfig())
         constrained = PathEnum().run(
-            paper_graph, paper_query,
-            RunConfig(constraint=constraint, engine="native"),
+            paper_graph, paper_query, RunConfig(constraint=constraint)
         )
         assert constrained.paths == plain.paths
+        assert constrained.path_buffer is None  # the recursive engines emit tuples
 
     def test_warmup_reports_toolchain(self):
         assert warmup() is jit_ready()
@@ -402,8 +396,9 @@ class TestCompiledTier:
 
         monkeypatch.setattr(engine_module, "run_dfs_native", spy)
         recursive = IdxDfs().run(
-            paper_graph, paper_query, RunConfig(engine="recursive")
+            paper_graph, paper_query, RunConfig(constraint=accept_all(paper_graph))
         )
+        assert not calls
         auto = IdxDfs().run(paper_graph, paper_query, RunConfig())
         assert auto.paths == recursive.paths
         assert calls
@@ -517,7 +512,7 @@ class TestCompiledJoin:
 
 def _spec_payloads():
     """Payload bytes of one spec list over DFS and join plans, limits and
-    deadlines included, on every local engine choice."""
+    deadlines included, on whichever tier the library picks."""
     graph = erdos_renyi(60, 5.0, seed=5)
     rng = random.Random(13)
     specs = []
@@ -527,9 +522,8 @@ def _spec_payloads():
     payloads = []
     for algorithm in (PathEnum(), IdxDfs(), IdxJoin()):
         with Database(graph, algorithm=algorithm) as db:
-            for engine in ("auto", "native"):
-                for options in ({}, {"limit": 7}, {"limit": 500}, {"deadline": 60.0}):
-                    payloads.append(db.batch(specs, engine=engine, **options).payload_bytes())
+            for options in ({}, {"limit": 7}, {"limit": 500}, {"deadline": 60.0}):
+                payloads.append(db.batch(specs, **options).payload_bytes())
     return payloads
 
 
@@ -571,10 +565,10 @@ class TestLibraryLifecycle:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(native, kernel, spy)
-        result = algorithm().run(paper_graph, paper_query, RunConfig(engine="native"))
+        result = algorithm().run(paper_graph, paper_query, RunConfig())
         assert calls
         assert result.paths == algorithm().run(
-            paper_graph, paper_query, RunConfig(engine="kernel")
+            paper_graph, paper_query, RunConfig(constraint=accept_all(paper_graph))
         ).paths
 
     def test_unusable_cache_dir_degrades_to_kernel(
@@ -587,8 +581,10 @@ class TestLibraryLifecycle:
             assert not jit_ready()
         assert len(caplog.records) == 1
         auto = PathEnum().run(paper_graph, paper_query, RunConfig())
-        kernel = PathEnum().run(paper_graph, paper_query, RunConfig(engine="kernel"))
-        assert auto.paths == kernel.paths
+        kernel = ResultCollector()
+        run_dfs_kernel(LightWeightIndex.build(paper_graph, paper_query), kernel)
+        assert auto.stats.plan == "dfs"
+        assert auto.paths == _paths_of(kernel)
 
     def test_missing_compiler_degrades_to_kernel(
         self, tmp_path, fresh_library_state, monkeypatch, caplog

@@ -15,9 +15,15 @@ start method its own job.
 
 from __future__ import annotations
 
+import contextlib
 import mmap
 import multiprocessing
 import os
+import select
+import signal
+import subprocess
+import sys
+import threading
 import time
 
 import numpy as np
@@ -40,7 +46,7 @@ from repro.graph.traversal import (
 from repro.testing import faults
 from repro.workloads.queries import generate_target_centric_set, partition_by_target
 
-from tests.helpers import result_segment_names
+from tests.helpers import numpy_reference, result_segment_names
 
 
 def _available_start_methods():
@@ -143,14 +149,17 @@ class TestPartitionByTarget:
 
 class TestProcessEquivalence:
     @pytest.mark.parametrize("start_method", START_METHODS)
-    @pytest.mark.parametrize("engine", ["auto", "native"])
+    @pytest.mark.parametrize("tier", ["auto", "no_library"])
     def test_results_identical_to_sequential_session(
-        self, graph, shared_target_queries, start_method, engine
+        self, graph, shared_target_queries, start_method, tier
     ):
-        with Database(graph) as db:
-            sequential = db.batch(shared_target_queries, engine=engine).results()
-        with _processes(graph, start_method) as db:
-            parallel = db.batch(shared_target_queries, engine=engine).results()
+        # Without the library, forked workers inherit the kernel tier;
+        # spawned ones load the library afresh, which must not matter either.
+        pinned = numpy_reference if tier == "no_library" else contextlib.nullcontext
+        with pinned(), Database(graph) as db:
+            sequential = db.batch(shared_target_queries).results()
+        with pinned(), _processes(graph, start_method) as db:
+            parallel = db.batch(shared_target_queries).results()
         assert len(parallel) == len(sequential)
         for expected, actual in zip(sequential, parallel):
             assert actual.source == expected.source
@@ -511,3 +520,74 @@ class TestResultSegments:
         assert os.listdir(state) == ["fault-0.fired"], "the worker was never killed"
         assert actual == expected
         assert result_segment_names() - before == set()
+
+
+#: A pool owner for the watcher test: runs one batch on two workers, prints
+#: the worker pids and then blocks until it is killed.
+_OWNER_SCRIPT = """
+import sys
+from repro.api import Database
+from repro.graph.generators import erdos_renyi
+
+if __name__ == "__main__":
+    db = Database(erdos_renyi(150, 4.0, seed=11), backend="processes", workers=2,
+                  start_method=sys.argv[1])
+    db.batch([(0, 5, 3), (1, 7, 3), (2, 9, 3)], store_paths=False).results()
+    print(" ".join(str(pid) for pid in db._backend.core._pool._processes), flush=True)
+    sys.stdin.read()
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie has already exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process state from /proc")
+class TestWorkersExitWithTheirOwner:
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_workers_die_within_two_seconds_of_a_killed_owner(self, tmp_path, start_method):
+        script = tmp_path / "owner.py"
+        script.write_text(_OWNER_SCRIPT)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        with subprocess.Popen(
+            [sys.executable, str(script), start_method],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True,
+        ) as owner:
+            try:
+                reported, _, _ = select.select([owner.stdout], [], [], 60.0)
+                assert reported, "the owner never reported its workers"
+                workers = [int(pid) for pid in owner.stdout.readline().split()]
+                assert len(workers) == 2, "the owner never reported its workers"
+                assert all(_running(pid) for pid in workers)
+            finally:
+                owner.kill()
+        killed = time.monotonic()
+        while any(_running(pid) for pid in workers) and time.monotonic() - killed < 2.0:
+            time.sleep(0.02)
+        survivors = [pid for pid in workers if _running(pid)]
+        for pid in survivors:  # leave no orphan behind a failed check
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors, "workers outlived their killed owner"
+        # The owner's resource tracker unlinks its shared graph image once
+        # the last worker is gone; the autouse leak check waits for it.
+
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_workers_outlive_the_thread_that_forked_them(
+        self, graph, shared_target_queries, start_method
+    ):
+        triples = [(q.source, q.target, q.k) for q in shared_target_queries]
+        with _processes(graph, start_method) as db:
+            first = threading.Thread(target=lambda: db.batch(triples).results())
+            first.start()
+            first.join(60.0)
+            assert not first.is_alive()
+            workers = set(db._backend.core._pool._processes)
+            time.sleep(0.2)
+            assert db.batch(triples).payload_bytes()
+            assert set(db._backend.core._pool._processes) == workers
+            assert all(_running(pid) for pid in workers)

@@ -34,14 +34,10 @@ from repro.graph.snapshot import (
 from repro.graph.store import CompressedStore, MmapStore
 from repro.graph.traversal import bfs_distances
 
-from tests.helpers import shared_memory_names
+from tests.helpers import UNCONSTRAINED_TIERS, shared_memory_names
 
 #: Every load_snapshot store choice that must be equivalent to the heap.
 STORES = ("mmap", "compressed", "heap", "shared_memory")
-
-#: The engines whose payloads every store must reproduce.  ``native`` runs
-#: the compiled tier when the C library loads and the kernel otherwise.
-ENGINES = ("kernel", "native")
 
 
 @pytest.fixture(scope="module")
@@ -313,12 +309,12 @@ class TestEnumerationPayloads:
         queries = [(0, 25, 4), (3, 200, 5), (17, 40, 3)]
         loaded = _open_variant(store, raw_path, compressed_path)
         try:
-            for engine in ENGINES:
-                with Database(graph) as db:
-                    reference = db.batch(queries, engine=engine).payload_bytes()
-                with Database(loaded) as db:
-                    payload = db.batch(queries, engine=engine).payload_bytes()
-                assert payload == reference, engine
+            for tier, pinned in UNCONSTRAINED_TIERS.items():
+                with pinned(), Database(graph) as db:
+                    reference = db.batch(queries).payload_bytes()
+                with pinned(), Database(loaded) as db:
+                    payload = db.batch(queries).payload_bytes()
+                assert payload == reference, tier
         finally:
             loaded.close_store(unlink=True)
 
@@ -344,14 +340,14 @@ class TestEnumerationPayloads:
         # limit and an already-expired deadline interrupt deterministically.
         loaded = _open_variant(store, raw_path, compressed_path)
         try:
-            for engine in ENGINES:
+            for tier, pinned in UNCONSTRAINED_TIERS.items():
                 for options in ({"limit": 5}, {"deadline": 0.0}):
-                    with Database(graph) as db:
-                        reference = db.query((0, 25, 4), engine=engine, **options).result()
-                    with Database(loaded) as db:
-                        result = db.query((0, 25, 4), engine=engine, **options).result()
-                    assert result.count == reference.count, (engine, options)
-                    assert result.paths == reference.paths, (engine, options)
+                    with pinned(), Database(graph) as db:
+                        reference = db.query((0, 25, 4), **options).result()
+                    with pinned(), Database(loaded) as db:
+                        result = db.query((0, 25, 4), **options).result()
+                    assert result.count == reference.count, (tier, options)
+                    assert result.paths == reference.paths, (tier, options)
         finally:
             loaded.close_store(unlink=True)
 

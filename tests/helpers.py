@@ -15,6 +15,7 @@ from typing import List, Sequence, Set, Tuple
 import numpy as np
 
 from repro import _clib
+from repro.core.constraints import PredicateConstraint
 from repro.core.result_segments import SEGMENT_PREFIX
 from repro.graph.builder import GraphBuilder
 from repro.graph.digraph import DiGraph
@@ -131,6 +132,17 @@ def numpy_reference():
         yield
     finally:
         _clib._LIB.update(saved)
+
+
+#: The unconstrained enumeration tiers as context factories: the native tier
+#: as loaded, and the kernel tier it runs without the C library.
+UNCONSTRAINED_TIERS = {"native": contextlib.nullcontext, "kernel": numpy_reference}
+
+
+def accept_all(graph: DiGraph) -> PredicateConstraint:
+    """A constraint every path satisfies.  It changes no result, but a
+    constrained query runs the recursive engines, so it pins that tier."""
+    return PredicateConstraint(lambda u, v, weight, label: True, graph)
 
 
 def brute_force_paths(graph: DiGraph, source: int, target: int, k: int) -> Set[Path]:

@@ -15,7 +15,6 @@ from repro.core.engine import PathEnum
 from repro.core.listener import RunConfig
 from repro.core.query import Query
 from repro.graph.builder import GraphBuilder
-from repro.graph.dynamic import DynamicGraph
 
 
 def _external_paths(graph, source, target, k):
@@ -80,15 +79,14 @@ class TestFraudCycleScenario:
     """Application 2: cycles triggered by a new edge in a dynamic transaction graph."""
 
     def test_new_edge_triggers_cycle_query(self, transaction_graph):
-        dynamic = DynamicGraph.from_graph(transaction_graph)
-        # A new refund edge closes cycles through dest_acct -> mule_1.
-        dynamic.add_edge("dest_acct", "mule_1", weight=0.5, label="refund")
-        snapshot = dynamic.snapshot()
-        # Cycles of length <= 4 through the new edge (v, v') are the paths
-        # q(v', v, k - 1) = q(mule_1, dest_acct, 3).
-        query = Query.from_external(snapshot, "mule_1", "dest_acct", 3)
-        result = PathEnum().run(snapshot, query)
-        named = {snapshot.translate_path(p) for p in result.paths}
+        with Database(transaction_graph) as db:
+            # A new refund edge closes cycles through dest_acct -> mule_1.
+            report = db.insert_edges([("dest_acct", "mule_1")], external=True)
+            assert report["added"] == 1
+            # Cycles of length <= 4 through the new edge (v, v') are the paths
+            # q(v', v, k - 1) = q(mule_1, dest_acct, 3).
+            result = db.query(Q("mule_1", "dest_acct", 3), external=True).result()
+            named = {db.graph.translate_path(p) for p in result.paths}
         assert ("mule_1", "dest_acct") in named
         assert ("mule_1", "mule_2", "dest_acct") in named
 

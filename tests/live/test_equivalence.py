@@ -20,6 +20,8 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.generators import erdos_renyi
 from repro.live import DeltaOverlay, LiveGraph
 
+from tests.helpers import UNCONSTRAINED_TIERS, accept_all
+
 requires_compiled = pytest.mark.skipif(
     not jit_ready(), reason="compiled C library not loaded (no cc, or REPRO_NATIVE=off)"
 )
@@ -171,15 +173,13 @@ class TestPayloadEquivalence:
     def test_payloads_identical_recursive_engine(self, base_graph, mutated_pair):
         database, fresh = mutated_pair
         specs = _queries(base_graph)
-        assert _payload(database, specs, engine="recursive") == _payload(
-            fresh, specs, engine="recursive"
-        )
+        recursive = _payload(database, specs, constraint=accept_all(database.graph))
+        assert recursive == _payload(fresh, specs, constraint=accept_all(fresh.graph))
 
     @requires_compiled
-    @pytest.mark.parametrize("engine", ["kernel", "native"])
-    def test_payloads_identical_compiled_engines(self, base_graph, mutated_pair, engine):
+    @pytest.mark.parametrize("tier", ["kernel", "native"])
+    def test_payloads_identical_compiled_engines(self, base_graph, mutated_pair, tier):
         database, fresh = mutated_pair
         specs = _queries(base_graph)
-        assert _payload(database, specs, engine=engine) == _payload(
-            fresh, specs, engine=engine
-        )
+        with UNCONSTRAINED_TIERS[tier]():
+            assert _payload(database, specs) == _payload(fresh, specs)

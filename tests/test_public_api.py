@@ -9,7 +9,7 @@ PUBLIC_NAMES = {
     # the façade
     "Database", "Q", "QuerySpec", "ResultStream", "StreamStats", "BACKEND_CHOICES",
     # graphs
-    "DiGraph", "GraphBuilder", "DynamicGraph", "read_edge_list",
+    "DiGraph", "GraphBuilder", "read_edge_list",
     # queries, algorithms and results
     "Query", "QueryResult", "RunConfig", "PathEnum", "IdxDfs", "IdxJoin",
     "LightWeightIndex", "BatchStats",
@@ -21,7 +21,7 @@ PUBLIC_NAMES = {
 
 
 def test_all_is_pinned():
-    assert len(repro.__all__) == len(set(repro.__all__)) == 25
+    assert len(repro.__all__) == len(set(repro.__all__)) == 24
     assert set(repro.__all__) == PUBLIC_NAMES
 
 
