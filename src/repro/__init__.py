@@ -42,7 +42,6 @@ from repro.api import BACKEND_CHOICES, Database, Q, QuerySpec, ResultStream, Str
 from repro.core import (
     AccumulativeConstraint,
     AutomatonConstraint,
-    BatchStats,
     IdxDfs,
     IdxJoin,
     LightWeightIndex,
@@ -53,7 +52,6 @@ from repro.core import (
     RunConfig,
     SequenceAutomaton,
 )
-from repro.distance import LandmarkOracle
 from repro.errors import ReproError
 from repro.graph import DiGraph, GraphBuilder, read_edge_list
 
@@ -78,12 +76,10 @@ __all__ = [
     "IdxDfs",
     "IdxJoin",
     "LightWeightIndex",
-    "BatchStats",
     # constraints
     "PredicateConstraint",
     "AccumulativeConstraint",
     "AutomatonConstraint",
     "SequenceAutomaton",
-    "LandmarkOracle",
     "ReproError",
 ]

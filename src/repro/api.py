@@ -19,9 +19,9 @@ through the same three concepts:
   it: a lazily-materialising stream of
   :class:`~repro.core.result.QueryResult` objects with uniform
   :meth:`~ResultStream.paths`, :meth:`~ResultStream.stats`,
-  :meth:`~ResultStream.cancel` and iteration semantics.  Results keep the
-  columnar :class:`~repro.core.result.PathBuffer` of the enumeration
-  kernels under the hood; tuples materialise only when read.
+  :meth:`~ResultStream.cancel` and iteration semantics.  Every stored
+  result, on every backend, is one :class:`~repro.core.result.PathBuffer`
+  of internal vertex ids; tuples materialise only when read.
 
 Execution backends (``backend=`` argument, or inferred from the open
 target) all satisfy the :class:`ExecutionBackend` protocol:
@@ -53,13 +53,16 @@ target) all satisfy the :class:`ExecutionBackend` protocol:
 Every backend produces byte-identical payloads for the same spec list
 (asserted in ``tests/api/test_backend_equivalence.py``); switching from an
 in-process prototype to a served deployment is a one-argument change.
+``external=True`` translates input only — the endpoints are resolved by the
+graph, or by the server for the wire backends — and results carry internal
+ids everywhere; :meth:`~repro.core.result.QueryResult.paths_as_external`
+maps them back for a caller that holds the graph.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import itertools
 import json
 import operator
 import queue as queue_module
@@ -138,7 +141,8 @@ class QuerySpec:
     ``source`` / ``target`` are internal vertex ids (plain ints) unless the
     call that submits the spec passes ``external=True``, in which case they
     are external ids resolved by the graph (or by the server, for remote
-    execution).  Validation happens at construction; all failures raise
+    execution); results carry internal ids either way.  Validation happens
+    at construction; all failures raise
     :class:`~repro.errors.QuerySpecError` (a ``ValueError``) with a message
     naming the offending field.
     """
@@ -371,9 +375,9 @@ class ResultStream:
       queries inline and on the thread backend, between shards on the
       process backend, via a cancel frame remotely).
 
-    Results are underpinned by the columnar
-    :class:`~repro.core.result.PathBuffer` wherever the enumeration kernels
-    produced them; per-path tuples materialise only when read.
+    Every stored result is backed by one columnar
+    :class:`~repro.core.result.PathBuffer`; per-path tuples materialise
+    only when read.
     """
 
     def __init__(
@@ -532,7 +536,7 @@ class ResultStream:
         """
         entries: List[Dict[str, object]] = []
         for result in self.results():
-            paths = result.paths
+            buffer = result.path_buffer
             entries.append(
                 {
                     "source": result.source,
@@ -541,7 +545,7 @@ class ResultStream:
                     "count": result.count,
                     "plan": result.stats.plan,
                     "timed_out": bool(result.stats.timed_out),
-                    "paths": None if paths is None else [list(p) for p in paths],
+                    "paths": None if buffer is None else buffer.to_lists(),
                 }
             )
         return entries
@@ -770,7 +774,6 @@ class _CoreBackend(ExecutionBackend):
         *,
         algorithm: Optional[Algorithm] = None,
         workers: Optional[int] = None,
-        shards: Optional[int] = None,
         start_method: Optional[str] = None,
         max_cached: int = 1024,
     ) -> None:
@@ -780,7 +783,6 @@ class _CoreBackend(ExecutionBackend):
             algorithm=algorithm,
             backend=self._core_backend,
             workers=workers,
-            shards=shards,
             start_method=start_method,
             max_cached=max_cached,
         )
@@ -1290,7 +1292,6 @@ class Database:
         backend: Optional[str] = None,
         algorithm: Optional[Algorithm] = None,
         workers: Optional[int] = None,
-        shards: Optional[int] = None,
         start_method: Optional[str] = None,
         max_cached: int = 1024,
         store: Optional[str] = None,
@@ -1363,7 +1364,6 @@ class Database:
                 graph,
                 algorithm=algorithm,
                 workers=workers,
-                shards=shards,
                 start_method=start_method,
                 max_cached=max_cached,
             )

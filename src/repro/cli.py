@@ -46,7 +46,7 @@ Sub-commands
     percentiles, or fetch server statistics (``--server-stats`` — for a
     router this includes the per-shard health probe).
 
-``batch-query`` accepts ``--processes`` (and ``--shards``) to fan the
+``batch-query`` accepts ``--processes`` to fan the
 batch out over target-sharded worker processes attached to a
 shared-memory copy of the graph; ``--workers`` keeps selecting the in-process
 thread pool.
@@ -237,10 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes sharing the graph via shared memory (1 = in-process)",
     )
     batch_parser.add_argument(
-        "--shards", type=int, default=None,
-        help="target shards for --processes (default: one per process)",
-    )
-    batch_parser.add_argument(
         "--start-method", choices=("fork", "spawn", "forkserver"), default=None,
         help="multiprocessing start method for --processes (default: fork if available)",
     )
@@ -314,10 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--threads", type=int, default=2,
         help="worker threads when --processes is 1",
-    )
-    serve_parser.add_argument(
-        "--shards", type=int, default=None,
-        help="target shards per job (default: one per worker)",
     )
     serve_parser.add_argument(
         "--start-method", choices=("fork", "spawn", "forkserver"), default=None,
@@ -537,7 +529,6 @@ def _command_batch_query(args: argparse.Namespace) -> int:
         backend=backend,
         algorithm=get_algorithm(args.algorithm),
         workers=workers,
-        shards=args.shards,
         start_method=args.start_method,
     ) as db:
         stream = db.batch(
@@ -698,7 +689,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         algorithm=algorithm,
         processes=args.processes,
         threads=args.threads,
-        shards=args.shards,
         start_method=args.start_method,
         shard_id=args.shard_id,
         max_pending_queries=args.max_pending_queries,
@@ -936,17 +926,19 @@ def _command_client(args: argparse.Namespace) -> int:
     except (RuntimeError, ConnectionError, OSError) as error:
         print(f"job failed: {error}", file=sys.stderr)
         return 1
+    # Label each row with the endpoints it was submitted with: results carry
+    # internal ids, which differ from the external ids of a --pair.
     rows = [
         {
-            "source": result.source,
-            "target": result.target,
+            "source": source,
+            "target": target,
             "k": result.k,
             "paths": result.count,
             "query_ms": round(result.query_millis, 3),
             "plan": result.stats.plan,
             "bfs_cached": result.stats.bfs_cache_hit,
         }
-        for result in results
+        for (source, target, _), result in zip(queries, results)
     ]
     print(format_table(
         rows, title=f"Batch of {len(queries)} queries via {args.host}:{args.port}",

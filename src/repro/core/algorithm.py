@@ -14,7 +14,7 @@ from abc import ABC, abstractmethod
 from typing import Optional
 
 from repro.errors import EnumerationTimeout, ResultLimitReached
-from repro.core.listener import Deadline, ResultCollector, RunConfig
+from repro.core.listener import RunConfig
 from repro.core.query import Query
 from repro.core.result import EnumerationStats, Phase, QueryResult
 from repro.graph.digraph import DiGraph

@@ -796,7 +796,7 @@ def _run_shard_queries(
 
 #: Queries per streamed result chunk when nobody needs per-query latency:
 #: one IPC message per 32 results keeps queue overhead negligible.  Streaming
-#: consumers (``on_result``, the query service) use a chunk size of 1.
+#: consumers (the query service) use a chunk size of 1.
 DEFAULT_CHUNK_QUERIES = 32
 
 
@@ -1190,9 +1190,7 @@ class ExecutorCore:
     Constraints are rejected on both backends (their edge filters are
     process-local closures, and the shard loop would fall back to
     unconstrained distance arrays); evaluate constrained workloads on the
-    inline ``Database(graph)``.  ``on_result`` callbacks never enter the
-    core either; iterate the inline ``Database(graph)``'s lazily streamed
-    results instead.
+    inline ``Database(graph)``.
 
     The core owns shared segments and the pool; call :meth:`close` (or use
     it as a context manager) so they are released deterministically.
@@ -1206,7 +1204,6 @@ class ExecutorCore:
         algorithm: Optional[Algorithm] = None,
         backend: str = "process",
         workers: Optional[int] = None,
-        shards: Optional[int] = None,
         start_method: Optional[str] = None,
         max_cached: int = 1024,
         pool_retries: object = "auto",
@@ -1215,8 +1212,6 @@ class ExecutorCore:
             raise ValueError(f"unknown backend {backend!r}: use 'process' or 'thread'")
         if workers is not None and workers < 1:
             raise ValueError("workers must be at least 1")
-        if shards is not None and shards < 1:
-            raise ValueError("shards must be at least 1")
         if pool_retries == "auto":
             resolved_retries = 2
         else:
@@ -1232,7 +1227,6 @@ class ExecutorCore:
         self.algorithm = algorithm if algorithm is not None else PathEnum()
         self.backend = backend
         self.workers = int(workers) if workers else (os.cpu_count() or 1)
-        self.shards = None if shards is None else int(shards)
         self.start_method = start_method or _default_start_method()
         #: Parent-side distance cache — a :class:`QuerySession`, so warm /
         #: evict / charge semantics live in exactly one place.  It persists
@@ -1392,8 +1386,7 @@ class ExecutorCore:
         with self._submit_lock:
             if self._closed:
                 raise RuntimeError("ExecutorCore is closed")
-            num_shards = self.shards if self.shards is not None else self.workers
-            shards = partition_by_target(queries, num_shards) if queries else []
+            shards = partition_by_target(queries, self.workers) if queries else []
             plain = [
                 [(position, (q.source, q.target, q.k)) for position, q in shard]
                 for shard in shards
@@ -1584,12 +1577,6 @@ class ExecutorCore:
                 "path constraints hold process-local state (their edge "
                 "filters are closures) and cannot cross a process boundary; "
                 "evaluate constrained workloads on the inline Database(graph)"
-            )
-        if config.on_result is not None:
-            raise ValueError(
-                "on_result callbacks never enter the executor core; iterate "
-                "the lazily streamed results of the inline Database(graph) "
-                "instead"
             )
 
     def _warm_distances(self, queries: Sequence[Query]) -> List[Tuple[int, int]]:

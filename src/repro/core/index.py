@@ -48,7 +48,7 @@ shorter than ``k`` up to full length.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 

@@ -2,7 +2,7 @@
 
 The recursive engines (:mod:`repro.core.dfs`, :mod:`repro.core.join`) stay
 close to the paper's pseudocode — one interpreter frame, one list slice and
-one deadline poll per expanded vertex, plus a fresh Python tuple per emitted
+one deadline poll per expanded vertex, plus one collector call per emitted
 path.  These kernels are the production-speed reimplementation of the same
 algorithms:
 
@@ -17,9 +17,9 @@ algorithms:
   :data:`KERNEL_CHECK_TICKS` expansions instead of once per call;
 * paths are emitted in bulk: vertices accumulate in one flat list with an
   end-offset column and reach the collector as whole blocks
-  (:meth:`~repro.core.listener.ResultCollector.emit_block`), which stores
-  them columnar in a :class:`~repro.core.result.PathBuffer` — no per-path
-  tuple exists anywhere on the fast path.
+  (:meth:`~repro.core.listener.ResultCollector.emit_block`), which appends
+  them to the run's :class:`~repro.core.result.PathBuffer` — no per-path
+  object exists anywhere on the fast path.
 
 The kernels emit exactly the same paths in exactly the same order as the
 recursive engines and charge the same statistics counters (edges accessed,

@@ -19,14 +19,12 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence
 
 from repro.core.result import PathBuffer
 from repro.errors import EnumerationTimeout, ResultLimitReached
 
 __all__ = ["Deadline", "ResultCollector", "RunConfig"]
-
-Path = Tuple[int, ...]
 
 
 class Deadline:
@@ -104,6 +102,11 @@ class Deadline:
 class ResultCollector:
     """Receives emitted paths and records the response-time probe.
 
+    Stored paths land in one :class:`PathBuffer`, whichever engine tier
+    emits them: per path (:meth:`emit`), as a block of Python ints
+    (:meth:`emit_block`) or as a block of numpy arrays
+    (:meth:`emit_array_block`).
+
     Parameters
     ----------
     store_paths:
@@ -115,12 +118,10 @@ class ResultCollector:
     response_k:
         Record the elapsed time when the ``response_k``-th result arrives —
         the paper uses 1 000.
-    on_result:
-        Optional callback invoked with every emitted path (streaming use).
     """
 
-    __slots__ = ("store_paths", "result_limit", "response_k", "on_result", "paths", "count",
-                 "_started_at", "response_seconds", "_buffer")
+    __slots__ = ("result_limit", "response_k", "count", "_started_at",
+                 "response_seconds", "_buffer")
 
     def __init__(
         self,
@@ -128,18 +129,13 @@ class ResultCollector:
         store_paths: bool = True,
         result_limit: Optional[int] = None,
         response_k: int = 1000,
-        on_result: Optional[Callable[[Path], None]] = None,
     ) -> None:
-        self.store_paths = store_paths
         self.result_limit = result_limit
         self.response_k = response_k
-        self.on_result = on_result
-        self.paths: List[Path] = []
         self.count = 0
         self._started_at = time.perf_counter()
         self.response_seconds: Optional[float] = None
-        #: Columnar storage filled by :meth:`emit_block` (kernel runs).
-        self._buffer: Optional[PathBuffer] = None
+        self._buffer: Optional[PathBuffer] = PathBuffer() if store_paths else None
 
     def restart_clock(self) -> None:
         """Reset the response-time clock (called when the query actually starts)."""
@@ -153,11 +149,25 @@ class ResultCollector:
         ``n`` results.
         """
         self.count += 1
-        materialised = tuple(path)
-        if self.store_paths:
-            self.paths.append(materialised)
-        if self.on_result is not None:
-            self.on_result(materialised)
+        if self._buffer is not None:
+            self._buffer.append_path(path)
+        if self.response_seconds is None and self.count >= self.response_k:
+            self.response_seconds = time.perf_counter() - self._started_at
+        if self.result_limit is not None and self.count >= self.result_limit:
+            raise ResultLimitReached()
+
+    def _take(self, total: int) -> int:
+        """How many of a ``total``-path block to keep under the result limit."""
+        limit = self.result_limit
+        if limit is None:
+            return total
+        room = limit - self.count
+        if room <= 0:
+            raise ResultLimitReached()
+        return min(total, room)
+
+    def _count_block(self, take: int) -> None:
+        self.count += take
         if self.response_seconds is None and self.count >= self.response_k:
             self.response_seconds = time.perf_counter() - self._started_at
         if self.result_limit is not None and self.count >= self.result_limit:
@@ -168,96 +178,33 @@ class ResultCollector:
 
         ``data`` holds the block's vertices concatenated; ``bounds`` the end
         offset of each path within ``data`` (no leading zero).  This is the
-        bulk entry point of the iterative kernels: with path storage on and
-        no streaming callback the block lands in a :class:`PathBuffer`
-        untouched — no per-path tuple is ever built.  Limit semantics match
-        :meth:`emit`: the block is truncated so that exactly
-        ``result_limit`` results exist, then :class:`ResultLimitReached` is
-        raised.
+        bulk entry point of the iterative kernels: the block lands in the
+        :class:`PathBuffer` untouched — no per-path tuple is ever built.
+        Limit semantics match :meth:`emit`: the block is truncated so that
+        exactly ``result_limit`` results exist, then
+        :class:`ResultLimitReached` is raised.
         """
-        total = len(bounds)
-        if total == 0:
+        if len(bounds) == 0:
             return
-        limit = self.result_limit
-        take = total
-        if limit is not None:
-            room = limit - self.count
-            if room <= 0:
-                raise ResultLimitReached()
-            take = min(total, room)
-        if self.store_paths:
-            if self.on_result is None and not self.paths:
-                if self._buffer is None:
-                    self._buffer = PathBuffer()
-                self._buffer.extend_block(data, bounds, take)
-            else:
-                # Mixed or streaming use: fall back to materialised tuples so
-                # ordering against previously emitted paths is preserved.
-                start = 0
-                for i in range(take):
-                    stop = bounds[i]
-                    self.paths.append(tuple(data[start:stop]))
-                    start = stop
-        if self.on_result is not None:
-            start = 0
-            for i in range(take):
-                stop = bounds[i]
-                self.on_result(tuple(data[start:stop]))
-                start = stop
-        self.count += take
-        if self.response_seconds is None and self.count >= self.response_k:
-            self.response_seconds = time.perf_counter() - self._started_at
-        if limit is not None and self.count >= limit:
-            raise ResultLimitReached()
+        take = self._take(len(bounds))
+        if self._buffer is not None:
+            self._buffer.extend_block(data, bounds, take)
+        self._count_block(take)
 
     def emit_array_block(self, data, bounds) -> None:
         """Record a block of paths stored as numpy int64 arrays.
 
         Same contract as :meth:`emit_block` (``bounds`` holds end offsets, no
         leading zero), but the columns arrive as sealed numpy arrays from the
-        compiled native engine and — with path storage on and no streaming
-        callback — land in the :class:`PathBuffer` as whole array segments:
-        no per-vertex Python int is ever created on the fast path.
+        compiled native engine and land in the :class:`PathBuffer` as whole
+        array segments: no per-vertex Python int is ever created.
         """
-        total = len(bounds)
-        if total == 0:
+        if len(bounds) == 0:
             return
-        limit = self.result_limit
-        take = total
-        if limit is not None:
-            room = limit - self.count
-            if room <= 0:
-                raise ResultLimitReached()
-            take = min(total, room)
-        if self.store_paths:
-            if self.on_result is None and not self.paths:
-                if self._buffer is None:
-                    self._buffer = PathBuffer()
-                self._buffer.extend_array_block(data, bounds, take)
-            else:
-                # Mixed or streaming use: materialise plain-int tuples so
-                # ordering against previously emitted paths is preserved and
-                # no numpy scalar leaks into a path.
-                flat = data.tolist()
-                ends = bounds.tolist()
-                start = 0
-                for i in range(take):
-                    stop = ends[i]
-                    self.paths.append(tuple(flat[start:stop]))
-                    start = stop
-        if self.on_result is not None:
-            flat = data.tolist()
-            ends = bounds.tolist()
-            start = 0
-            for i in range(take):
-                stop = ends[i]
-                self.on_result(tuple(flat[start:stop]))
-                start = stop
-        self.count += take
-        if self.response_seconds is None and self.count >= self.response_k:
-            self.response_seconds = time.perf_counter() - self._started_at
-        if limit is not None and self.count >= limit:
-            raise ResultLimitReached()
+        take = self._take(len(bounds))
+        if self._buffer is not None:
+            self._buffer.extend_array_block(data, bounds, take)
+        self._count_block(take)
 
     def remaining_before_flush(self) -> Optional[int]:
         """How many results a kernel may buffer before it must flush.
@@ -274,24 +221,10 @@ class ResultCollector:
             bounds.append(self.response_k - self.count)
         return min(bounds) if bounds else None
 
-    def stored_paths(self) -> Optional[Union[List[Path], PathBuffer]]:
-        """The stored paths, or ``None`` when storage was disabled.
-
-        Returns the columnar :class:`PathBuffer` when the paths arrived in
-        block form (kernel runs), otherwise the list of tuples; both read
-        identically through :attr:`QueryResult.paths`.
-        """
-        if not self.store_paths:
-            return None
-        if self._buffer is not None and len(self._buffer):
-            if self.paths:
-                # Mixed per-path and block emission (not produced by any
-                # shipped engine, but cheap to keep consistent).  Blocks land
-                # in the buffer only while the tuple list is empty, so the
-                # buffered paths always precede the loose ones.
-                return self._buffer.to_paths() + self.paths
-            return self._buffer
-        return self.paths
+    def stored_paths(self) -> Optional[PathBuffer]:
+        """The stored paths (empty when none was found), or ``None`` when
+        storage was disabled."""
+        return self._buffer
 
 
 @dataclass
@@ -311,8 +244,6 @@ class RunConfig:
     tau: float = 1e5
     #: Optional path constraint (predicate / accumulative / automaton).
     constraint: Optional[object] = None
-    #: Streaming callback for each result.
-    on_result: Optional[Callable[[Path], None]] = None
 
     def make_collector(self) -> ResultCollector:
         """Build a collector matching this configuration."""
@@ -320,7 +251,6 @@ class RunConfig:
             store_paths=self.store_paths,
             result_limit=self.result_limit,
             response_k=self.response_k,
-            on_result=self.on_result,
         )
 
     def make_deadline(self) -> Deadline:

@@ -6,20 +6,21 @@ time (time to the first 1 000 results), number of edges accessed, number of
 invalid partial results, and peak memory of the materialised partial
 results.  :class:`EnumerationStats` collects all of those counters so the
 benchmark harness never needs external profiling, and :class:`QueryResult`
-bundles the stats with the (optional) list of discovered paths.
+bundles the stats with the (optional) discovered paths.
 
-Paths come in two physical representations.  The recursive engines emit one
-Python tuple per path; the iterative kernels (:mod:`repro.core.kernels`)
-emit whole blocks into a :class:`PathBuffer` — two flat int64 columns
+Stored paths have one physical form, whichever engine tier produced them: a
+:class:`PathBuffer` of internal vertex ids — two flat columns
 (``paths_data`` holding every vertex of every path concatenated, and
-``paths_indptr`` holding the path boundaries, CSR style).  A
-:class:`QueryResult` can be backed by either: ``result.paths`` always reads
-as the familiar list of tuples (materialised lazily from the buffer), while
-``result.path_buffer`` exposes the columnar form for consumers that can use
-it directly — the process workers' shared-memory result segments
+``paths_indptr`` holding the path boundaries, CSR style).  The recursive
+engines append to it one path at a time, the iterative kernels
+(:mod:`repro.core.kernels`) and the compiled tier whole blocks.
+``result.paths`` reads it as the familiar list of tuples (materialised
+lazily), while ``result.path_buffer`` is the buffer itself, which the
+process workers' shared-memory result segments
 (:mod:`repro.core.result_segments`), compact pickling and the query
-server's columnar ``result`` frames, which a remote client wraps back into a
-buffer without a per-path object on either side.
+server's columnar ``result`` frames ship as is; a remote client wraps the
+frame's columns back into a buffer without a per-path object on either
+side.
 """
 
 from __future__ import annotations
@@ -83,15 +84,17 @@ class PathBuffer:
     @classmethod
     def from_paths(cls, paths: Sequence[Sequence[int]]) -> "PathBuffer":
         """Build a buffer from an iterable of paths."""
-        buffer = cls()
+        data: List[int] = []
+        indptr = [0]
         for path in paths:
-            buffer.append_path(path)
-        return buffer
+            data.extend(map(int, path))
+            indptr.append(len(data))
+        return cls(data, indptr)
 
     def append_path(self, path: Sequence[int]) -> None:
         """Append one path (slow per-path entry point)."""
         self._unseal()
-        self._data.extend(int(v) for v in path)
+        self._data.extend(map(int, path))
         self._indptr.append(len(self._data))
 
     def extend_block(
@@ -439,10 +442,11 @@ class EnumerationStats:
 class QueryResult:
     """The outcome of evaluating a single HcPE query.
 
-    ``paths`` accepts either the classic list of tuples or a
-    :class:`PathBuffer`; with a buffer, :attr:`paths` materialises the tuple
-    list lazily on first access while :attr:`path_buffer` keeps the columnar
-    form available for compact pickling and wire serialisation.
+    The ``paths`` argument is the :class:`PathBuffer` of stored paths, or
+    ``None`` when storage was off.  The :attr:`paths` attribute reads it as
+    a list of tuples (materialised and cached on first access) while
+    :attr:`path_buffer` keeps the columnar form for compact pickling and
+    wire serialisation.
     """
 
     __slots__ = (
@@ -465,7 +469,7 @@ class QueryResult:
         k: int,
         algorithm: str,
         count: int,
-        paths: Optional[Union[List[Path], PathBuffer]],
+        paths: Optional[PathBuffer],
         stats: EnumerationStats,
         response_seconds: Optional[float] = None,
         response_k: int = 1000,
@@ -485,12 +489,7 @@ class QueryResult:
         self.response_seconds = response_seconds
         #: The number of results the response time refers to.
         self.response_k = response_k
-        if isinstance(paths, PathBuffer):
-            self._paths: Optional[List[Path]] = None
-            self._path_buffer: Optional[PathBuffer] = paths
-        else:
-            self._paths = paths
-            self._path_buffer = None
+        self.paths = paths
 
     @property
     def paths(self) -> Optional[List[Path]]:
@@ -503,41 +502,29 @@ class QueryResult:
         return self._paths
 
     @paths.setter
-    def paths(self, value: Optional[Union[List[Path], PathBuffer]]) -> None:
-        if isinstance(value, PathBuffer):
-            self._paths = None
-            self._path_buffer = value
-        else:
-            self._paths = value
-            self._path_buffer = None
+    def paths(self, value: Optional[PathBuffer]) -> None:
+        self._paths: Optional[List[Path]] = None
+        self._path_buffer = value
 
     @property
     def path_buffer(self) -> Optional[PathBuffer]:
-        """The columnar path storage when the result came from a kernel run."""
+        """The stored paths' columnar storage, ``None`` when storage was off."""
         return self._path_buffer
-
-    def stored_buffer(self) -> Optional[PathBuffer]:
-        """The stored paths as a :class:`PathBuffer` — the result's own, or
-        its tuple list packed into one; ``None`` when no paths were stored."""
-        if self._path_buffer is not None:
-            return self._path_buffer
-        return None if self._paths is None else PathBuffer.from_paths(self._paths)
 
     def __getstate__(self):
         """Tuple pickling, mirroring :meth:`EnumerationStats.__getstate__`.
 
-        The columnar buffer (when present) rides instead of the tuple list,
-        so a pickled result carries two wire-dtype arrays rather than one
-        Python object per path.
+        The columnar buffer rides, not the cached tuple view, so a pickled
+        result carries two wire-dtype arrays rather than one Python object
+        per path.
         """
-        paths = self._path_buffer if self._path_buffer is not None else self._paths
         return (
             self.source,
             self.target,
             self.k,
             self.algorithm,
             self.count,
-            paths,
+            self._path_buffer,
             self.stats,
             self.response_seconds,
             self.response_k,
@@ -555,12 +542,7 @@ class QueryResult:
             self.response_seconds,
             self.response_k,
         ) = state
-        if isinstance(paths, PathBuffer):
-            self._paths = None
-            self._path_buffer = paths
-        else:
-            self._paths = paths
-            self._path_buffer = None
+        self.paths = paths
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

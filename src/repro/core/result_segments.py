@@ -131,7 +131,7 @@ def pack_chunk(
     pending: List[Tuple[PathBuffer, Tuple[int, int, int, str, str]]] = []
     size = 0
     for position, result in chunk:
-        buffer = result.stored_buffer()
+        buffer = result.path_buffer
         slot: Slot = None
         if buffer is not None:
             result.paths = None

@@ -6,7 +6,7 @@ be measured under open-loop concurrent traffic instead of one-shot CLI
 batches:
 
 * :mod:`repro.server.protocol` — the length-prefixed wire format
-  (``submit`` / streamed ``path`` / ``result`` frames / ``done`` /
+  (``submit`` / streamed ``result`` frames / ``done`` /
   ``cancel`` / ``stats``), JSON except for the columnar ``result`` frames
   that version-4 submitters read, versioned for fleet rollouts;
 * :mod:`repro.server.service` — :class:`QueryService`, the asyncio-facing

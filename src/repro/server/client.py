@@ -20,7 +20,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.result import PathBuffer
 from repro.errors import ConnectionLost
 from repro.server.protocol import (
     DEFAULT_PORT,
@@ -94,7 +93,7 @@ class RemoteResult:
     target: object
     k: int
     count: int
-    paths: Optional[List[Tuple[object, ...]]]
+    paths: Optional[List[Tuple[int, ...]]]
     query_ms: float
     plan: Optional[str]
     timed_out: bool
@@ -102,7 +101,7 @@ class RemoteResult:
 
     @classmethod
     def from_frame(
-        cls, frame: Dict[str, object], paths: Optional[List[Tuple[object, ...]]]
+        cls, frame: Dict[str, object], paths: Optional[List[Tuple[int, ...]]]
     ) -> "RemoteResult":
         return cls(
             position=int(frame["position"]),
@@ -289,11 +288,12 @@ class QueryClient:
         time_limit_seconds: Optional[float] = None,
         response_k: int = 1000,
         external: bool = False,
-        frames: str = "result",
         protocol: Optional[int] = PROTOCOL_VERSION,
     ) -> str:
         """Send one submit frame; returns the job id to stream/collect.
 
+        ``external`` says the query endpoints are external vertex ids, which
+        the server resolves; results always carry internal ids.
         ``protocol`` is the
         frame version announced to the server (``None`` announces none, a
         version-1 submitter): from 4 on, ``result`` frames may arrive
@@ -318,8 +318,6 @@ class QueryClient:
             opts["time_limit_seconds"] = time_limit_seconds
         if external:
             opts["external"] = True
-        if frames != "result":
-            opts["frames"] = frames
         message: Dict[str, object] = {
             "type": "submit",
             "id": job_id,
@@ -348,24 +346,16 @@ class QueryClient:
         loop = asyncio.get_running_loop()
         started = loop.time()
         first: Optional[float] = None
-        pending_paths: Dict[int, List[Tuple[object, ...]]] = {}
         results: List[RemoteResult] = []
         status, info = "error", {"error": "stream ended without a terminal frame"}
         async for frame in self.frames(job_id):
             if first is None:
                 first = loop.time() - started
             kind = frame["type"]
-            if kind == "path":
-                pending_paths.setdefault(int(frame["position"]), []).append(
-                    tuple(frame["path"])
-                )
-            elif kind == "result":
-                position = int(frame["position"])
+            if kind == "result":
                 paths = frame_paths(frame)
-                if isinstance(paths, PathBuffer):
+                if paths is not None:
                     paths = paths.to_paths()
-                elif paths is None:
-                    paths = pending_paths.pop(position, None)
                 results.append(RemoteResult.from_frame(frame, paths))
             else:
                 status, info = kind, frame

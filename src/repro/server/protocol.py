@@ -14,10 +14,9 @@ Client → server messages (``type`` field):
     "opts": {...}, "protocol"?: <submitter protocol version>}``.
     Recognised options: ``store_paths`` (bool, default
     true), ``result_limit`` (int), ``time_limit_seconds`` (float),
-    ``response_k`` (int), ``external`` (bool — endpoints are external vertex
-    ids, translated server-side, results translated back), ``frames``
-    (``"result"`` (default) or ``"path"`` — additionally stream one frame
-    per emitted path).  Unknown options are ignored.  ``protocol`` announces
+    ``response_k`` (int), ``external`` (bool — the query endpoints are
+    external vertex ids, resolved server-side; results always carry
+    internal ids).  Unknown options are ignored.  ``protocol`` announces
     the version of frames the submitter reads (absent ⇒ version 1); see
     *Columnar result frames* below.
 ``cancel``
@@ -41,14 +40,11 @@ Client → server messages (``type`` field):
 
 Server → client messages:
 
-``path``
-    One enumerated path of one query (only with ``frames: "path"``):
-    ``{"type": "path", "id", "position", "path": [v, ...]}``.
 ``result``
     One completed query: ``{"type": "result", "id", "position", "source",
     "target", "k", "count", "paths", "query_ms", "plan", "timed_out",
-    "bfs_cache_hit"}``.  ``paths`` is omitted when path storage is off or
-    per-path frames were requested.  Results of one job stream as each
+    "bfs_cache_hit"}``, every vertex an internal id.  ``paths`` is omitted
+    when path storage is off.  Results of one job stream as each
     query completes — a client sorting frames by ``position`` reconstructs
     workload order.  For a version-4 submitter the paths travel as raw
     columns instead (next section).
@@ -110,13 +106,11 @@ buffer-backed result; :func:`frame_paths` is the one reader of either
 shape.
 
 Negotiation is per job (:func:`sends_columns`): the server sends columns
-only when the submit frame announces ``protocol`` ≥ 4, ``store_paths`` is
-on, ``external`` is off and ``frames`` is not ``"path"``.  Every other
-submit — a raw ``nc``-style JSON submit with no version included — gets
-the JSON ``paths`` list, byte for byte as before.  ``path`` frames,
-external-id results and every other frame type stay JSON.  ``repro route``
-relays its client's announced version to the shards and writes the
-columns back out untouched.
+whenever the submit frame announces ``protocol`` ≥ 4 and ``store_paths``
+is on.  Every other submit — a raw ``nc``-style JSON submit with no
+version included — gets the JSON ``paths`` list.  Every other frame type
+stays JSON.  ``repro route`` relays its client's announced version to the
+shards and writes the columns back out untouched.
 
 Protocol versioning
 -------------------
@@ -137,7 +131,7 @@ import asyncio
 import contextlib
 import json
 import struct
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -225,40 +219,26 @@ def negotiate_protocol(peer_version: Optional[object]) -> int:
     return version
 
 
-def render_result_paths(result, graph=None, *, external: bool = False) -> Optional[List[List[int]]]:
+def render_result_paths(result) -> Optional[List[List[int]]]:
     """The JSON shape of one result's paths: a list of vertex-id lists.
 
-    Results produced by the iterative kernels carry their paths columnar
-    (:attr:`~repro.core.result.QueryResult.path_buffer`); the internal-id
-    wire shape is then sliced straight out of the buffer's flat columns —
-    no per-path tuple is ever materialised between the enumeration kernel
-    and ``json.dumps``.  Tuple-backed results and external-id translation
-    take the classic per-path route.  Returns ``None`` when the result
-    stored no paths.
+    Sliced straight out of the result's
+    :attr:`~repro.core.result.QueryResult.path_buffer` — no per-path tuple
+    is ever materialised between the enumeration loop and ``json.dumps``.
+    Returns ``None`` when the result stored no paths.
     """
-    if external:
-        paths = result.paths
-        if paths is None:
-            return None
-        return [list(graph.translate_path(p)) for p in paths]
     buffer = result.path_buffer
-    if buffer is not None:
-        return buffer.to_lists()
-    paths = result.paths
-    if paths is None:
-        return None
-    return [list(p) for p in paths]
+    return None if buffer is None else buffer.to_lists()
 
 
 def result_columns(result) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """One result's paths as wire columns ``(paths_data, paths_indptr)``.
 
-    The columnar counterpart of :func:`render_result_paths` (internal ids
-    only): the result's own buffer in its wire dtype, a tuple-backed
-    result packed into one first.  ``None`` when the result stored no
+    The columnar counterpart of :func:`render_result_paths`: the result's
+    own buffer in its wire dtype.  ``None`` when the result stored no
     paths.
     """
-    buffer = result.stored_buffer()
+    buffer = result.path_buffer
     return None if buffer is None else buffer.wire_arrays()
 
 
@@ -266,33 +246,28 @@ def sends_columns(submit: Dict[str, object]) -> bool:
     """Whether a job's ``result`` frames go out columnar (the v4 rule).
 
     True only when the submit frame announces ``protocol`` ≥
-    :data:`COLUMNAR_PROTOCOL` and asks for stored internal-id paths on
-    ``result`` frames; everything else keeps the JSON ``paths`` list.
+    :data:`COLUMNAR_PROTOCOL` and asks for stored paths; everything else
+    keeps the JSON ``paths`` list.
     """
     version = submit.get("protocol")
     if not isinstance(version, int) or isinstance(version, bool):
         return False
     opts = submit.get("opts")
     opts = opts if isinstance(opts, dict) else {}
-    return (
-        version >= COLUMNAR_PROTOCOL
-        and bool(opts.get("store_paths", True))
-        and not bool(opts.get("external", False))
-        and opts.get("frames") != "path"
-    )
+    return version >= COLUMNAR_PROTOCOL and bool(opts.get("store_paths", True))
 
 
-def frame_paths(frame: Dict[str, object]) -> Optional[Union[PathBuffer, List[tuple]]]:
-    """The paths one ``result`` frame carries, in either wire shape.
+def frame_paths(frame: Dict[str, object]) -> Optional[PathBuffer]:
+    """The paths one ``result`` frame carries, as a :class:`PathBuffer`.
 
-    A columnar frame yields a :class:`PathBuffer` over its decoded columns
-    (no copy, no per-path object); a JSON frame yields the classic list of
-    tuples; a frame without paths yields ``None``.
+    A columnar frame yields a buffer over its decoded columns (no copy, no
+    per-path object), a JSON frame one packed from its ``paths`` list; a
+    frame without paths yields ``None``.
     """
     if "paths_data" in frame:
         return PathBuffer(frame["paths_data"], frame["paths_indptr"])
     raw = frame.get("paths")
-    return None if raw is None else [tuple(path) for path in raw]
+    return None if raw is None else PathBuffer.from_paths(raw)
 
 
 def encode_frame(message: Dict[str, object]) -> bytes:

@@ -16,7 +16,7 @@ things:
   every routed job, redialled with exponential backoff + jitter when lost;
 * **routing state** (:class:`ShardRouter`) — each submitted batch is split
   by target shard, fanned out as per-shard submit frames, and the streamed
-  result/path frames are merged back into one job with positions remapped
+  result frames are merged back into one job with positions remapped
   to the original workload order.  Cancel fans out to every in-flight
   shard job.
 
@@ -47,14 +47,13 @@ import json
 import math
 import signal
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import AsyncIterator, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConnectionLost, ReproError
 from repro.server.client import QueryClient, ReconnectPolicy
 from repro.server.protocol import (
-    DEFAULT_PORT,
     DEFAULT_ROUTER_PORT,
     PROTOCOL_VERSION,
     FrameError,
@@ -662,9 +661,8 @@ class ShardRouter:
         retry-after hint lands in ``job.retry_after_seconds``) or
         ``"error"`` (the shard rejected the sub-batch).  Result
         frames are merged into ``job`` with positions remapped from the
-        sub-batch's local space to the workload's global space; ``path``
-        frames buffer per local position and flush only when that
-        position's result wins, so a losing duplicate contributes nothing.
+        sub-batch's local space to the workload's global space; a losing
+        duplicate contributes nothing.
         """
         try:
             client = await channel.client(replica)
@@ -688,14 +686,10 @@ class ShardRouter:
         won_as_hedge = False
         claimed_any = False
         loser_cancelled = False
-        pending_paths: Dict[int, List[Dict[str, object]]] = {}
         try:
             async for frame in client.frames(shard_job):
                 kind = frame["type"]
-                if kind == "path":
-                    local = int(frame["position"])
-                    pending_paths.setdefault(local, []).append(frame)
-                elif kind == "result":
+                if kind == "result":
                     local = int(frame["position"])
                     if local >= len(sub_positions):
                         job.fail(f"shard {channel.shard_id} returned position {local} "
@@ -710,12 +704,9 @@ class ShardRouter:
                         if hedged and not won_as_hedge:
                             won_as_hedge = True
                             self.counters.hedge_wins += 1
-                        for buffered in pending_paths.pop(local, ()):
-                            job.emit({**buffered, "id": job.id, "position": position})
                         job.emit({**frame, "id": job.id, "position": position})
                     else:
                         self.counters.duplicates_dropped += 1
-                        pending_paths.pop(local, None)
                     if not outstanding and not loser_cancelled:
                         loser_cancelled = True
                         await self._cancel_others(job, channel.shard_id, key)
@@ -768,7 +759,6 @@ class ShardRouter:
             "time_limit_seconds": None if deadline is None else float(deadline),
             "response_k": int(opts.get("response_k", 1000)),
             "external": bool(opts.get("external", False)),
-            "frames": str(opts.get("frames", "result")),
         }
 
     # -- health & teardown ---------------------------------------------- #

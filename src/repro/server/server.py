@@ -313,7 +313,6 @@ class QueryServer:
         if not isinstance(opts, dict):
             opts = {}
         external = bool(opts.get("external", False))
-        per_path = opts.get("frames") == "path"
         columnar = sends_columns(message)
         if client_id in jobs:
             # Overwriting an in-flight id would orphan the first job: it
@@ -366,7 +365,7 @@ class QueryServer:
                 del jobs[client_id]
 
         task = asyncio.create_task(
-            self._stream_job(client_id, job, writer, lock, external, per_path, columnar)
+            self._stream_job(client_id, job, writer, lock, columnar)
         )
         streams.add(task)
         task.add_done_callback(_forget)
@@ -377,11 +376,8 @@ class QueryServer:
         job: ServiceJob,
         writer: asyncio.StreamWriter,
         lock: asyncio.Lock,
-        external: bool,
-        per_path: bool,
         columnar: bool,
     ) -> None:
-        graph = self.service.graph
         try:
             async for event in job.events():
                 kind = event[0]
@@ -391,8 +387,8 @@ class QueryServer:
                         "type": "result",
                         "id": client_id,
                         "position": position,
-                        "source": graph.to_external(result.source) if external else result.source,
-                        "target": graph.to_external(result.target) if external else result.target,
+                        "source": result.source,
+                        "target": result.target,
                         "k": result.k,
                         "count": result.count,
                         "query_ms": round(result.query_millis, 3),
@@ -407,20 +403,8 @@ class QueryServer:
                         if columns is not None:
                             frame["paths_data"], frame["paths_indptr"] = columns
                     else:
-                        rendered = render_result_paths(result, graph, external=external)
-                        if rendered is not None and per_path:
-                            for path in rendered:
-                                await write_frame(
-                                    writer,
-                                    {
-                                        "type": "path",
-                                        "id": client_id,
-                                        "position": position,
-                                        "path": path,
-                                    },
-                                    lock=lock, site=_FRAME_SITE,
-                                )
-                        elif rendered is not None:
+                        rendered = render_result_paths(result)
+                        if rendered is not None:
                             frame["paths"] = rendered
                     await write_frame(writer, frame, lock=lock, site=_FRAME_SITE)
                 elif kind == "done":

@@ -32,7 +32,7 @@ from repro.core.engine import ExecutorCore, StreamRun
 from repro.core.native import warmup as native_warmup
 from repro.core.listener import RunConfig
 from repro.core.query import Query
-from repro.core.result import EnumerationStats, QueryResult
+from repro.core.result import EnumerationStats, PathBuffer, QueryResult
 from repro.errors import ServiceOverloaded
 from repro.graph.digraph import DiGraph
 
@@ -164,7 +164,6 @@ class QueryService:
         algorithm: Optional[Algorithm] = None,
         processes: int = 1,
         threads: int = 2,
-        shards: Optional[int] = None,
         start_method: Optional[str] = None,
         max_cached: int = 1024,
         max_concurrent_jobs: int = 32,
@@ -198,7 +197,6 @@ class QueryService:
             algorithm=algorithm,
             backend=backend,
             workers=processes if processes > 1 else threads,
-            shards=shards,
             start_method=start_method,
             max_cached=max_cached,
         )
@@ -289,8 +287,7 @@ class QueryService:
 
         The returned job's :meth:`ServiceJob.events` yields one ``result``
         event per query as workers complete them, then a terminal event.
-        ``config.on_result`` must be unset (results stream as events
-        instead); constraints are rejected by the core.
+        Constraints are rejected by the core.
 
         Raises :class:`~repro.errors.ServiceOverloaded` (with a
         ``retry_after`` hint) when admitting the job would exceed
@@ -427,7 +424,7 @@ class QueryService:
                                 query.k,
                                 algorithm_name,
                                 0,
-                                [] if config.store_paths else None,
+                                PathBuffer() if config.store_paths else None,
                                 EnumerationStats(timed_out=True),
                                 response_k=config.response_k,
                             ),

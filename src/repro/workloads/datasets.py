@@ -16,7 +16,7 @@ can print both side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.errors import DatasetError
 from repro.graph.digraph import DiGraph

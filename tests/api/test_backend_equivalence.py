@@ -3,9 +3,10 @@
 The acceptance contract of the façade: the same :class:`~repro.api.QuerySpec`
 batch produces byte-identical :meth:`~repro.api.ResultStream.payload_bytes`
 whichever backend executes it — inline, thread pool, worker processes or a
-TCP server — including runs interrupted by a result limit or a deadline,
-on the kernel tier (no C library) and against a reference taken from the
-recursive engines.
+TCP server or a shard router — including runs interrupted by a result
+limit or a deadline, runs submitted with external vertex ids, on the kernel
+tier (no C library) and against a reference taken from the recursive
+engines.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ import threading
 import pytest
 
 from repro.api import Database
+from repro.graph.builder import GraphBuilder
 from repro.graph.generators import erdos_renyi
 from repro.server.client import QueryClient
 from repro.server.protocol import write_frame
+from repro.server.router import RouterServer, ShardMap, ShardRouter
 from repro.server.server import QueryServer
 from repro.server.service import QueryService
 from repro.workloads.queries import generate_target_centric_set
@@ -63,37 +66,62 @@ def distinct_target_triples(graph):
     return triples
 
 
-@pytest.fixture(scope="module")
-def remote_url(graph):
-    """A live ``repro serve`` equivalent on a free port, torn down after."""
+def _host(graph, *, router: bool):
+    """Serve ``graph`` from a background event loop until the generator
+    resumes: one ``repro serve`` equivalent, or with ``router`` two such
+    shard hosts behind a ``repro route`` equivalent.  Yields the URL."""
     holder = {}
     ready = threading.Event()
 
     def serve() -> None:
         async def main() -> None:
-            service = QueryService(graph, threads=2)
-            server = QueryServer(service, port=0)
-            await server.start()
-            holder["port"] = server.port
+            hosts = []
+            for _ in range(2 if router else 1):
+                service = QueryService(graph, threads=2)
+                server = QueryServer(service, port=0)
+                await server.start()
+                hosts.append((service, server))
+            front = shard_router = None
+            if router:
+                shard_map = ShardMap.from_entries(
+                    [f"127.0.0.1:{server.port}" for _, server in hosts]
+                )
+                shard_router = ShardRouter(shard_map, hedge=False)
+                front = RouterServer(shard_router, port=0)
+                await front.start()
+            holder["url"] = (
+                f"router://127.0.0.1:{front.port}" if router
+                else f"127.0.0.1:{hosts[0][1].port}"
+            )
             holder["loop"] = asyncio.get_running_loop()
             holder["stop"] = asyncio.Event()
             ready.set()
             await holder["stop"].wait()
-            await server.close()
-            await service.close()
+            if router:
+                await front.close()
+                await shard_router.close()
+            for service, server in hosts:
+                await server.close()
+                await service.close()
 
         asyncio.run(main())
 
     thread = threading.Thread(target=serve, name="equivalence-server", daemon=True)
     thread.start()
     assert ready.wait(10), "server failed to boot"
-    yield f"127.0.0.1:{holder['port']}"
+    yield holder["url"]
     holder["loop"].call_soon_threadsafe(holder["stop"].set)
     thread.join(10)
 
 
+@pytest.fixture(scope="module")
+def remote_url(graph):
+    """A live ``repro serve`` equivalent on a free port, torn down after."""
+    yield from _host(graph, router=False)
+
+
 def _open(graph, backend, remote_url):
-    if backend == "remote":
+    if backend in ("remote", "router"):
         return Database(remote_url)
     if backend == "inline":
         return Database(graph)
@@ -233,3 +261,74 @@ class TestRemoteEnginePlumbing:
         with Database(graph) as db:
             inline = db.batch(shared_target_triples).results()
         assert [list(r.paths) for r in outcome.results] == [list(r.paths) for r in inline]
+
+
+@pytest.fixture(scope="module")
+def labelled(graph):
+    """``graph`` with string vertex ids, added in an order that makes the
+    internal ids differ from the numbers in the names."""
+    builder = GraphBuilder()
+    builder.add_edges((f"v{u}", f"v{v}") for u, v in sorted(graph.edges(), reverse=True))
+    return builder.build()
+
+
+@pytest.fixture(scope="module")
+def labelled_urls(labelled):
+    """The labelled graph served by one host and by a two-shard router."""
+    remote = _host(labelled, router=False)
+    routed = _host(labelled, router=True)
+    urls = {"remote": next(remote), "router": next(routed)}
+    yield urls
+    for host in (remote, routed):
+        next(host, None)
+
+
+class TestExternalIds:
+    """``external=True`` translates the endpoints only: every backend
+    returns the internal-id payload an inline run returns."""
+
+    @pytest.fixture(scope="class")
+    def external_triples(self, labelled):
+        workload = generate_target_centric_set(
+            labelled, count=8, k=4, num_targets=3, seed=7
+        )
+        return [
+            (labelled.to_external(q.source), labelled.to_external(q.target), q.k)
+            for q in workload
+        ]
+
+    @pytest.mark.parametrize("backend", BACKENDS + ("router",))
+    def test_external_payload_matches_inline(
+        self, labelled, labelled_urls, external_triples, backend
+    ):
+        with Database(labelled) as db:
+            reference = db.batch(external_triples, external=True).payload_bytes()
+            internal = [
+                (labelled.to_internal(s), labelled.to_internal(t), k)
+                for s, t, k in external_triples
+            ]
+            assert db.batch(internal).payload_bytes() == reference
+        assert sum(entry["count"] for entry in json.loads(reference)) > 0
+        with _open(labelled, backend, labelled_urls.get(backend)) as db:
+            stream = db.batch(external_triples, external=True)
+            assert all(result.path_buffer is not None for result in stream.results())
+            assert stream.payload_bytes() == reference
+
+
+class TestBufferBackedResults:
+    """Every stored result is one PathBuffer, whichever tier and backend
+    produced it."""
+
+    @pytest.mark.parametrize(
+        "backend, tier",
+        [("inline", "recursive")]
+        + [(backend, tier) for backend in BACKENDS for tier in UNCONSTRAINED_TIERS],
+    )
+    def test_every_stored_result_has_a_buffer(
+        self, graph, shared_target_triples, remote_url, backend, tier
+    ):
+        options = {"constraint": accept_all(graph)} if tier == "recursive" else {}
+        context = UNCONSTRAINED_TIERS.get(tier, UNCONSTRAINED_TIERS["native"])
+        with context(), _open(graph, backend, remote_url) as db:
+            results = db.batch(shared_target_triples, **options).results()
+        assert results and all(result.path_buffer is not None for result in results)

@@ -221,8 +221,6 @@ class TestExecution:
         with ExecutorCore(graph, backend="thread", workers=2) as core:
             with pytest.raises(ValueError, match=r"inline Database\(graph\)"):
                 core.start([Query(0, 10, 4)], RunConfig(constraint=allow_all))
-            with pytest.raises(ValueError, match=r"inline Database\(graph\)"):
-                core.start([Query(0, 10, 4)], RunConfig(on_result=print))
 
     def test_numpy_integer_endpoints_are_accepted(self, graph):
         np = pytest.importorskip("numpy")

@@ -13,7 +13,7 @@ import os
 import time
 
 from repro.core.algorithm import Algorithm
-from repro.core.result import EnumerationStats, QueryResult
+from repro.core.result import EnumerationStats, PathBuffer, QueryResult
 from repro.server.client import QueryClient
 from repro.server.server import QueryServer
 from repro.server.service import QueryService
@@ -50,7 +50,8 @@ class SlowAlgorithm(Algorithm):
         time.sleep(self.delay)
         return QueryResult(
             source=query.source, target=query.target, k=query.k,
-            algorithm=self.name, count=1, paths=[(query.source, query.target)],
+            algorithm=self.name, count=1,
+            paths=PathBuffer.from_paths([(query.source, query.target)]),
             stats=EnumerationStats(),
         )
 

@@ -30,12 +30,12 @@ class TestCorrectness:
         expected = brute_force_paths(
             paper_graph, paper_query.source, paper_query.target, paper_query.k
         )
-        assert_same_paths(collector.paths, expected, context="IDX-DFS")
+        assert_same_paths(collector.stored_paths().to_paths(), expected, context="IDX-DFS")
         assert len(expected) == 5
 
     def test_results_have_no_duplicates(self, paper_graph, paper_query):
         collector, _ = _run(paper_graph, paper_query)
-        assert len(collector.paths) == len(set(collector.paths))
+        assert len(collector.stored_paths().to_paths()) == len(set(collector.stored_paths().to_paths()))
 
     def test_grid_graph_counts(self, dag_grid):
         # 4x5 grid, corner to corner, exactly 7 hops needed: C(7, 3) = 35 paths.
@@ -61,14 +61,14 @@ class TestCorrectness:
         # Cycle back to the source must not be used as an intermediate hop.
         graph = from_edges([(0, 1), (1, 0), (1, 2), (0, 2)])
         collector, _ = _run(graph, Query(0, 2, 4))
-        for path in collector.paths:
+        for path in collector.stored_paths().to_paths():
             assert path.count(0) == 1
 
     def test_paths_stop_at_first_target_visit(self):
         # An edge leaving t must never extend a result.
         graph = from_edges([(0, 1), (1, 2), (2, 3), (3, 1)])
         collector, _ = _run(graph, Query(0, 2, 5))
-        for path in collector.paths:
+        for path in collector.stored_paths().to_paths():
             assert path[-1] == 2
             assert path.count(2) == 1
 

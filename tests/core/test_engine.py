@@ -106,12 +106,6 @@ class TestRunConfigHandling:
         assert result.response_seconds is not None
         assert result.response_seconds <= result.query_seconds + 1e-6
 
-    def test_streaming_callback(self, paper_graph, paper_query):
-        received = []
-        config = RunConfig(on_result=received.append)
-        PathEnum().run(paper_graph, paper_query, config)
-        assert len(received) == 5
-
     def test_invalid_constraint_type_rejected(self, paper_graph, paper_query):
         config = RunConfig(constraint=object())
         with pytest.raises(TypeError):

@@ -31,7 +31,7 @@ class TestCorrectness:
         expected = brute_force_paths(
             paper_graph, paper_query.source, paper_query.target, paper_query.k
         )
-        assert_same_paths(collector.paths, expected, context=f"IDX-JOIN cut={cut}")
+        assert_same_paths(collector.stored_paths().to_paths(), expected, context=f"IDX-JOIN cut={cut}")
 
     def test_join_handles_short_paths_via_padding(self):
         # Direct edge s -> t plus a long detour; the cut must not lose the
@@ -43,7 +43,7 @@ class TestCorrectness:
         assert len(expected) == 2
         for cut in (1, 2, 3):
             collector, _ = _run(graph, query, cut)
-            assert_same_paths(collector.paths, expected, context=f"cut={cut}")
+            assert_same_paths(collector.stored_paths().to_paths(), expected, context=f"cut={cut}")
 
     def test_join_rejects_tuples_with_duplicate_vertices(self):
         # A walk can revisit a vertex across the cut; the validity filter
@@ -54,11 +54,11 @@ class TestCorrectness:
         )
         collector, _ = _run(graph, query, 2)
         expected = brute_force_paths(graph, query.source, query.target, 4)
-        assert_same_paths(collector.paths, expected)
+        assert_same_paths(collector.stored_paths().to_paths(), expected)
 
     def test_no_duplicate_results(self, paper_graph, paper_query):
         collector, _ = _run(paper_graph, paper_query, 2)
-        assert len(collector.paths) == len(set(collector.paths))
+        assert len(collector.stored_paths().to_paths()) == len(set(collector.stored_paths().to_paths()))
 
     def test_empty_index_returns_nothing(self):
         graph = from_edges([(0, 1), (2, 3)])

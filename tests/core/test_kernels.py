@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core.dfs import run_idx_dfs
+from repro.core import engine as engine_module
 from repro.core.engine import IdxDfs, IdxJoin, PathEnum
 from repro.core.index import LightWeightIndex
 from repro.core.join import run_idx_join
@@ -351,14 +352,6 @@ class TestCollectorBlockEmission:
         collector.emit_block([0, 2, 0, 3], [2, 4])
         assert collector.response_seconds is not None
 
-    def test_on_result_replays_block_per_path(self):
-        seen = []
-        collector = ResultCollector(on_result=seen.append)
-        collector.emit_block([0, 1, 0, 2, 5], [2, 5])
-        assert seen == [(0, 1), (0, 2, 5)]
-        # Streaming collectors store tuples, not a buffer.
-        assert collector.stored_paths() == [(0, 1), (0, 2, 5)]
-
     def test_store_paths_disabled_counts_only(self):
         collector = ResultCollector(store_paths=False)
         collector.emit_block([0, 1], [2])
@@ -459,11 +452,21 @@ class TestEngineSelection:
         result = IdxDfs().run(paper_graph, paper_query, RunConfig())
         assert result.path_buffer is not None
 
-    def test_recursive_engine_has_no_buffer(self, paper_graph, paper_query):
+    def test_recursive_engine_fills_a_buffer_too(
+        self, paper_graph, paper_query, monkeypatch
+    ):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return run_idx_dfs(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "run_idx_dfs", spy)
         result = IdxDfs().run(
             paper_graph, paper_query, RunConfig(constraint=accept_all(paper_graph))
         )
-        assert result.path_buffer is None
+        assert calls  # the recursive tier ran
+        assert result.path_buffer is not None
         assert result.count == 5
 
     def test_constrained_queries_fall_back_automatically(self, paper_graph, paper_query):

@@ -16,13 +16,12 @@ class TestResultCollector:
         collector.emit([0, 1, 2])
         collector.emit((0, 2))
         assert collector.count == 2
-        assert collector.paths == [(0, 1, 2), (0, 2)]
+        assert collector.stored_paths().to_paths() == [(0, 1, 2), (0, 2)]
 
     def test_store_paths_disabled(self):
         collector = ResultCollector(store_paths=False)
         collector.emit([0, 1])
         assert collector.count == 1
-        assert collector.paths == []
         assert collector.stored_paths() is None
 
     def test_result_limit(self):
@@ -43,18 +42,12 @@ class TestResultCollector:
         collector.emit([2])
         assert collector.response_seconds == first  # not overwritten
 
-    def test_on_result_callback(self):
-        seen = []
-        collector = ResultCollector(on_result=seen.append)
-        collector.emit([0, 1])
-        assert seen == [(0, 1)]
-
     def test_emitted_paths_are_materialised_copies(self):
         collector = ResultCollector()
         path = [0, 1]
         collector.emit(path)
         path.append(2)
-        assert collector.paths == [(0, 1)]
+        assert collector.stored_paths().to_paths() == [(0, 1)]
 
     def test_restart_clock(self):
         collector = ResultCollector(response_k=1)

@@ -35,6 +35,7 @@ from repro.core import native
 from repro.core.dfs import run_idx_dfs
 from repro.core.engine import IdxDfs, IdxJoin, PathEnum
 from repro.core.index import LightWeightIndex
+from repro.core.join import run_idx_join
 from repro.core.kernels import run_dfs_kernel, run_join_kernel, run_subquery_kernel
 from repro.core.listener import Deadline, ResultCollector, RunConfig
 from repro.core.native import (
@@ -342,15 +343,24 @@ class TestEngineSelection:
         assert auto.paths == _paths_of(kernel)
 
     def test_constrained_native_falls_back_to_recursive(
-        self, paper_graph, paper_query
+        self, paper_graph, paper_query, monkeypatch
     ):
+        calls = []
+        for name, engine in (("run_idx_dfs", run_idx_dfs), ("run_idx_join", run_idx_join)):
+            def spy(*args, _engine=engine, **kwargs):
+                calls.append(_engine)
+                return _engine(*args, **kwargs)
+
+            monkeypatch.setattr(engine_module, name, spy)
         constraint = PredicateConstraint(lambda u, v, w, l: True, paper_graph)
         plain = PathEnum().run(paper_graph, paper_query, RunConfig())
+        assert not calls
         constrained = PathEnum().run(
             paper_graph, paper_query, RunConfig(constraint=constraint)
         )
+        assert calls  # the recursive engines ran
         assert constrained.paths == plain.paths
-        assert constrained.path_buffer is None  # the recursive engines emit tuples
+        assert constrained.path_buffer is not None
 
     def test_warmup_reports_toolchain(self):
         assert warmup() is jit_ready()

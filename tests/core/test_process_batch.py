@@ -257,8 +257,6 @@ class TestProcessRejections:
     def test_rejects_bad_worker_counts(self, graph):
         with pytest.raises(ValueError):
             _processes(graph, workers=0)
-        with pytest.raises(ValueError):
-            _processes(graph, shards=0)
 
     def test_run_after_close_raises(self, graph, shared_target_queries):
         db = _processes(graph)
@@ -281,16 +279,15 @@ class TestStreamingCallbacks:
     def test_callback_sequence_matches_sequential_run(
         self, graph, shared_target_queries, start_method
     ):
-        config = RunConfig(store_paths=False)
         expected: list = []
         engine = PathEnum()
         for query in shared_target_queries:
-            engine.run(graph, query, config.replace(on_result=expected.append))
+            expected.extend(engine.run(graph, query, RunConfig()).paths)
 
         with _processes(graph, start_method) as db:
             streamed = [path for result in db.batch(shared_target_queries) for path in result.paths]
-        # Workload order, per-query path order: the exact sequence an
-        # ``on_result`` callback observes during a sequential run.
+        # Workload order, per-query path order: the exact sequence a
+        # sequential run emits.
         assert streamed == expected
 
 
@@ -320,11 +317,11 @@ class _ExplodingAlgorithm(Algorithm):
         if query.target == self.poison_target:
             raise RuntimeError(f"poisoned target {query.target}")
         time.sleep(0.005)
-        from repro.core.result import EnumerationStats, QueryResult
+        from repro.core.result import EnumerationStats, PathBuffer, QueryResult
 
         return QueryResult(
             source=query.source, target=query.target, k=query.k,
-            algorithm=self.name, count=0, paths=[], stats=EnumerationStats(),
+            algorithm=self.name, count=0, paths=PathBuffer(), stats=EnumerationStats(),
         )
 
 

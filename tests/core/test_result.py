@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.result import EnumerationStats, Phase, QueryResult, paths_are_valid
+from repro.core.result import EnumerationStats, PathBuffer, Phase, QueryResult, paths_are_valid
 
 
 def _make_result(**overrides):
@@ -15,7 +15,7 @@ def _make_result(**overrides):
         k=4,
         algorithm="IDX-DFS",
         count=3,
-        paths=[(0, 1, 5), (0, 2, 5), (0, 1, 2, 5)],
+        paths=PathBuffer.from_paths([(0, 1, 5), (0, 2, 5), (0, 1, 2, 5)]),
         stats=stats,
     )
     defaults.update(overrides)

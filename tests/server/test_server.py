@@ -12,7 +12,7 @@ from repro.core.algorithm import Algorithm
 from repro.core.engine import QuerySession
 from repro.core.listener import RunConfig
 from repro.core.query import Query
-from repro.core.result import EnumerationStats, QueryResult
+from repro.core.result import EnumerationStats, PathBuffer, QueryResult
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import erdos_renyi
 from repro.server.client import QueryClient, run_queries
@@ -43,7 +43,8 @@ class _SlowAlgorithm(Algorithm):
         time.sleep(self.delay)
         return QueryResult(
             source=query.source, target=query.target, k=query.k,
-            algorithm=self.name, count=1, paths=[(query.source, query.target)],
+            algorithm=self.name, count=1,
+            paths=PathBuffer.from_paths([(query.source, query.target)]),
             stats=EnumerationStats(),
         )
 
@@ -84,20 +85,6 @@ class TestRoundTrip:
             assert act.paths == exp.paths
             assert act.bfs_cache_hit == exp.stats.bfs_cache_hit
 
-    def test_path_frames_reassemble_identically(self, graph, queries):
-        session = QuerySession(graph)
-        expected = [session.run(q, RunConfig(store_paths=True)) for q in queries]
-
-        async def scenario(client, server):
-            return await client.run(
-                [[q.source, q.target, q.k] for q in queries], frames="path"
-            )
-
-        outcome = _serve(graph, scenario, threads=2)
-        assert outcome.status == "done"
-        for exp, act in zip(expected, outcome.results):
-            assert act.paths == exp.paths
-
     def test_frames_stream_before_batch_completion(self, graph):
         queries = [[i, 100 + i, 2] for i in range(6)]
 
@@ -131,10 +118,12 @@ class TestRoundTrip:
         assert all(result.paths is None for result in outcome.results)
         assert all(result.count > 0 for result in outcome.results)
 
-    def test_external_ids_translated_both_ways(self):
+    def test_external_endpoints_resolve_to_internal_results(self):
         builder = GraphBuilder()
         builder.add_edges([("a", "b"), ("b", "c"), ("a", "c")])
         labelled = builder.build()
+        a, c = labelled.to_internal("a"), labelled.to_internal("c")
+        expected = QuerySession(labelled).run(Query(a, c, 2), RunConfig(store_paths=True))
 
         async def scenario(client, server):
             return await client.run([["a", "c", 2]], external=True)
@@ -142,8 +131,14 @@ class TestRoundTrip:
         outcome = _serve(labelled, scenario, threads=1)
         assert outcome.status == "done"
         result = outcome.results[0]
-        assert (result.source, result.target) == ("a", "c")
-        assert sorted(result.paths) == [("a", "b", "c"), ("a", "c")]
+        # Only the endpoints are translated: the result is the internal-id
+        # result an inline run of the resolved query gives.
+        assert (result.source, result.target) == (a, c)
+        assert result.count == expected.count
+        assert result.paths == expected.paths
+        assert sorted(map(labelled.translate_path, result.paths)) == [
+            ("a", "b", "c"), ("a", "c")
+        ]
 
 
 _TERMINAL = ("done", "cancelled", "error", "overloaded")
@@ -212,7 +207,7 @@ class TestColumnarResults:
             assert frame["paths_data"].dtype.itemsize == 4  # ids fit int32
             assert frame_paths(frame).to_paths() == exp.paths
 
-    def test_external_and_path_frames_stay_json_under_v4(self, graph, queries):
+    def test_external_submit_gets_columns_under_v4(self):
         builder = GraphBuilder()
         builder.add_edges([("a", "b"), ("b", "c"), ("a", "c")])
         labelled = builder.build()
@@ -220,16 +215,34 @@ class TestColumnarResults:
         async def external(client, server):
             return await _job_frames(client, [["a", "c", 2]], external=True)
 
-        async def per_path(client, server):
-            return await _job_frames(
-                client, [[q.source, q.target, q.k] for q in queries[:3]], frames="path"
+        frames = _serve(labelled, external, threads=1)
+        result = next(f for f in frames if f["type"] == "result")
+        assert "paths" not in result and "paths_data" in result
+        paths = frame_paths(result).to_paths()
+        assert sorted(map(labelled.translate_path, paths)) == [("a", "b", "c"), ("a", "c")]
+
+    def test_legacy_path_frames_option_is_ignored(self, graph, queries):
+        triples = [[q.source, q.target, q.k] for q in queries[:4]]
+
+        def result_frames(opts):
+            async def scenario(client, server):
+                return await _raw_job(
+                    server.port,
+                    {"type": "submit", "id": "nc", "queries": triples, "opts": opts},
+                )
+
+            frames = [frame for _, frame in _serve(graph, scenario, threads=1)]
+            assert frames[-1]["type"] == "done"
+            assert all(frame["type"] in ("result", "done") for frame in frames)
+            return sorted(
+                ({k: v for k, v in f.items() if k != "query_ms"}
+                 for f in frames if f["type"] == "result"),
+                key=lambda frame: frame["position"],
             )
 
-        frames = _serve(labelled, external, threads=1) + _serve(graph, per_path, threads=1)
-        assert not any("paths_data" in frame for frame in frames)
-        labelled_result = next(f for f in frames if f["type"] == "result")
-        assert sorted(map(tuple, labelled_result["paths"])) == [("a", "b", "c"), ("a", "c")]
-        assert any(frame["type"] == "path" for frame in frames)
+        plain = result_frames({})
+        assert len(plain) == len(triples)
+        assert result_frames({"frames": "path"}) == plain
 
     def test_count_only_sends_no_columns(self, graph, queries):
         async def scenario(client, server):

@@ -11,7 +11,7 @@ from repro.core.algorithm import Algorithm
 from repro.core.engine import QuerySession
 from repro.core.listener import RunConfig
 from repro.core.query import Query
-from repro.core.result import EnumerationStats, QueryResult
+from repro.core.result import EnumerationStats, PathBuffer, QueryResult
 from repro.graph.generators import erdos_renyi
 from repro.server.service import JobState, QueryService
 from repro.workloads.queries import generate_target_centric_set
@@ -40,7 +40,8 @@ class _SlowAlgorithm(Algorithm):
         time.sleep(self.delay)
         return QueryResult(
             source=query.source, target=query.target, k=query.k,
-            algorithm=self.name, count=1, paths=[(query.source, query.target)],
+            algorithm=self.name, count=1,
+            paths=PathBuffer.from_paths([(query.source, query.target)]),
             stats=EnumerationStats(),
         )
 

@@ -12,16 +12,15 @@ PUBLIC_NAMES = {
     "DiGraph", "GraphBuilder", "read_edge_list",
     # queries, algorithms and results
     "Query", "QueryResult", "RunConfig", "PathEnum", "IdxDfs", "IdxJoin",
-    "LightWeightIndex", "BatchStats",
+    "LightWeightIndex",
     # constraints
     "PredicateConstraint", "AccumulativeConstraint", "AutomatonConstraint",
-    "SequenceAutomaton",
-    "LandmarkOracle", "ReproError",
+    "SequenceAutomaton", "ReproError",
 }
 
 
 def test_all_is_pinned():
-    assert len(repro.__all__) == len(set(repro.__all__)) == 24
+    assert len(repro.__all__) == len(set(repro.__all__)) == 22
     assert set(repro.__all__) == PUBLIC_NAMES
 
 
