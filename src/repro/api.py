@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import operator
 import queue as queue_module
@@ -830,24 +831,8 @@ class _CoreBackend(ExecutionBackend):
         queries = _resolve_queries(self.graph, specs, external)
         config = _run_config(options)
         run = self.core.start(queries, config, chunk_queries=chunk_queries)
-        paying_positions: set = set()
-        if self.core.distance_aware:
-            first_position: Dict[Tuple[int, int], int] = {}
-            for position, query in enumerate(queries):
-                first_position.setdefault((query.target, query.k), position)
-            paying_positions = {
-                first_position[key] for key in run.fresh if key in first_position
-            }
-
-        def produce() -> Iterator[Tuple[int, QueryResult]]:
-            for chunk in run.chunks():
-                for position, result in chunk:
-                    if self.core.distance_aware:
-                        result.stats.bfs_cache_hit = position not in paying_positions
-                    yield position, result
-
         return ResultStream(
-            produce(),
+            itertools.chain.from_iterable(run.chunks()),
             num_queries=len(queries),
             backend=self.name,
             cancel=run.cancel,

@@ -8,10 +8,12 @@
   BC-DFS splitting paths at the middle position;
 * :class:`~repro.baselines.t_dfs.TDfs` — the certification-based
   polynomial-delay algorithm of Rizzi et al. [33];
-* :class:`~repro.baselines.yen.YenKsp` — a top-K shortest loopless path
-  adapter (Yen's algorithm), the KSP family discussed in related work;
 * :class:`~repro.baselines.full_join.FullJoin` — the chain join evaluated on
   the fully-reduced relations of Algorithm 2 (no light-weight index).
+
+Each is registered by name in :mod:`repro.baselines.registry`.  The top-K
+shortest-path family the paper discusses as related work (Yen's algorithm)
+has no adapter here: no table of the evaluation runs it.
 """
 
 from repro.baselines.bc_dfs import BcDfs
@@ -20,14 +22,12 @@ from repro.baselines.full_join import FullJoin
 from repro.baselines.generic_dfs import GenericDfs
 from repro.baselines.registry import available_algorithms, get_algorithm, register_algorithm
 from repro.baselines.t_dfs import TDfs
-from repro.baselines.yen import YenKsp
 
 __all__ = [
     "GenericDfs",
     "BcDfs",
     "BcJoin",
     "TDfs",
-    "YenKsp",
     "FullJoin",
     "get_algorithm",
     "available_algorithms",

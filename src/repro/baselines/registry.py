@@ -50,7 +50,6 @@ def _register_builtins() -> None:
     from repro.baselines.full_join import FullJoin
     from repro.baselines.generic_dfs import GenericDfs
     from repro.baselines.t_dfs import TDfs
-    from repro.baselines.yen import YenKsp
     from repro.core.reverse import IdxDfsReverse
 
     builtin = {
@@ -61,7 +60,6 @@ def _register_builtins() -> None:
         "PathEnum": PathEnum,
         "GenericDFS": GenericDfs,
         "T-DFS": TDfs,
-        "Yen-KSP": YenKsp,
         "FullJoin": FullJoin,
         "IDX-DFS-REV": IdxDfsReverse,
     }

@@ -50,7 +50,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 import multiprocessing
 import os
@@ -276,11 +276,6 @@ class BatchStats:
     wall_seconds: float = 0.0
 
     @property
-    def bfs_cache_misses(self) -> int:
-        """Distance-cache misses (alias of :attr:`reverse_bfs_runs`)."""
-        return self.reverse_bfs_runs
-
-    @property
     def hit_rate(self) -> float:
         """Fraction of queries served from the distance cache."""
         if self.queries_run == 0:
@@ -379,24 +374,26 @@ class QuerySession:
             if num_keys > self._max_cached:
                 self._max_cached = int(num_keys)
 
-    def prepare(self, queries: Iterable[Query]) -> List[_DistanceKey]:
+    def prepare(self, queries: Iterable[Query]) -> Set[int]:
         """Warm the unconstrained distance cache for ``queries``.
 
-        Returns the keys whose reverse BFS was actually computed (cache
-        misses).  Used by :class:`ExecutorCore` before fanning out to its
-        pool — the cache is read-only during parallel execution, and the
-        returned keys let the caller charge each fresh BFS to the first
-        query that needed it instead of counting every pool query as a hit.
+        Returns the positions of the queries whose reverse BFS was actually
+        computed (cache misses): the first query, in workload order, of each
+        uncached key.  Used by :class:`ExecutorCore` before fanning out to
+        its pool — the cache is read-only during parallel execution, and the
+        returned positions let the run charge each fresh BFS to the query a
+        sequential session would have charged, instead of counting every
+        pool query as a hit.
         """
-        fresh: List[_DistanceKey] = []
-        for query in queries:
+        paying: Set[int] = set()
+        for position, query in enumerate(queries):
             key = self._key(query, None)
             with self._lock:
                 known = key in self._distances
             if not known:
-                fresh.append(key)
+                paying.add(position)
             self.distances_to_target(query.target, query.k)
-        return fresh
+        return paying
 
     def export_distances(self) -> Dict[Tuple[int, int], np.ndarray]:
         """The unconstrained cache entries as ``{(target, k): distances}``.
@@ -418,16 +415,14 @@ class QuerySession:
         *,
         added: Sequence[Tuple[int, int]] = (),
         removed: Sequence[Tuple[int, int]] = (),
-        repair_budget: Optional[int] = None,
     ) -> Dict[str, int]:
         """Swap the session onto a new graph epoch, repairing the cache.
 
         Unconstrained distance arrays are repaired incrementally from the
         update batch (:func:`repro.live.repair.repair_reverse_distances`)
-        instead of being dropped; entries whose affected region exceeds
-        ``repair_budget`` fall back to a full bounded BFS, and constrained
-        entries (whose edge filters may consult mutated attributes) are
-        invalidated outright.  Returns the per-entry counts.
+        instead of being dropped, and constrained entries (whose edge
+        filters may consult mutated attributes) are invalidated outright.
+        Returns the per-entry counts.
         """
         from repro.live.repair import repair_reverse_distances
 
@@ -448,7 +443,6 @@ class QuerySession:
                     cutoff=k,
                     added=added,
                     removed=removed,
-                    budget=repair_budget,
                 )
                 counts["repaired" if incremental else "recomputed"] += 1
                 self._distances[key] = (constraint, repaired_array)
@@ -783,17 +777,6 @@ def _iter_shard_results_raw(
                 yield position, result
 
 
-def _run_shard_queries(
-    graph: DiGraph,
-    algorithm: Algorithm,
-    config: RunConfig,
-    shard: Sequence[Tuple[int, Tuple[int, int, int]]],
-    distances: Mapping[Tuple[int, int], np.ndarray],
-) -> List[Tuple[int, QueryResult]]:
-    """Materialised form of :func:`_iter_shard_results` (tests, inline use)."""
-    return list(_iter_shard_results(graph, algorithm, config, shard, distances))
-
-
 #: Queries per streamed result chunk when nobody needs per-query latency:
 #: one IPC message per 32 results keeps queue overhead negligible.  Streaming
 #: consumers (the query service) use a chunk size of 1.
@@ -943,15 +926,15 @@ class StreamRun:
         run_id: int,
         num_queries: int,
         num_shards: int,
-        fresh: List[Tuple[int, int]],
+        paying: Optional[Set[int]],
     ) -> None:
         self._core = core
         self.run_id = run_id
         self.num_queries = num_queries
         self.num_shards = num_shards
-        #: ``(target, k)`` keys whose reverse BFS this run's warm phase paid
-        #: for (equivalently: the number of warm-phase BFS traversals).
-        self.fresh = fresh
+        #: Positions charged with a warm-phase reverse BFS (``None`` when
+        #: the algorithm shares no distance cache); see :meth:`_charge`.
+        self._paying = paying
         self.cancelled = threading.Event()
         self._queue: "queue_module.Queue" = queue_module.Queue()
         self._futures: List = []
@@ -1073,13 +1056,28 @@ class StreamRun:
                 fresh = [(p, r) for p, r in payload if p not in delivered]
                 if fresh:
                     delivered.update(p for p, _ in fresh)
-                    yield fresh
+                    yield self._charge(fresh)
         finally:
             self.cancelled.set()
             for future in self._futures:
                 future.cancel()
             self._core._unregister_run(self.run_id)
             self._release_epoch()
+
+    def _charge(
+        self, chunk: List[Tuple[int, QueryResult]]
+    ) -> List[Tuple[int, QueryResult]]:
+        """Set each result's cache-hit flag as a sequential session would.
+
+        Workers read every distance array from the warm cache, so each
+        warm-phase reverse BFS is charged here to the first query (in
+        workload order) of its key, and every other query is a hit.
+        """
+        paying = self._paying
+        if paying is not None:
+            for position, result in chunk:
+                result.stats.bfs_cache_hit = position not in paying
+        return chunk
 
     def _release_epoch(self) -> None:
         """Drop the run's epoch pin (idempotent)."""
@@ -1141,10 +1139,10 @@ class StreamRun:
                 return
             buffer.append(item)
             if len(buffer) >= self._chunk_queries:
-                yield buffer
+                yield self._charge(buffer)
                 buffer = []
         if buffer:
-            yield buffer
+            yield self._charge(buffer)
 
 
 class ExecutorCore:
@@ -1197,6 +1195,12 @@ class ExecutorCore:
     ``close()`` is idempotent.
     """
 
+    #: Pool regenerations one run may attempt after ``BrokenProcessPool``
+    #: before the break is surfaced: a deterministically-crashing query
+    #: fails on its second replay, one spare regeneration absorbs an
+    #: unrelated coincident death.
+    POOL_RETRIES = 2
+
     def __init__(
         self,
         graph: DiGraph,
@@ -1206,23 +1210,11 @@ class ExecutorCore:
         workers: Optional[int] = None,
         start_method: Optional[str] = None,
         max_cached: int = 1024,
-        pool_retries: object = "auto",
     ) -> None:
         if backend not in ("process", "thread"):
             raise ValueError(f"unknown backend {backend!r}: use 'process' or 'thread'")
         if workers is not None and workers < 1:
             raise ValueError("workers must be at least 1")
-        if pool_retries == "auto":
-            resolved_retries = 2
-        else:
-            resolved_retries = int(pool_retries)  # type: ignore[arg-type]
-            if resolved_retries < 0:
-                raise ValueError("pool_retries must be 'auto' or a non-negative int")
-        #: Pool regenerations one run may attempt after ``BrokenProcessPool``
-        #: before the break is surfaced (``"auto"`` resolves to 2: a
-        #: deterministically-crashing query fails on its second replay, one
-        #: spare regeneration absorbs an unrelated coincident death).
-        self.pool_retries = resolved_retries
         self.graph = graph
         self.algorithm = algorithm if algorithm is not None else PathEnum()
         self.backend = backend
@@ -1280,9 +1272,6 @@ class ExecutorCore:
             "distance_repairs_full": 0,
             "distance_entries_invalidated": 0,
         }
-        #: Affected-region bound for incremental distance repair before the
-        #: session falls back to a full recompute for that entry.
-        self.repair_budget: Optional[int] = None
         self._closed = False
 
     # -- lifecycle ----------------------------------------------------- #
@@ -1392,10 +1381,8 @@ class ExecutorCore:
                 for shard in shards
             ]
             distance_aware = self.distance_aware
-            fresh: List[Tuple[int, int]] = []
-            if distance_aware and queries:
-                fresh = self._warm_distances(queries)
-            run = StreamRun(self, next(self._run_ids), len(queries), len(plain), fresh)
+            paying = self._warm_distances(queries) if distance_aware else None
+            run = StreamRun(self, next(self._run_ids), len(queries), len(plain), paying)
             run._chunk_queries = max(1, int(chunk_queries))
             # MVCC read side: capture the graph *now* and pin its epoch.
             # A mutation published while this run is in flight swaps
@@ -1459,7 +1446,7 @@ class ExecutorCore:
                         "config": config,
                         "cache_handle": cache_handle,
                     }
-                    run._retries_left = self.pool_retries
+                    run._retries_left = self.POOL_RETRIES
                 else:
                     distances = self.session.export_distances()
                     run._inline = itertools.chain.from_iterable(
@@ -1493,8 +1480,7 @@ class ExecutorCore:
         keep the retired segment mapped until the run drains, and the
         distance arrays they were handed describe their own epoch.  New
         runs see the new epoch and a cache repaired incrementally by
-        :func:`repro.live.repair.repair_reverse_distances` (full recompute
-        per entry when the affected region exceeds :attr:`repair_budget`).
+        :func:`repro.live.repair.repair_reverse_distances`.
         """
         from repro.live.epochs import LiveGraph
 
@@ -1508,11 +1494,7 @@ class ExecutorCore:
                         if self.backend == "process" and self.workers > 1
                         else "heap"
                     )
-                    self._live = LiveGraph(
-                        self.graph,
-                        store=live_store,
-                        repair_budget=self.repair_budget,
-                    )
+                    self._live = LiveGraph(self.graph, store=live_store)
             info = self._live.apply(add=add, remove=remove)
             if not info["published"]:
                 with self._submit_lock:
@@ -1537,7 +1519,6 @@ class ExecutorCore:
                     new_graph,
                     added=info["added"],
                     removed=info["removed"],
-                    repair_budget=self.repair_budget,
                 )
                 # The packed distance segment describes the previous epoch;
                 # retire it.  In-flight runs that already attached keep
@@ -1579,18 +1560,17 @@ class ExecutorCore:
                 "evaluate constrained workloads on the inline Database(graph)"
             )
 
-    def _warm_distances(self, queries: Sequence[Query]) -> List[Tuple[int, int]]:
+    def _warm_distances(self, queries: Sequence[Query]) -> Set[int]:
         """Run the reverse BFS once per distinct ``(target, k)`` key.
 
         Delegates to :meth:`QuerySession.prepare` (after growing the cache
-        bound so nothing is evicted mid-batch) and returns the keys that
-        were actually computed, so per-query hit flags can be charged
-        exactly as a sequential session would.
+        bound so nothing is evicted mid-batch) and returns the positions
+        charged with a computed BFS, so per-query hit flags match a
+        sequential session.
         """
         distinct = {self.session._key(query, None) for query in queries}
         self.session.ensure_capacity(len(distinct))
-        fresh_keys = self.session.prepare(queries)
-        return [(key[0], key[1]) for key in fresh_keys]
+        return self.session.prepare(queries)
 
     def _pack_distances(
         self, required: Optional[set] = None

@@ -616,10 +616,6 @@ class LightWeightIndex:
         partition_ints = len(self._part_members)
         return 8 * (neighbor_ints + offset_ints + partition_ints)
 
-    def degree_sequence(self) -> Sequence[int]:
-        """Index out-degrees, handy for ablation analysis."""
-        return np.diff(self._indptr).tolist()
-
 
 # ---------------------------------------------------------------------- #
 # Algorithm 3's arrays: compiled, and the NumPy reference

@@ -52,11 +52,6 @@ class Plan:
     #: The DP tables of the full estimator (``None`` when it did not run).
     estimate: Optional[CardinalityEstimate] = None
 
-    @property
-    def is_join(self) -> bool:
-        """``True`` when the bushy join plan was selected."""
-        return self.kind == "join"
-
 
 def choose_plan(
     index: LightWeightIndex,

@@ -443,10 +443,10 @@ class QueryResult:
     """The outcome of evaluating a single HcPE query.
 
     The ``paths`` argument is the :class:`PathBuffer` of stored paths, or
-    ``None`` when storage was off.  The :attr:`paths` attribute reads it as
-    a list of tuples (materialised and cached on first access) while
-    :attr:`path_buffer` keeps the columnar form for compact pickling and
-    wire serialisation.
+    ``None`` when storage was off; anything else raises ``TypeError``.  The
+    :attr:`paths` attribute reads it as a list of tuples (materialised and
+    cached on first access) while :attr:`path_buffer` keeps the columnar
+    form for compact pickling and wire serialisation.
     """
 
     __slots__ = (
@@ -503,6 +503,11 @@ class QueryResult:
 
     @paths.setter
     def paths(self, value: Optional[PathBuffer]) -> None:
+        if value is not None and not isinstance(value, PathBuffer):
+            raise TypeError(
+                f"QueryResult paths must be a PathBuffer or None, "
+                f"not {type(value).__name__}"
+            )
         self._paths: Optional[List[Path]] = None
         self._path_buffer = value
 

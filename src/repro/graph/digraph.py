@@ -526,12 +526,6 @@ class DiGraph:
             return default
         return self._edge_labels[pos]
 
-    def edge_weight_by_position(self, position: int) -> float:
-        """Weight of the edge stored at CSR ``position`` (fast path for hot loops)."""
-        if self._edge_weights is None:
-            return 1.0
-        return float(self._edge_weights[position])
-
     # ------------------------------------------------------------------ #
     # external ids
     # ------------------------------------------------------------------ #

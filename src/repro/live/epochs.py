@@ -70,10 +70,6 @@ class Epoch:
         )
 
     @property
-    def retired(self) -> bool:
-        return self._retired
-
-    @property
     def refs(self) -> int:
         return self._refs
 
@@ -147,7 +143,6 @@ class LiveGraph:
         *,
         compact_threshold: int = 4096,
         store: str = "heap",
-        repair_budget: Optional[int] = None,
     ) -> None:
         if store not in ("heap", "shared_memory"):
             raise ValueError(
@@ -162,7 +157,6 @@ class LiveGraph:
         #: original (epoch 0) base.
         self._base_pin: Optional[Epoch] = None
         self._lock = threading.RLock()
-        self.repair_budget = repair_budget
         self.epochs_published = 0
         self.compactions = 0
         self.updates_applied = 0

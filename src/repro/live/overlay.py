@@ -149,15 +149,6 @@ class DeltaOverlay:
             return _EMPTY
         return np.fromiter(sorted(merged), dtype=np.int64, count=len(merged))
 
-    def out_neighbors(self, v: int) -> np.ndarray:
-        """Merged out-adjacency row of ``v`` (sorted, like a CSR row)."""
-        v = int(v)
-        return self._merged_row(
-            self.base.neighbors(v),
-            self._removed_out.get(v, set()),
-            self._added_out.get(v, set()),
-        )
-
     def in_neighbors(self, v: int) -> np.ndarray:
         """Merged in-adjacency row of ``v`` (sorted, like a CSR row)."""
         v = int(v)

@@ -16,10 +16,12 @@ entry points cover the two scripted uses:
 from __future__ import annotations
 
 import asyncio
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.result import PathBuffer
 from repro.errors import ConnectionLost
 from repro.server.protocol import (
     DEFAULT_PORT,
@@ -86,30 +88,37 @@ class Pong:
 
 @dataclass
 class RemoteResult:
-    """One query's result as received over the wire."""
+    """One query's result as received over the wire.
+
+    :attr:`path_buffer` holds the frame's paths in columnar form (``None``
+    when the frame carried none); :attr:`paths` reads them as a list of
+    tuples, materialised and cached on first access.
+    """
 
     position: int
     source: object
     target: object
     k: int
     count: int
-    paths: Optional[List[Tuple[int, ...]]]
+    path_buffer: Optional[PathBuffer]
     query_ms: float
     plan: Optional[str]
     timed_out: bool
     bfs_cache_hit: bool
 
+    @functools.cached_property
+    def paths(self) -> Optional[List[Tuple[int, ...]]]:
+        return None if self.path_buffer is None else self.path_buffer.to_paths()
+
     @classmethod
-    def from_frame(
-        cls, frame: Dict[str, object], paths: Optional[List[Tuple[int, ...]]]
-    ) -> "RemoteResult":
+    def from_frame(cls, frame: Dict[str, object]) -> "RemoteResult":
         return cls(
             position=int(frame["position"]),
             source=frame["source"],
             target=frame["target"],
             k=int(frame["k"]),
             count=int(frame["count"]),
-            paths=paths,
+            path_buffer=frame_paths(frame),
             query_ms=float(frame["query_ms"]),
             plan=frame.get("plan"),
             timed_out=bool(frame.get("timed_out", False)),
@@ -140,11 +149,6 @@ class JobOutcome:
     @property
     def total_paths(self) -> int:
         return sum(result.count for result in self.results)
-
-    def raise_on_error(self) -> "JobOutcome":
-        if self.status == "error":
-            raise RuntimeError(f"job {self.job_id} failed: {self.info.get('error')}")
-        return self
 
 
 class QueryClient:
@@ -353,10 +357,7 @@ class QueryClient:
                 first = loop.time() - started
             kind = frame["type"]
             if kind == "result":
-                paths = frame_paths(frame)
-                if paths is not None:
-                    paths = paths.to_paths()
-                results.append(RemoteResult.from_frame(frame, paths))
+                results.append(RemoteResult.from_frame(frame))
             else:
                 status, info = kind, frame
         results.sort(key=lambda result: result.position)

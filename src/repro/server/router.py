@@ -213,10 +213,6 @@ class ShardChannel:
         #: Replicas whose half-open probe is currently in flight.
         self._half_open: set = set()
 
-    def replica_index(self, attempt: int) -> int:
-        """Replica for attempt number ``attempt`` (0-based): primary first."""
-        return attempt % len(self.replicas)
-
     # -- circuit breaker ------------------------------------------------ #
     def record_success(self, replica: int) -> None:
         """A replica answered: reset its failure streak, close its breaker."""
@@ -401,6 +397,9 @@ class ShardRouter:
     attempts have completed, ``hedge_initial_delay`` is used.
     """
 
+    #: Winning-attempt latencies the hedge percentile is taken over.
+    LATENCY_WINDOW = 256
+
     def __init__(
         self,
         shard_map: ShardMap,
@@ -413,7 +412,6 @@ class ShardRouter:
         hedge_min_samples: int = 8,
         max_attempts: int = 4,
         policy: Optional[ReconnectPolicy] = None,
-        latency_window: int = 256,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 5.0,
     ) -> None:
@@ -445,7 +443,7 @@ class ShardRouter:
             for index, replicas in enumerate(shard_map.shards)
         ]
         self.counters = RouterStatsCounters()
-        self._latencies: Deque[float] = deque(maxlen=latency_window)
+        self._latencies: Deque[float] = deque(maxlen=self.LATENCY_WINDOW)
         self._job_ids = itertools.count(1)
         self._attempt_ids = itertools.count(1)
         self._closed = False

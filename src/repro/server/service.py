@@ -448,22 +448,8 @@ class QueryService:
             job._run = run
             if job.cancelled:
                 run.cancel()
-            # Charge each warm-phase reverse BFS to the first query (in
-            # workload order) of its key, as the batch executors do, so a
-            # served result carries the same cache-hit flag a sequential
-            # session run would report.
-            paying_positions: set = set()
-            if self._core.distance_aware:
-                first_position: Dict[Tuple[int, int], int] = {}
-                for position, query in enumerate(queries):
-                    first_position.setdefault((query.target, query.k), position)
-                paying_positions = {
-                    first_position[key] for key in run.fresh if key in first_position
-                }
             for chunk in run.chunks():
                 for position, result in chunk:
-                    if self._core.distance_aware:
-                        result.stats.bfs_cache_hit = position not in paying_positions
                     job.delivered += 1
                     total_paths += result.count
                     job._deliver(("result", position, result))
@@ -543,17 +529,6 @@ class QueryService:
             job.cancel()
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self._shutdown_blocking)
-
-    def close_sync(self) -> None:
-        """Synchronous variant of :meth:`close` for non-asyncio teardown."""
-        if self._closed:
-            return
-        self._closed = True
-        with self._lock:
-            active = list(self._stats.active_jobs.values())
-        for job in active:
-            job.cancel()
-        self._shutdown_blocking()
 
     def _shutdown_blocking(self) -> None:
         self._drive_pool.shutdown(wait=True, cancel_futures=True)

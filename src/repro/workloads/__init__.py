@@ -3,7 +3,10 @@
 * :mod:`repro.workloads.datasets` — a registry of fifteen synthetic graphs
   standing in for the real-world datasets of Table 2;
 * :mod:`repro.workloads.queries` — query-set generation following Section
-  7.1 (degree-based vertex split, four settings, distance(s, t) <= 3);
+  7.1 (degree-based vertex split, four endpoint settings, distance(s, t)
+  <= 3) and target-centric sets, plus the target-affine partitioning the
+  executor shards by, the consistent hash the router places targets with
+  and open-loop arrival schedules;
 * :mod:`repro.workloads.dynamic` — the dynamic-graph workload of Figure 8
   (10 % held-out edges replayed as insertions, one cycle query each).
 """

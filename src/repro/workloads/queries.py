@@ -30,11 +30,9 @@ __all__ = [
     "split_by_degree",
     "consistent_hash",
     "partition_by_target",
-    "partition_by_shard",
     "poisson_arrival_times",
     "generate_query_set",
     "generate_target_centric_set",
-    "generate_all_settings",
 ]
 
 
@@ -161,32 +159,6 @@ def consistent_hash(target, num_shards: int) -> int:
         if weight > best_weight:
             best_shard, best_weight = shard, weight
     return best_shard
-
-
-def partition_by_shard(
-    queries: Sequence, num_shards: int
-) -> List[List[Tuple[int, object]]]:
-    """Partition ``queries`` across ``num_shards`` by target consistent hash.
-
-    The routing-tier counterpart of :func:`partition_by_target`: instead of
-    balancing load greedily across an ephemeral worker pool, every query is
-    pinned to the shard :func:`consistent_hash` assigns its target — the
-    property a distributed router needs so that the *same* shard host serves
-    a target across batches, processes and router restarts (its distance
-    cache stays hot, and no two shards ever own one target).
-
-    Accepts :class:`~repro.core.query.Query` objects or ``(s, t, k)``
-    triples.  Returns exactly ``num_shards`` lists of
-    ``(original_position, query)`` pairs; unlike :func:`partition_by_target`
-    empty shards are kept, so indexes align with the shard map.
-    """
-    if num_shards < 1:
-        raise WorkloadError("num_shards must be positive")
-    shards: List[List[Tuple[int, object]]] = [[] for _ in range(num_shards)]
-    for position, query in enumerate(queries):
-        target = query.target if hasattr(query, "target") else query[1]
-        shards[consistent_hash(target, num_shards)].append((position, query))
-    return shards
 
 
 def partition_by_target(
@@ -392,27 +364,3 @@ def generate_target_centric_set(
             f"(graph too sparse around the {len(targets)} chosen targets)"
         )
     return QueryWorkload(graph_name=graph_name, setting=setting, k=k, queries=queries, seed=seed)
-
-
-def generate_all_settings(
-    graph: DiGraph,
-    *,
-    count: int,
-    k: int,
-    seed: Optional[int] = None,
-    graph_name: str = "graph",
-) -> List[QueryWorkload]:
-    """Generate one workload per endpoint setting (the paper's four sets)."""
-    workloads = []
-    for offset, setting in enumerate(QuerySetting):
-        workloads.append(
-            generate_query_set(
-                graph,
-                count=count,
-                k=k,
-                setting=setting,
-                seed=None if seed is None else seed + offset,
-                graph_name=graph_name,
-            )
-        )
-    return workloads

@@ -31,7 +31,7 @@ class TestLookup:
 
     def test_available_algorithms_contains_baselines(self):
         names = set(available_algorithms())
-        assert {"BC-DFS", "BC-JOIN", "T-DFS", "Yen-KSP", "FullJoin", "GenericDFS"} <= names
+        assert {"BC-DFS", "BC-JOIN", "T-DFS", "FullJoin", "GenericDFS"} <= names
 
     def test_each_lookup_returns_a_fresh_instance(self):
         assert get_algorithm("PathEnum") is not get_algorithm("PathEnum")

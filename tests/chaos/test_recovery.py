@@ -120,15 +120,16 @@ class TestPoolRecovery:
                 with pytest.raises(BrokenProcessPool):
                     _stream_all(core, queries)
 
-    def test_pool_retries_zero_disables_recovery(self, graph, queries, tmp_path):
+    def test_pool_retries_zero_disables_recovery(self, graph, queries, tmp_path, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
 
+        monkeypatch.setattr(ExecutorCore, "POOL_RETRIES", 0)
         plan = {
             "faults": [{"site": "worker.task", "op": "kill", "position": 5}],
         }
         with faults.installed(plan, state_dir=str(tmp_path / "state")):
             with ExecutorCore(graph, backend="process", workers=2,
-                              start_method="fork", pool_retries=0) as core:
+                              start_method="fork") as core:
                 with pytest.raises(BrokenProcessPool):
                     _stream_all(core, queries)
 

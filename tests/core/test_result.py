@@ -95,6 +95,15 @@ class TestQueryResult:
         assert sorted(result.path_lengths()) == [2, 2, 3]
         assert _make_result(paths=None).path_lengths() == []
 
+    def test_paths_must_be_a_buffer_or_none(self):
+        # The tuple-list form fails at construction, not later in a worker.
+        with pytest.raises(TypeError, match="PathBuffer or None"):
+            _make_result(paths=[(0, 1, 5), (0, 2, 5), (0, 1, 2, 5)])
+        result = _make_result()
+        with pytest.raises(TypeError, match="not tuple"):
+            result.paths = ((0, 1, 5),)
+        assert result.paths == [(0, 1, 5), (0, 2, 5), (0, 1, 2, 5)]
+
     def test_summary_contents(self):
         summary = _make_result().summary()
         assert summary["algorithm"] == "IDX-DFS"

@@ -18,8 +18,9 @@ import pytest
 from repro.api import Database, Q
 from repro.core.engine import ExecutorCore
 from repro.errors import GraphError
+from repro.graph.digraph import DiGraph
 from repro.graph.generators import erdos_renyi
-from repro.live import LiveGraph
+from repro.live import Epoch, LiveGraph
 from repro.server.client import QueryClient, open_loop_load
 from repro.server.server import QueryServer
 from repro.server.service import QueryService
@@ -154,6 +155,34 @@ class TestRetiredEpochHandle:
                 handle.attach()
         finally:
             live.close()
+
+
+class TestEpochRefcount:
+    def test_pin_on_a_drained_epoch_raises(self):
+        epoch = Epoch(3, erdos_renyi(20, 2.0, seed=1))
+        epoch.pin().release()
+        epoch.retire()
+        assert epoch.refs == 0
+        with pytest.raises(GraphError, match="drained"):
+            epoch.pin()
+        assert epoch.refs == 0
+
+    def test_store_lives_until_the_last_of_two_pins_is_released(self):
+        graph = erdos_renyi(40, 3.0, seed=2)
+        handle = graph.share()
+        epoch = Epoch(1, graph, owns_store=True)
+        first, second = epoch.pin(), epoch.pin()
+        epoch.retire()
+        first.release()
+        # One reader is still pinned: a late attach (broken-pool recovery)
+        # must still map the segment.
+        attached = DiGraph.from_handle(handle)
+        assert attached.num_edges == graph.num_edges
+        attached.close_store()
+        second.release()
+        assert epoch.refs == 0
+        with pytest.raises(GraphError):
+            DiGraph.from_handle(handle)
 
 
 class TestServerUpdateFrame:

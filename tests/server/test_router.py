@@ -24,7 +24,7 @@ from repro.core.result import EnumerationStats, PathBuffer, QueryResult
 from repro.errors import ReproError
 from repro.graph.generators import erdos_renyi
 from repro.server.client import QueryClient, ReconnectPolicy
-from repro.server.router import RouterServer, ShardMap, ShardRouter, parse_address
+from repro.server.router import RouterJob, RouterServer, ShardMap, ShardRouter, parse_address
 from repro.server.server import QueryServer
 from repro.server.service import QueryService
 from repro.workloads.queries import generate_target_centric_set
@@ -552,6 +552,54 @@ class TestHedging:
         winners = [p for p, f in by_position.items() if f["count"] == expected[p].count
                    and [tuple(q) for q in f["paths"]] == [tuple(q) for q in expected[p].paths]]
         assert len(winners) >= 1
+
+    def test_second_claim_of_a_position_loses(self):
+        async def scenario():
+            job = RouterJob("r1", 3)
+            return [job.claim(1), job.claim(1), job.claim(0), job.claim(1)], job.delivered
+
+        claims, delivered = _run(scenario())
+        assert claims == [True, False, True, False]
+        assert delivered == {0, 1}
+
+    def test_overlapping_attempts_merge_each_position_once(self, graph, triples, expected):
+        """Two attempts that both deliver every position (a failover or
+        hedge overlap whose loser is not cancelled in time): the job sees
+        one result frame per position, the other attempt's are dropped."""
+        sub_batch = triples[:5]
+
+        async def scenario():
+            fleet = _Fleet()
+            try:
+                await fleet.add_shard(graph, threads=1)
+                router = ShardRouter(fleet.shard_map(), hedge=False)
+                job = RouterJob("r1", len(sub_batch))
+                channel = router.channels[0]
+                statuses = []
+                for _ in range(2):
+                    # Each attempt starts from the full sub-batch, so both
+                    # stream a result for every position.
+                    statuses.append(await router._attempt(
+                        job, channel, 0, set(range(len(sub_batch))), sub_batch,
+                        {"store_paths": True},
+                    ))
+                frames = []
+                while not job.queue.empty():
+                    frames.append(job.queue.get_nowait())
+                counters = router.counters
+                merged = (counters.results_merged, counters.duplicates_dropped)
+                await router.close()
+                return statuses, frames, merged
+            finally:
+                await fleet.close()
+
+        statuses, frames, (merged, dropped) = _run(scenario())
+        assert statuses == ["done", "done"]
+        assert [f["type"] for f in frames] == ["result"] * len(sub_batch)
+        assert sorted(f["position"] for f in frames) == list(range(len(sub_batch)))
+        assert (merged, dropped) == (len(sub_batch), len(sub_batch))
+        for frame in frames:
+            assert frame["count"] == expected[frame["position"]].count
 
     def test_hedge_delay_tracks_winning_latency_percentile(self):
         shard_map = ShardMap.from_entries(["h:1,h:2"])

@@ -82,6 +82,10 @@ class TestRoundTrip:
             assert (act.source, act.target, act.k) == (exp.source, exp.target, exp.k)
             assert act.count == exp.count
             # Same paths, same order — the wire format must not reorder.
+            # The client keeps the frame's columns; tuples are a lazy view.
+            assert isinstance(act.path_buffer, PathBuffer)
+            assert "paths" not in vars(act)
+            assert act.path_buffer == exp.path_buffer
             assert act.paths == exp.paths
             assert act.bfs_cache_hit == exp.stats.bfs_cache_hit
 

@@ -10,8 +10,6 @@ from repro.graph.traversal import UNREACHABLE, distance
 from repro.workloads.queries import (
     QuerySetting,
     consistent_hash,
-    partition_by_shard,
-    generate_all_settings,
     generate_query_set,
     generate_target_centric_set,
     poisson_arrival_times,
@@ -90,9 +88,12 @@ class TestQueryGeneration:
             generate_query_set(workload_graph, count=0, k=4)
 
     def test_all_four_settings(self, workload_graph):
-        workloads = generate_all_settings(workload_graph, count=5, k=4, seed=7)
-        assert len(workloads) == 4
-        assert {w.setting for w in workloads} == set(QuerySetting)
+        for offset, setting in enumerate(QuerySetting):
+            workload = generate_query_set(
+                workload_graph, count=5, k=4, setting=setting, seed=7 + offset
+            )
+            assert workload.setting is setting
+            assert len(workload) == 5
 
 
 class TestWorkloadHelpers:
@@ -258,22 +259,3 @@ class TestConsistentHash:
             consistent_hash(0, 0)
         with pytest.raises(WorkloadError):
             consistent_hash(0, -2)
-
-
-class TestPartitionByShard:
-    def test_partitions_cover_the_workload_with_positions(self):
-        triples = [[i, 1000 + i, 4] for i in range(40)]
-        parts = partition_by_shard(triples, 4)
-        assert len(parts) == 4
-        flattened = sorted(
-            (position, tuple(triple)) for part in parts for position, triple in part
-        )
-        assert flattened == [(i, tuple(t)) for i, t in enumerate(triples)]
-        for shard, part in enumerate(parts):
-            for _, triple in part:
-                assert consistent_hash(triple[1], 4) == shard
-
-    def test_empty_shards_are_kept(self):
-        parts = partition_by_shard([[0, 5, 3]], 4)
-        assert len(parts) == 4
-        assert sum(len(part) for part in parts) == 1
