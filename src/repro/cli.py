@@ -707,7 +707,8 @@ def _command_route(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.server.client import ReconnectPolicy
-    from repro.server.router import ShardMap, ShardRouter, route_forever
+    from repro.server.router import ShardMap, ShardRouter
+    from repro.server.server import serve_forever
 
     if args.shard_map:
         shard_map = ShardMap.from_file(args.shard_map)
@@ -726,7 +727,7 @@ def _command_route(args: argparse.Namespace) -> int:
     )
     port = ROUTE_DEFAULT_PORT if args.port is None else args.port
     try:
-        return asyncio.run(route_forever(router, host=args.host, port=port))
+        return asyncio.run(serve_forever(router, host=args.host, port=port))
     except KeyboardInterrupt:  # pragma: no cover - signal handler races
         return 0
 

@@ -14,16 +14,16 @@ batches:
   a persistent worker pool (threads or processes) through
   :class:`~repro.core.engine.ExecutorCore`, and streams per-query results to
   submitted jobs as workers produce them;
-* :mod:`repro.server.server` — :class:`QueryServer`, the asyncio TCP
-  front end (``repro serve``);
+* :mod:`repro.server.server` — :class:`QueryServer`, the one asyncio TCP
+  front end: ``repro serve`` serves a :class:`QueryService` through it,
+  ``repro route`` a :class:`ShardRouter`;
 * :mod:`repro.server.client` — :class:`QueryClient` plus the open-loop
   load driver behind ``repro client``, with
   backoff-based reconnection (:class:`~repro.server.client.ReconnectPolicy`);
 * :mod:`repro.server.router` — the distributed tier: :class:`ShardRouter`
   consistent-hashes queries by target across per-shard serve hosts, merges
   the streamed results back into workload order, and layers replica
-  failover plus hedged requests on top; :class:`RouterServer` exposes it
-  over the same wire protocol (``repro route``).
+  failover plus hedged requests on top.
 """
 
 from repro.server.client import (
@@ -50,12 +50,10 @@ from repro.server.protocol import (
 )
 from repro.server.router import (
     RouterJob,
-    RouterServer,
     ShardChannel,
     ShardMap,
     ShardRouter,
     parse_address,
-    route_forever,
 )
 from repro.server.server import QueryServer, serve_forever
 from repro.server.service import JobState, QueryService, ServiceJob
@@ -89,6 +87,4 @@ __all__ = [
     "ShardChannel",
     "RouterJob",
     "ShardRouter",
-    "RouterServer",
-    "route_forever",
 ]

@@ -154,6 +154,8 @@ __all__ = [
     "render_result_paths",
     "result_columns",
     "sends_columns",
+    "submit_queries",
+    "submit_options",
     "frame_paths",
 ]
 
@@ -255,6 +257,50 @@ def sends_columns(submit: Dict[str, object]) -> bool:
     opts = submit.get("opts")
     opts = opts if isinstance(opts, dict) else {}
     return version >= COLUMNAR_PROTOCOL and bool(opts.get("store_paths", True))
+
+
+def submit_queries(submit: Dict[str, object]) -> List[Tuple[object, object, int]]:
+    """A submit frame's ``queries``, shape-checked: ``(source, target, k)``.
+
+    Every entry must be a ``[source, target, k]`` triple with ``k`` ≥ 1;
+    the endpoints pass through as sent (a server holding the graph checks
+    or resolves them).  Raises :class:`ValueError` naming the first bad
+    entry.
+    """
+    raw = submit.get("queries")
+    if not isinstance(raw, list):
+        raise ValueError("'queries' must be a list of [source, target, k] triples")
+    queries: List[Tuple[object, object, int]] = []
+    for entry in raw:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            raise ValueError(f"malformed query {entry!r}: expected [source, target, k]")
+        source, target, k = entry
+        k = int(k)
+        if k < 1:
+            raise ValueError(f"hop budget must be positive, got {k}")
+        queries.append((source, target, k))
+    return queries
+
+
+def submit_options(submit: Dict[str, object]) -> Dict[str, object]:
+    """A submit frame's recognised ``opts``, typed, with their defaults.
+
+    The keys are :meth:`QueryClient.submit
+    <repro.server.client.QueryClient.submit>`'s keywords, so a router
+    forwards the dict as is.  Unknown options are dropped; a value of the
+    wrong type raises :class:`ValueError` / :class:`TypeError`.
+    """
+    opts = submit.get("opts")
+    opts = opts if isinstance(opts, dict) else {}
+    limit = opts.get("result_limit")
+    deadline = opts.get("time_limit_seconds")
+    return {
+        "store_paths": bool(opts.get("store_paths", True)),
+        "result_limit": None if limit is None else int(limit),
+        "time_limit_seconds": None if deadline is None else float(deadline),
+        "response_k": int(opts.get("response_k", 1000)),
+        "external": bool(opts.get("external", False)),
+    }
 
 
 def frame_paths(frame: Dict[str, object]) -> Optional[PathBuffer]:

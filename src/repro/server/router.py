@@ -31,11 +31,12 @@ Robustness and tail-latency machinery layer on top of that core:
   The first result per position wins, duplicates are dropped exactly once
   each, and the losing attempt receives a cancel frame.
 
-:class:`RouterServer` / :func:`route_forever` expose the router over the
-same length-prefixed frame protocol the shards speak, so any existing
-client — ``repro client``, the ``remote`` backend, another router — can
-talk to ``repro route`` unchanged; ``Database("router://host:port")`` and
-shard-map files wire it into the public API.
+``repro route`` is :func:`~repro.server.server.serve_forever` over a
+:class:`ShardRouter`: the same TCP front end as ``repro serve``, speaking
+the frame protocol the shards speak, so any existing client — ``repro
+client``, the ``remote`` backend, another router — talks to it unchanged.
+``Database("router://host:port")`` and shard-map files wire it into the
+public API.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import contextlib
 import itertools
 import json
 import math
-import signal
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,13 +53,7 @@ from typing import AsyncIterator, Deque, Dict, List, Optional, Sequence, Set, Tu
 
 from repro.errors import ConnectionLost, ReproError
 from repro.server.client import QueryClient, ReconnectPolicy
-from repro.server.protocol import (
-    DEFAULT_ROUTER_PORT,
-    PROTOCOL_VERSION,
-    FrameError,
-    read_frame,
-    write_frame,
-)
+from repro.server.protocol import PROTOCOL_VERSION, submit_options, submit_queries
 from repro.workloads.queries import consistent_hash
 
 __all__ = [
@@ -68,8 +62,6 @@ __all__ = [
     "ShardChannel",
     "RouterJob",
     "ShardRouter",
-    "RouterServer",
-    "route_forever",
 ]
 
 
@@ -472,10 +464,14 @@ class ShardRouter:
         """Route one batch; returns the job whose :meth:`RouterJob.frames`
         streams the merged result frames (positions in workload space).
 
-        ``protocol`` is the frame version the job's consumer reads, announced
-        to every shard as is: a v4 consumer gets the shards' columnar
-        ``result`` frames, whose columns go back out as they arrived (no
-        path is rendered here), and ``None`` keeps JSON paths.
+        ``opts`` are :meth:`QueryClient.submit
+        <repro.server.client.QueryClient.submit>` keywords, sent to every
+        shard as they are (:func:`~repro.server.protocol.submit_options`
+        reads them off a submit frame).  ``protocol`` is the frame version
+        the job's consumer reads, announced to every shard as is: a v4
+        consumer gets the shards' columnar ``result`` frames, whose columns
+        go back out as they arrived (no path is rendered here), and
+        ``None`` keeps JSON paths.
         """
         if self._closed:
             raise RuntimeError("ShardRouter is closed")
@@ -494,6 +490,29 @@ class ShardRouter:
             )
         asyncio.ensure_future(self._finish(job))
         return job
+
+    async def open_job(
+        self, submit: Dict[str, object], job_id: str
+    ) -> Tuple[RouterJob, AsyncIterator[Dict[str, object]]]:
+        """Route the batch of one submit frame; returns the job and its frames.
+
+        Only the protocol's shape check runs here (the router holds no
+        graph); the shards check the endpoints.  The frames carry
+        ``job_id``, and the submitter's announced ``protocol`` goes on to
+        the shards.
+        """
+        triples = submit_queries(submit)
+        options = submit_options(submit)
+        protocol = submit.get("protocol")
+        job = await self.submit(
+            triples, options, protocol=protocol if isinstance(protocol, int) else None
+        )
+
+        async def frames() -> AsyncIterator[Dict[str, object]]:
+            async for frame in job.frames():
+                yield {**frame, "id": job_id}
+
+        return job, frames()
 
     async def cancel(self, job: RouterJob) -> None:
         """Cancel fan-out: flag the job and cancel every in-flight shard job."""
@@ -675,7 +694,7 @@ class ShardRouter:
             shard_job = await client.submit(
                 [triples[position] for position in sub_positions],
                 protocol=job.protocol,
-                **self._submit_kwargs(opts),
+                **opts,
             )
         except (ConnectionError, OSError):
             return "lost"
@@ -746,20 +765,21 @@ class ShardRouter:
                 await client.cancel(shard_job)
                 self.counters.loser_cancels += 1
 
-    @staticmethod
-    def _submit_kwargs(opts: Dict[str, object]) -> Dict[str, object]:
-        """Translate raw submit-frame opts into ``QueryClient.submit`` kwargs."""
-        limit = opts.get("result_limit")
-        deadline = opts.get("time_limit_seconds")
-        return {
-            "store_paths": bool(opts.get("store_paths", True)),
-            "result_limit": None if limit is None else int(limit),
-            "time_limit_seconds": None if deadline is None else float(deadline),
-            "response_k": int(opts.get("response_k", 1000)),
-            "external": bool(opts.get("external", False)),
-        }
-
     # -- health & teardown ---------------------------------------------- #
+    SHUTDOWN_BANNER = "router shutdown complete"
+
+    def banner(self, host: str, port: int) -> str:
+        return (
+            f"routing on {host}:{port} ({self.shard_map.num_shards} shards, "
+            f"{self.shard_map.num_replicas} replicas, "
+            f"hedging {'on' if self.hedge else 'off'}, no graph held)"
+        )
+
+    @property
+    def identity(self) -> Dict[str, object]:
+        """The router's fields of a ``pong`` frame: it is no shard."""
+        return {"shard_id": None, "role": "router"}
+
     async def stats(self, *, probe_timeout: float = 2.0) -> Dict[str, object]:
         """Routing counters plus a live per-shard health probe.
 
@@ -834,264 +854,3 @@ class ShardRouter:
         self._closed = True
         for channel in self.channels:
             await channel.close()
-
-
-# --------------------------------------------------------------------- #
-# the TCP front end: ``repro route``
-# --------------------------------------------------------------------- #
-class RouterServer:
-    """A graph-free TCP server speaking the shard protocol downstream.
-
-    Clients talk to it exactly as they would to ``repro serve`` — submit /
-    cancel / stats / ping frames — and never learn the topology behind it;
-    the router rewrites job ids and positions so the merged stream is
-    indistinguishable from a single-host stream (modulo the richer stats
-    payload).  Closing a connection cancels its in-flight routed jobs.
-    """
-
-    def __init__(
-        self,
-        router: ShardRouter,
-        *,
-        host: str = "127.0.0.1",
-        port: int = DEFAULT_ROUTER_PORT,
-    ) -> None:
-        self.router = router
-        self.host = host
-        self.port = port
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: Set[asyncio.Task] = set()
-        self._anon_ids = itertools.count()
-
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(self._handle, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            for task in list(self._connections):
-                task.cancel()
-            if self._connections:
-                await asyncio.gather(*self._connections, return_exceptions=True)
-            await self._server.wait_closed()
-            self._server = None
-
-    async def __aenter__(self) -> "RouterServer":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc) -> None:
-        await self.close()
-
-    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        self._connections.add(asyncio.current_task())
-        lock = asyncio.Lock()
-        jobs: Dict[str, RouterJob] = {}
-        streams: Set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    message = await read_frame(reader)
-                except FrameError as error:
-                    with contextlib.suppress(ConnectionError):
-                        await write_frame(
-                            writer, {"type": "error", "error": str(error)}, lock=lock
-                        )
-                    break
-                if message is None:
-                    break
-                await self._dispatch(message, writer, lock, jobs, streams)
-        except ConnectionError:
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self._connections.discard(asyncio.current_task())
-            for job in jobs.values():
-                asyncio.ensure_future(self.router.cancel(job))
-            for task in streams:
-                task.cancel()
-            if streams:
-                await asyncio.gather(*streams, return_exceptions=True)
-            writer.close()
-            with contextlib.suppress(ConnectionError, asyncio.CancelledError):
-                await writer.wait_closed()
-
-    async def _dispatch(
-        self,
-        message: Dict[str, object],
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-        jobs: Dict[str, RouterJob],
-        streams: Set[asyncio.Task],
-    ) -> None:
-        kind = message.get("type")
-        if kind == "submit":
-            await self._handle_submit(message, writer, lock, jobs, streams)
-        elif kind == "cancel":
-            job = jobs.get(str(message.get("id")))
-            if job is not None:
-                await self.router.cancel(job)
-        elif kind == "stats":
-            stats = await self.router.stats()
-            await write_frame(writer, {"type": "stats", "stats": stats}, lock=lock)
-        elif kind == "ping":
-            from repro._version import __version__
-
-            pong: Dict[str, object] = {
-                "type": "pong",
-                "protocol": PROTOCOL_VERSION,
-                "server_version": __version__,
-                "shard_id": None,
-                "role": "router",
-            }
-            if "t" in message:
-                pong["t"] = message["t"]
-            await write_frame(writer, pong, lock=lock)
-        else:
-            await write_frame(
-                writer,
-                {"type": "error", "error": f"unknown message type {kind!r}"},
-                lock=lock,
-            )
-
-    @staticmethod
-    def _validate_queries(raw: object) -> List[List[object]]:
-        """Shape-check only: the router has no graph to resolve ids against."""
-        if not isinstance(raw, list):
-            raise ValueError("'queries' must be a list of [source, target, k] triples")
-        triples: List[List[object]] = []
-        for entry in raw:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-                raise ValueError(
-                    f"malformed query {entry!r}: expected [source, target, k]"
-                )
-            source, target, k = entry
-            k = int(k)
-            if k < 1:
-                raise ValueError(f"hop budget must be positive, got {k}")
-            triples.append([source, target, k])
-        return triples
-
-    async def _handle_submit(
-        self,
-        message: Dict[str, object],
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-        jobs: Dict[str, RouterJob],
-        streams: Set[asyncio.Task],
-    ) -> None:
-        client_id = str(message.get("id", f"anon-{next(self._anon_ids)}"))
-        opts = message.get("opts") or {}
-        if not isinstance(opts, dict):
-            opts = {}
-        if client_id in jobs:
-            await write_frame(
-                writer,
-                {
-                    "type": "error",
-                    "id": client_id,
-                    "error": f"job id {client_id!r} is already in flight",
-                },
-                lock=lock,
-            )
-            return
-        try:
-            triples = self._validate_queries(message.get("queries"))
-        except (ValueError, TypeError) as error:
-            await write_frame(
-                writer, {"type": "error", "id": client_id, "error": str(error)}, lock=lock
-            )
-            return
-        try:
-            protocol = message.get("protocol")
-            job = await self.router.submit(
-                triples, opts, protocol=protocol if isinstance(protocol, int) else None
-            )
-        except Exception as error:  # noqa: BLE001 - e.g. router shutting down
-            await write_frame(
-                writer,
-                {"type": "error", "id": client_id, "error": f"submit failed: {error}"},
-                lock=lock,
-            )
-            return
-        jobs[client_id] = job
-
-        def _forget(_task: asyncio.Task) -> None:
-            streams.discard(_task)
-            if jobs.get(client_id) is job:
-                del jobs[client_id]
-
-        task = asyncio.ensure_future(self._stream_job(client_id, job, writer, lock))
-        streams.add(task)
-        task.add_done_callback(_forget)
-
-    async def _stream_job(
-        self,
-        client_id: str,
-        job: RouterJob,
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-    ) -> None:
-        try:
-            async for frame in job.frames():
-                await write_frame(writer, {**frame, "id": client_id}, lock=lock)
-        except (ConnectionError, asyncio.CancelledError):
-            await self.router.cancel(job)
-            raise
-        except Exception as error:  # noqa: BLE001 - e.g. an unencodable frame
-            await self.router.cancel(job)
-            with contextlib.suppress(Exception):
-                await write_frame(
-                    writer,
-                    {
-                        "type": "error",
-                        "id": client_id,
-                        "error": f"stream failed: {type(error).__name__}: {error}",
-                    },
-                    lock=lock,
-                )
-
-
-async def route_forever(
-    router: ShardRouter,
-    *,
-    host: str = "127.0.0.1",
-    port: int = DEFAULT_ROUTER_PORT,
-    ready: Optional[asyncio.Event] = None,
-) -> int:
-    """Run a router until SIGINT/SIGTERM, then shut down cleanly.
-
-    Prints one ``routing on HOST:PORT`` line once the socket is bound (the
-    CLI / CI handshake, mirroring ``serving on`` from ``repro serve``).
-    """
-    server = RouterServer(router, host=host, port=port)
-    await server.start()
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    registered = []
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, stop.set)
-            registered.append(signum)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover - non-Unix
-            pass
-    print(
-        f"routing on {server.host}:{server.port} "
-        f"({router.shard_map.num_shards} shards, "
-        f"{router.shard_map.num_replicas} replicas, "
-        f"hedging {'on' if router.hedge else 'off'}, no graph held)",
-        flush=True,
-    )
-    if ready is not None:
-        ready.set()
-    try:
-        await stop.wait()
-    finally:
-        for signum in registered:
-            loop.remove_signal_handler(signum)
-        await server.close()
-        await router.close()
-    print("router shutdown complete", flush=True)
-    return 0

@@ -1,63 +1,116 @@
-"""The asyncio TCP front end: ``repro serve``.
+"""The asyncio TCP front end of ``repro serve`` and ``repro route``.
 
-One :class:`QueryServer` wraps one :class:`~repro.server.service.QueryService`
-behind ``asyncio.start_server``.  Every connection speaks the
-length-prefixed frame protocol of :mod:`repro.server.protocol`; a connection
-may run any number of jobs concurrently — their frames interleave on the
-wire (serialised per frame by a connection lock) and clients demultiplex by
-job id.  Closing a connection cancels its outstanding jobs.
+One :class:`QueryServer` exposes one backend behind ``asyncio.start_server``:
+a :class:`~repro.server.service.QueryService` (``repro serve``, one graph)
+or a :class:`~repro.server.router.ShardRouter` (``repro route``, a shard
+fleet).  Every connection speaks the length-prefixed frame protocol of
+:mod:`repro.server.protocol`; a connection may run any number of jobs
+concurrently — their frames interleave on the wire (serialised per frame by
+a connection lock) and clients demultiplex by job id.  Closing a connection
+cancels its outstanding jobs.
 
-:func:`serve_forever` adds the process-level glue (signal handlers, clean
-shutdown) used by the CLI.
+The front end owns the connection loop, the per-connection job ids and the
+frame dispatch; the backend answers through a small surface of its own:
+
+* ``await open_job(submit, job_id)`` — parse one submit frame and start the
+  job; returns ``(job, frames)``, ``frames`` an async iterator of the job's
+  outgoing frames, already carrying ``job_id``.  Raises
+  :class:`~repro.errors.ServiceOverloaded` to shed the job,
+  ``ValueError`` / ``TypeError`` / :class:`~repro.errors.ReproError` for a
+  malformed frame, anything else for a failed submit;
+* ``await cancel(job)``;
+* ``stats()`` — the ``stats`` frame's payload (a router's is awaitable: it
+  probes its shards);
+* ``identity`` — the backend's fields of a ``pong`` frame;
+* ``banner(host, port)`` / ``SHUTDOWN_BANNER`` — the lines
+  :func:`serve_forever` prints once bound and once shut down;
+* ``await close()``.
+
+Only a backend with an ``update`` method (the service, which holds a graph)
+answers ``update`` frames; to any other they are an unknown message type.
+:func:`job_frames` is the service's codec from job events to frames.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import inspect
 import itertools
 import signal
-from typing import Dict, List, Optional, Set, Tuple
+from typing import AsyncIterator, Dict, Optional, Set
 
-from repro.core.listener import RunConfig
-from repro.core.query import Query
-from repro.errors import ReproError, ServiceOverloaded, VertexNotFoundError
+from repro._version import __version__
+from repro.errors import ReproError, ServiceOverloaded
 from repro.server.protocol import (
     DEFAULT_PORT,
+    PROTOCOL_VERSION,
     FrameError,
     read_frame,
     render_result_paths,
     result_columns,
-    sends_columns,
     write_frame,
 )
-from repro.server.service import QueryService, ServiceJob
 
-__all__ = ["QueryServer", "serve_forever"]
+__all__ = ["QueryServer", "serve_forever", "job_frames"]
 
 #: Fault-injection site of every frame this server writes
 #: (see :mod:`repro.testing.faults`).
 _FRAME_SITE = "server.frame.out"
 
 
-def _config_from_opts(opts: Dict[str, object]) -> RunConfig:
-    """Build the per-job :class:`RunConfig` from a submit frame's options."""
-    result_limit = opts.get("result_limit")
-    time_limit = opts.get("time_limit_seconds")
-    return RunConfig(
-        store_paths=bool(opts.get("store_paths", True)),
-        result_limit=None if result_limit is None else int(result_limit),
-        time_limit_seconds=None if time_limit is None else float(time_limit),
-        response_k=int(opts.get("response_k", 1000)),
-    )
+async def job_frames(job, job_id: str, columnar: bool) -> AsyncIterator[Dict[str, object]]:
+    """The protocol frames of one :class:`~repro.server.service.ServiceJob`.
+
+    One ``result`` frame per result event — its paths as raw columns for a
+    ``columnar`` (version-4) submitter, else a JSON ``paths`` list — then
+    the job's terminal frame.
+    """
+    async for event in job.events():
+        kind = event[0]
+        if kind == "result":
+            _, position, result = event
+            frame: Dict[str, object] = {
+                "type": "result",
+                "id": job_id,
+                "position": position,
+                "source": result.source,
+                "target": result.target,
+                "k": result.k,
+                "count": result.count,
+                "query_ms": round(result.query_millis, 3),
+                "plan": result.stats.plan,
+                "timed_out": result.stats.timed_out,
+                "bfs_cache_hit": result.stats.bfs_cache_hit,
+            }
+            if columnar:
+                # v4 submitter: the result's own buffer goes out raw, no
+                # per-path list or JSON token.
+                columns = result_columns(result)
+                if columns is not None:
+                    frame["paths_data"], frame["paths_indptr"] = columns
+            else:
+                rendered = render_result_paths(result)
+                if rendered is not None:
+                    frame["paths"] = rendered
+            yield frame
+        elif kind in ("done", "overloaded"):
+            # An ``overloaded`` job was admitted but shed before execution
+            # (queue delay past the budget): its terminal frame is the same
+            # typed reject a budget-exhausted submit gets.
+            yield {"type": kind, "id": job_id, **event[1]}
+        elif kind == "cancelled":
+            yield {"type": "cancelled", "id": job_id, "delivered": event[1]}
+        elif kind == "error":
+            yield {"type": "error", "id": job_id, "error": event[1]}
 
 
 class QueryServer:
-    """TCP server streaming query results over the frame protocol."""
+    """TCP server streaming one backend's jobs over the frame protocol."""
 
     def __init__(
         self,
-        service: QueryService,
+        service,
         *,
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
@@ -104,7 +157,7 @@ class QueryServer:
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         self._connections.add(asyncio.current_task())
         lock = asyncio.Lock()
-        jobs: Dict[str, ServiceJob] = {}
+        jobs: Dict[str, object] = {}
         streams: Set[asyncio.Task] = set()
         try:
             while True:
@@ -112,9 +165,7 @@ class QueryServer:
                     message = await read_frame(reader)
                 except FrameError as error:
                     with contextlib.suppress(ConnectionError):
-                        await write_frame(
-                            writer, {"type": "error", "error": str(error)}, lock=lock, site=_FRAME_SITE
-                        )
+                        await self._write(writer, lock, {"type": "error", "error": str(error)})
                     break
                 if message is None:
                     break
@@ -127,23 +178,31 @@ class QueryServer:
             pass
         finally:
             self._connections.discard(asyncio.current_task())
-            # A vanished client must not keep its jobs burning workers.
-            for job in jobs.values():
-                job.cancel()
+            # A vanished client must not keep its jobs burning workers (a
+            # stream task cancelled before it started never cancels its job).
             for task in streams:
                 task.cancel()
-            if streams:
-                await asyncio.gather(*streams, return_exceptions=True)
+            await asyncio.gather(
+                *streams,
+                *(self.service.cancel(job) for job in jobs.values()),
+                return_exceptions=True,
+            )
             writer.close()
             with contextlib.suppress(ConnectionError, asyncio.CancelledError):
                 await writer.wait_closed()
+
+    @staticmethod
+    async def _write(
+        writer: asyncio.StreamWriter, lock: asyncio.Lock, frame: Dict[str, object]
+    ) -> None:
+        await write_frame(writer, frame, lock=lock, site=_FRAME_SITE)
 
     async def _dispatch(
         self,
         message: Dict[str, object],
         writer: asyncio.StreamWriter,
         lock: asyncio.Lock,
-        jobs: Dict[str, ServiceJob],
+        jobs: Dict[str, object],
         streams: Set[asyncio.Task],
     ) -> None:
         kind = message.get("type")
@@ -156,188 +215,57 @@ class QueryServer:
             # completion on every cancel.
             job = jobs.get(str(message.get("id")))
             if job is not None:
-                job.cancel()
-        elif kind == "update":
-            await self._handle_update(message, writer, lock)
+                await self.service.cancel(job)
+        elif kind == "update" and hasattr(self.service, "update"):
+            await self._write(writer, lock, await self.service.update(message))
         elif kind == "stats":
-            await write_frame(
-                writer, {"type": "stats", "stats": self.service.stats()}, lock=lock, site=_FRAME_SITE
-            )
+            stats = self.service.stats()
+            if inspect.isawaitable(stats):
+                stats = await stats
+            await self._write(writer, lock, {"type": "stats", "stats": stats})
         elif kind == "ping":
-            from repro._version import __version__
-            from repro.server.protocol import PROTOCOL_VERSION
-
             pong: Dict[str, object] = {
                 "type": "pong",
                 "protocol": PROTOCOL_VERSION,
                 "server_version": __version__,
-                "shard_id": self.service.shard_id,
+                **self.service.identity,
             }
             # Echo the client's clock sample verbatim: the round trip is
             # then measured entirely on the client's clock, no cross-host
             # clock agreement needed.
             if "t" in message:
                 pong["t"] = message["t"]
-            await write_frame(writer, pong, lock=lock, site=_FRAME_SITE)
+            await self._write(writer, lock, pong)
         else:
-            await write_frame(
-                writer,
-                {"type": "error", "error": f"unknown message type {kind!r}"},
-                lock=lock, site=_FRAME_SITE,
+            await self._write(
+                writer, lock, {"type": "error", "error": f"unknown message type {kind!r}"}
             )
-
-    def _parse_edges(self, raw: object, external: bool, field: str) -> List[Tuple[int, int]]:
-        """Parse one ``update`` frame's edge list into internal-id pairs."""
-        if raw is None:
-            return []
-        if not isinstance(raw, list):
-            raise ValueError(f"{field!r} must be a list of [u, v] pairs")
-        graph = self.service.graph
-        pairs: List[Tuple[int, int]] = []
-        for entry in raw:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                raise ValueError(f"malformed edge {entry!r}: expected [u, v]")
-            u, v = entry
-            if external:
-                pairs.append((self._resolve_external(u), self._resolve_external(v)))
-                continue
-            u, v = int(u), int(v)
-            for vertex in (u, v):
-                if not 0 <= vertex < graph.num_vertices:
-                    raise ValueError(
-                        f"vertex {vertex} out of range (graph has "
-                        f"{graph.num_vertices} vertices)"
-                    )
-            pairs.append((u, v))
-        return pairs
-
-    async def _handle_update(
-        self,
-        message: Dict[str, object],
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-    ) -> None:
-        """Apply one edge batch and answer with an ``updated`` frame.
-
-        The mutation itself is blocking (CSR rebuild, distance repair), so
-        it runs on the default executor; the event loop keeps streaming
-        in-flight jobs — which read their own pinned epoch — meanwhile.
-        """
-        client_id = message.get("id")
-        external = bool(message.get("external", False))
-        try:
-            add = self._parse_edges(message.get("add"), external, "add")
-            remove = self._parse_edges(message.get("remove"), external, "remove")
-            loop = asyncio.get_running_loop()
-            info = await loop.run_in_executor(
-                None, lambda: self.service.mutate(add=add, remove=remove)
-            )
-        except (ValueError, TypeError, ReproError) as error:
-            frame: Dict[str, object] = {"type": "error", "error": str(error)}
-            if client_id is not None:
-                frame["id"] = client_id
-            await write_frame(writer, frame, lock=lock, site=_FRAME_SITE)
-            return
-        reply: Dict[str, object] = {"type": "updated", **info}
-        if client_id is not None:
-            reply["id"] = client_id
-        await write_frame(writer, reply, lock=lock, site=_FRAME_SITE)
-
-    def _resolve_external(self, value: object) -> int:
-        """Map one external vertex id to its internal id.
-
-        JSON (and remote clients without the graph at hand) cannot tell a
-        numeric-string external id from an integer one, so both spellings
-        are tried before giving up — the server is the only party that
-        actually knows the id type.
-        """
-        graph = self.service.graph
-        candidates = [value]
-        if isinstance(value, int):
-            candidates.append(str(value))
-        elif isinstance(value, str):
-            try:
-                candidates.append(int(value))
-            except ValueError:
-                pass
-        for candidate in candidates[:-1]:
-            try:
-                return graph.to_internal(candidate)
-            except VertexNotFoundError:
-                continue
-        return graph.to_internal(candidates[-1])
-
-    def _parse_queries(
-        self, raw: object, external: bool
-    ) -> List[Query]:
-        if not isinstance(raw, list):
-            raise ValueError("'queries' must be a list of [source, target, k] triples")
-        graph = self.service.graph
-        queries: List[Query] = []
-        for entry in raw:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-                raise ValueError(f"malformed query {entry!r}: expected [source, target, k]")
-            source, target, k = entry
-            k = int(k)
-            if k < 1:
-                raise ValueError(f"hop budget must be positive, got {k}")
-            if external:
-                queries.append(
-                    Query(
-                        self._resolve_external(source),
-                        self._resolve_external(target),
-                        k,
-                    )
-                )
-                continue
-            source, target = int(source), int(target)
-            for vertex in (source, target):
-                if not 0 <= vertex < graph.num_vertices:
-                    raise ValueError(
-                        f"vertex {vertex} out of range (graph has "
-                        f"{graph.num_vertices} vertices)"
-                    )
-            queries.append(Query(source, target, k))
-        return queries
 
     async def _handle_submit(
         self,
         message: Dict[str, object],
         writer: asyncio.StreamWriter,
         lock: asyncio.Lock,
-        jobs: Dict[str, ServiceJob],
+        jobs: Dict[str, object],
         streams: Set[asyncio.Task],
     ) -> None:
         client_id = str(message.get("id", f"anon-{next(self._anon_ids)}"))
-        opts = message.get("opts") or {}
-        if not isinstance(opts, dict):
-            opts = {}
-        external = bool(opts.get("external", False))
-        columnar = sends_columns(message)
         if client_id in jobs:
             # Overwriting an in-flight id would orphan the first job: it
             # could no longer be cancelled, burning workers past the
             # connection's lifetime.
-            await write_frame(
+            await self._write(
                 writer,
+                lock,
                 {
                     "type": "error",
                     "id": client_id,
                     "error": f"job id {client_id!r} is already in flight",
                 },
-                lock=lock, site=_FRAME_SITE,
             )
             return
         try:
-            queries = self._parse_queries(message.get("queries"), external)
-            config = _config_from_opts(opts)
-        except (ValueError, TypeError, ReproError) as error:
-            await write_frame(
-                writer, {"type": "error", "id": client_id, "error": str(error)}, lock=lock, site=_FRAME_SITE
-            )
-            return
-        try:
-            job = await self.service.submit(queries, config)
+            job, frames = await self.service.open_job(message, client_id)
         except ServiceOverloaded as error:
             frame: Dict[str, object] = {
                 "type": "overloaded",
@@ -348,13 +276,16 @@ class QueryServer:
                 frame["pending"] = error.pending
             if error.limit is not None:
                 frame["limit"] = error.limit
-            await write_frame(writer, frame, lock=lock, site=_FRAME_SITE)
+            await self._write(writer, lock, frame)
             return
-        except Exception as error:  # noqa: BLE001 - e.g. service shutting down
-            await write_frame(
+        except (ValueError, TypeError, ReproError) as error:
+            await self._write(writer, lock, {"type": "error", "id": client_id, "error": str(error)})
+            return
+        except Exception as error:  # noqa: BLE001 - e.g. shutting down
+            await self._write(
                 writer,
+                lock,
                 {"type": "error", "id": client_id, "error": f"submit failed: {error}"},
-                lock=lock, site=_FRAME_SITE,
             )
             return
         jobs[client_id] = job
@@ -364,108 +295,56 @@ class QueryServer:
             if jobs.get(client_id) is job:
                 del jobs[client_id]
 
-        task = asyncio.create_task(
-            self._stream_job(client_id, job, writer, lock, columnar)
-        )
+        task = asyncio.create_task(self._stream_job(client_id, job, frames, writer, lock))
         streams.add(task)
         task.add_done_callback(_forget)
 
     async def _stream_job(
         self,
         client_id: str,
-        job: ServiceJob,
+        job,
+        frames: AsyncIterator[Dict[str, object]],
         writer: asyncio.StreamWriter,
         lock: asyncio.Lock,
-        columnar: bool,
     ) -> None:
         try:
-            async for event in job.events():
-                kind = event[0]
-                if kind == "result":
-                    _, position, result = event
-                    frame: Dict[str, object] = {
-                        "type": "result",
-                        "id": client_id,
-                        "position": position,
-                        "source": result.source,
-                        "target": result.target,
-                        "k": result.k,
-                        "count": result.count,
-                        "query_ms": round(result.query_millis, 3),
-                        "plan": result.stats.plan,
-                        "timed_out": result.stats.timed_out,
-                        "bfs_cache_hit": result.stats.bfs_cache_hit,
-                    }
-                    if columnar:
-                        # v4 submitter: the result's own buffer goes out
-                        # raw, no per-path list or JSON token.
-                        columns = result_columns(result)
-                        if columns is not None:
-                            frame["paths_data"], frame["paths_indptr"] = columns
-                    else:
-                        rendered = render_result_paths(result)
-                        if rendered is not None:
-                            frame["paths"] = rendered
-                    await write_frame(writer, frame, lock=lock, site=_FRAME_SITE)
-                elif kind == "done":
-                    await write_frame(
-                        writer, {"type": "done", "id": client_id, **event[1]}, lock=lock, site=_FRAME_SITE
-                    )
-                elif kind == "cancelled":
-                    await write_frame(
-                        writer,
-                        {"type": "cancelled", "id": client_id, "delivered": event[1]},
-                        lock=lock, site=_FRAME_SITE,
-                    )
-                elif kind == "overloaded":
-                    # Admitted but shed before execution (queue delay past
-                    # the budget): the job's terminal frame is the same
-                    # typed reject a budget-exhausted submit gets.
-                    await write_frame(
-                        writer,
-                        {"type": "overloaded", "id": client_id, **event[1]},
-                        lock=lock, site=_FRAME_SITE,
-                    )
-                elif kind == "error":
-                    await write_frame(
-                        writer,
-                        {"type": "error", "id": client_id, "error": event[1]},
-                        lock=lock, site=_FRAME_SITE,
-                    )
+            async for frame in frames:
+                await self._write(writer, lock, frame)
         except (ConnectionError, asyncio.CancelledError):
             # The client went away (or the connection handler is tearing
             # down): stop the job, frames have nowhere to go.
-            job.cancel()
+            await self.service.cancel(job)
             raise
         except Exception as error:  # noqa: BLE001 - e.g. an unencodable frame
             # A dead stream task must not strand the client without a
             # terminal frame (it would await the job queue forever) or
             # leave the job burning workers.
-            job.cancel()
+            await self.service.cancel(job)
             with contextlib.suppress(Exception):
-                await write_frame(
+                await self._write(
                     writer,
+                    lock,
                     {
                         "type": "error",
                         "id": client_id,
                         "error": f"stream failed: {type(error).__name__}: {error}",
                     },
-                    lock=lock, site=_FRAME_SITE,
                 )
 
 
 async def serve_forever(
-    service: QueryService,
+    service,
     *,
     host: str = "127.0.0.1",
     port: int = DEFAULT_PORT,
     ready: Optional[asyncio.Event] = None,
 ) -> int:
-    """Run a server until SIGINT/SIGTERM, then shut down cleanly.
+    """Serve one backend until SIGINT/SIGTERM, then shut down cleanly.
 
-    Prints one ``serving on HOST:PORT`` line once the socket is bound (the
-    CLI / CI handshake), sets ``ready`` if given, and returns 0 after both
-    the listener and the service released their resources.
+    Prints the backend's banner (``serving on HOST:PORT …`` or ``routing on
+    HOST:PORT …``, the CLI / CI handshake) once the socket is bound, sets
+    ``ready`` if given, and returns 0 after both the listener and the
+    backend released their resources.
     """
     server = QueryServer(service, host=host, port=port)
     await server.start()
@@ -478,12 +357,7 @@ async def serve_forever(
             registered.append(signum)
         except (NotImplementedError, RuntimeError):  # pragma: no cover - non-Unix
             pass
-    print(
-        f"serving on {server.host}:{server.port} "
-        f"({service.backend} backend, {service.workers} workers, "
-        f"|V|={service.graph.num_vertices}, |E|={service.graph.num_edges})",
-        flush=True,
-    )
+    print(service.banner(server.host, server.port), flush=True)
     if ready is not None:
         ready.set()
     try:
@@ -493,5 +367,5 @@ async def serve_forever(
             loop.remove_signal_handler(signum)
         await server.close()
         await service.close()
-    print("shutdown complete", flush=True)
+    print(service.SHUTDOWN_BANNER, flush=True)
     return 0

@@ -33,8 +33,10 @@ from repro.core.native import warmup as native_warmup
 from repro.core.listener import RunConfig
 from repro.core.query import Query
 from repro.core.result import EnumerationStats, PathBuffer, QueryResult
-from repro.errors import ServiceOverloaded
+from repro.errors import ReproError, ServiceOverloaded, VertexNotFoundError
 from repro.graph.digraph import DiGraph
+from repro.server.protocol import sends_columns, submit_options, submit_queries
+from repro.server.server import job_frames
 
 __all__ = ["JobState", "ServiceJob", "QueryService"]
 
@@ -354,6 +356,110 @@ class QueryService:
             elif event[0] == "cancelled":
                 raise asyncio.CancelledError(f"job {job.id} cancelled")
         return results  # type: ignore[return-value]
+
+    # -- the TCP front end's surface (repro.server.server.QueryServer) -- #
+    SHUTDOWN_BANNER = "shutdown complete"
+
+    def banner(self, host: str, port: int) -> str:
+        return (
+            f"serving on {host}:{port} ({self.backend} backend, {self.workers} "
+            f"workers, |V|={self.graph.num_vertices}, |E|={self.graph.num_edges})"
+        )
+
+    @property
+    def identity(self) -> Dict[str, object]:
+        """This host's fields of a ``pong`` frame."""
+        return {"shard_id": self.shard_id}
+
+    async def open_job(
+        self, submit: Dict[str, object], job_id: str
+    ) -> Tuple[ServiceJob, AsyncIterator[Dict[str, object]]]:
+        """Start the job of one submit frame; returns it and its frames.
+
+        On top of the protocol's shape check, every endpoint must be a
+        vertex of the served graph (or, with ``external``, resolve to one).
+        """
+        triples = submit_queries(submit)
+        options = submit_options(submit)
+        external = options.pop("external")
+        queries = [
+            Query(self._vertex(source, external), self._vertex(target, external), k)
+            for source, target, k in triples
+        ]
+        job = await self.submit(queries, RunConfig(**options))
+        return job, job_frames(job, job_id, sends_columns(submit))
+
+    async def cancel(self, job: ServiceJob) -> None:
+        job.cancel()
+
+    async def update(self, message: Dict[str, object]) -> Dict[str, object]:
+        """Apply one ``update`` frame's edge batch; returns the reply frame.
+
+        The mutation itself is blocking (CSR rebuild, distance repair), so
+        it runs on the default executor; the event loop keeps streaming
+        in-flight jobs — which read their own pinned epoch — meanwhile.
+        """
+        client_id = message.get("id")
+        external = bool(message.get("external", False))
+        try:
+            add = self._edges(message.get("add"), external, "add")
+            remove = self._edges(message.get("remove"), external, "remove")
+            loop = asyncio.get_running_loop()
+            info = await loop.run_in_executor(
+                None, lambda: self.mutate(add=add, remove=remove)
+            )
+            reply: Dict[str, object] = {"type": "updated", **info}
+        except (ValueError, TypeError, ReproError) as error:
+            reply = {"type": "error", "error": str(error)}
+        if client_id is not None:
+            reply["id"] = client_id
+        return reply
+
+    def _edges(self, raw: object, external: bool, name: str) -> List[Tuple[int, int]]:
+        """One ``update`` frame's edge list as internal-id pairs."""
+        if raw is None:
+            return []
+        if not isinstance(raw, list):
+            raise ValueError(f"{name!r} must be a list of [u, v] pairs")
+        pairs: List[Tuple[int, int]] = []
+        for entry in raw:
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                raise ValueError(f"malformed edge {entry!r}: expected [u, v]")
+            u, v = entry
+            pairs.append((self._vertex(u, external), self._vertex(v, external)))
+        return pairs
+
+    def _vertex(self, value: object, external: bool) -> int:
+        """One vertex of a submit or update frame as an internal id.
+
+        An internal id must lie in the graph.  JSON (and remote clients
+        without the graph at hand) cannot tell a numeric-string external
+        id from an integer one, so both spellings of an external id are
+        tried before giving up — the server is the only party that
+        actually knows the id type.
+        """
+        if not external:
+            vertex = int(value)
+            if not 0 <= vertex < self.graph.num_vertices:
+                raise ValueError(
+                    f"vertex {vertex} out of range (graph has "
+                    f"{self.graph.num_vertices} vertices)"
+                )
+            return vertex
+        candidates = [value]
+        if isinstance(value, int):
+            candidates.append(str(value))
+        elif isinstance(value, str):
+            try:
+                candidates.append(int(value))
+            except ValueError:
+                pass
+        for candidate in candidates[:-1]:
+            try:
+                return self.graph.to_internal(candidate)
+            except VertexNotFoundError:
+                continue
+        return self.graph.to_internal(candidates[-1])
 
     # -- mutation ------------------------------------------------------- #
     def mutate(

@@ -31,9 +31,10 @@ Sites and the operations they understand:
     ``RuntimeError``).
 
 ``server.frame.out``
-    Checked for every frame a ``QueryServer`` / ``RouterServer`` writes
-    (client-side writes in the same process do **not** hit the site — the
-    server passes it explicitly).  Context: ``frame_type``.  Ops: ``drop``
+    Checked for every frame a ``QueryServer`` writes, under ``repro
+    serve`` and ``repro route`` alike (client-side writes in the same
+    process — a router's own frames to its shards included — do **not**
+    hit the site: the server passes it explicitly).  Context: ``frame_type``.  Ops: ``drop``
     (swallow the frame), ``delay`` (sleep ``delay_ms`` before writing),
     ``truncate`` (write the first ``keep_bytes`` bytes of the frame, then
     sever the connection).

@@ -22,7 +22,7 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.generators import erdos_renyi
 from repro.server.client import QueryClient
 from repro.server.protocol import write_frame
-from repro.server.router import RouterServer, ShardMap, ShardRouter
+from repro.server.router import ShardMap, ShardRouter
 from repro.server.server import QueryServer
 from repro.server.service import QueryService
 from repro.workloads.queries import generate_target_centric_set
@@ -87,7 +87,7 @@ def _host(graph, *, router: bool):
                     [f"127.0.0.1:{server.port}" for _, server in hosts]
                 )
                 shard_router = ShardRouter(shard_map, hedge=False)
-                front = RouterServer(shard_router, port=0)
+                front = QueryServer(shard_router, port=0)
                 await front.start()
             holder["url"] = (
                 f"router://127.0.0.1:{front.port}" if router

@@ -21,12 +21,13 @@ from repro.core.algorithm import Algorithm
 from repro.core.engine import QuerySession
 from repro.core.listener import RunConfig
 from repro.core.result import EnumerationStats, PathBuffer, QueryResult
-from repro.errors import ReproError
+from repro.errors import ConnectionLost, ReproError
 from repro.graph.generators import erdos_renyi
 from repro.server.client import QueryClient, ReconnectPolicy
-from repro.server.router import RouterJob, RouterServer, ShardMap, ShardRouter, parse_address
+from repro.server.router import RouterJob, ShardMap, ShardRouter, parse_address
 from repro.server.server import QueryServer
 from repro.server.service import QueryService
+from repro.testing import faults
 from repro.workloads.queries import generate_target_centric_set
 
 
@@ -159,7 +160,7 @@ class TestMergedStream:
                 await fleet.add_shard(graph, threads=2)
                 await fleet.add_shard(graph, threads=2)
                 router = ShardRouter(fleet.shard_map(), hedge=False)
-                async with RouterServer(router, port=0) as front:
+                async with QueryServer(router, port=0) as front:
                     client = await QueryClient.connect(port=front.port)
                     async with client:
                         outcome = await client.run(triples)
@@ -188,7 +189,7 @@ class TestMergedStream:
                 await fleet.add_shard(graph, threads=2)
                 await fleet.add_shard(graph, threads=2)
                 router = ShardRouter(fleet.shard_map(), hedge=False)
-                async with RouterServer(router, port=0) as front:
+                async with QueryServer(router, port=0) as front:
                     client = await QueryClient.connect(port=front.port)
                     async with client:
                         pong = await client.ping()
@@ -209,6 +210,31 @@ class TestMergedStream:
         probes = [r for shard in stats["shards"] for r in shard["replicas"]]
         assert all(probe["connected"] for probe in probes)
         assert {probe["shard_id"] for probe in probes} == {0, 1}
+
+    def test_router_frames_hit_the_fault_site(self, graph):
+        # The router's front end writes through the same fault site as a
+        # shard's: a truncated pong severs the client's connection.
+        plan = {"faults": [{"site": "server.frame.out", "op": "truncate",
+                            "frame_type": "pong"}]}
+
+        async def scenario():
+            fleet = _Fleet()
+            try:
+                await fleet.add_shard(graph, threads=1)
+                router = ShardRouter(fleet.shard_map(), hedge=False)
+                async with QueryServer(router, port=0) as front:
+                    client = await QueryClient.connect(port=front.port)
+                    async with client:
+                        with faults.installed(plan):
+                            with pytest.raises(ConnectionLost):
+                                await asyncio.wait_for(client.ping(), 10)
+                        connected = client.connected
+                await router.close()
+                return connected
+            finally:
+                await fleet.close()
+
+        assert _run(scenario()) is False
 
     def test_shard_error_fails_the_job(self, graph):
         # Vertex 10**9 exists on no shard: the owning shard rejects its
@@ -242,7 +268,7 @@ class TestColumnarRelay:
                 await fleet.add_shard(graph, threads=2)
                 await fleet.add_shard(graph, threads=2)
                 router = ShardRouter(fleet.shard_map(), hedge=False)
-                async with RouterServer(router, port=0) as front:
+                async with QueryServer(router, port=0) as front:
                     client = await QueryClient.connect(port=front.port)
                     async with client:
                         job_id = await client.submit(triples)
@@ -272,7 +298,7 @@ class TestColumnarRelay:
                 await fleet.add_shard(graph, threads=2)
                 await fleet.add_shard(graph, threads=2)
                 router = ShardRouter(fleet.shard_map(), hedge=False)
-                front = RouterServer(router, port=0)
+                front = QueryServer(router, port=0)
                 await front.start()
                 holder.update(shard_map=fleet.shard_map(), port=front.port,
                               loop=asyncio.get_running_loop(), stop=asyncio.Event())

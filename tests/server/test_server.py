@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import struct
 import time
 
@@ -16,7 +17,8 @@ from repro.core.result import EnumerationStats, PathBuffer, QueryResult
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import erdos_renyi
 from repro.server.client import QueryClient, run_queries
-from repro.server.protocol import decode_frame, encode_frame, frame_paths
+from repro.server.protocol import decode_frame, encode_frame, frame_paths, read_frame
+from repro.server.router import ShardMap, ShardRouter
 from repro.server.server import QueryServer
 from repro.server.service import QueryService
 from repro.workloads.queries import generate_target_centric_set
@@ -49,20 +51,35 @@ class _SlowAlgorithm(Algorithm):
         )
 
 
-def _serve(graph, scenario, **service_kwargs):
-    """Run ``scenario(client, server)`` against a freshly booted server."""
+#: The two ways a client reaches a service: ``repro serve`` in front of it,
+#: or ``repro route`` in front of a one-shard fleet serving it.
+FRONT_ENDS = ("serve", "route")
+
+
+@contextlib.asynccontextmanager
+async def _front_end(graph, front="serve", **service_kwargs):
+    """Boot a service and the ``front`` end; yields ``(front end, service)``."""
+    async with contextlib.AsyncExitStack() as stack:
+        service = QueryService(graph, **service_kwargs)
+        stack.push_async_callback(service.close)
+        server = await stack.enter_async_context(QueryServer(service, port=0))
+        if front == "route":
+            router = ShardRouter(
+                ShardMap.from_entries([f"127.0.0.1:{server.port}"]), hedge=False
+            )
+            stack.push_async_callback(router.close)
+            server = await stack.enter_async_context(QueryServer(router, port=0))
+        yield server, service
+
+
+def _serve(graph, scenario, front="serve", **service_kwargs):
+    """Run ``scenario(client, server)`` against a freshly booted front end."""
 
     async def runner():
-        service = QueryService(graph, **service_kwargs)
-        server = QueryServer(service, port=0)
-        await server.start()
-        try:
+        async with _front_end(graph, front, **service_kwargs) as (server, _service):
             client = await QueryClient.connect(port=server.port)
             async with client:
                 return await scenario(client, server)
-        finally:
-            await server.close()
-            await service.close()
 
     return asyncio.run(runner())
 
@@ -280,12 +297,13 @@ class TestColumnarResults:
 
 
 class TestProtocolErrors:
-    def test_malformed_queries_produce_error_frame(self, graph):
+    @pytest.mark.parametrize("front", FRONT_ENDS)
+    def test_malformed_queries_produce_error_frame(self, graph, front):
         async def scenario(client, server):
             job_id = await client.submit([[0, 1]])  # missing k
             return [frame async for frame in client.frames(job_id)]
 
-        frames = _serve(graph, scenario, threads=1)
+        frames = _serve(graph, scenario, front=front, threads=1)
         assert frames[-1]["type"] == "error"
         assert "malformed query" in frames[-1]["error"]
 
@@ -298,7 +316,8 @@ class TestProtocolErrors:
         assert frames[-1]["type"] == "error"
         assert "out of range" in frames[-1]["error"]
 
-    def test_duplicate_in_flight_job_id_rejected(self, graph):
+    @pytest.mark.parametrize("front", FRONT_ENDS)
+    def test_duplicate_in_flight_job_id_rejected(self, graph, front):
         queries = [[i, 100 + i, 2] for i in range(10)]
 
         async def scenario(client, server):
@@ -323,11 +342,29 @@ class TestProtocolErrors:
                 if frame["type"] == "done":
                     return frames
 
-        frames = _serve(graph, scenario, algorithm=_SlowAlgorithm(0.02), threads=1)
+        frames = _serve(graph, scenario, front=front, algorithm=_SlowAlgorithm(0.02), threads=1)
         rejections = [f for f in frames if f["type"] == "error"]
         assert rejections and "already in flight" in rejections[0]["error"]
         # The first job still completes normally.
         assert frames[-1]["type"] == "done"
+
+    @pytest.mark.parametrize("front", FRONT_ENDS)
+    def test_typeless_frame_from_a_client_is_a_typed_error(self, graph, front):
+        async def scenario(client, server):
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            try:
+                writer.write(encode_frame({"id": "c1"}))
+                await writer.drain()
+                return await read_frame(reader), await read_frame(reader)
+            finally:
+                writer.close()
+                with contextlib.suppress(ConnectionError):
+                    await writer.wait_closed()
+
+        reply, after = _serve(graph, scenario, front=front, threads=1)
+        # A typed error, then the front end hangs up: the stream is unframed.
+        assert reply == {"type": "error", "error": "frame has no string 'type'"}
+        assert after is None
 
     def test_typeless_frame_from_a_peer_is_a_typed_error(self):
         async def scenario():
@@ -353,7 +390,8 @@ class TestProtocolErrors:
         assert outcome.status == "error"
         assert "FrameError" in outcome.info["error"]
 
-    def test_unknown_message_type_answered_not_fatal(self, graph):
+    @pytest.mark.parametrize("front", FRONT_ENDS)
+    def test_unknown_message_type_answered_not_fatal(self, graph, front):
         async def scenario(client, server):
             from repro.server.protocol import write_frame
 
@@ -364,7 +402,7 @@ class TestProtocolErrors:
             assert await client.ping()
             return True
 
-        assert _serve(graph, scenario, threads=1)
+        assert _serve(graph, scenario, front=front, threads=1)
 
 
 class TestCancelAndStats:
@@ -397,27 +435,26 @@ class TestCancelAndStats:
         assert stats["backend"] == "thread"
         assert stats["graph_vertices"] == graph.num_vertices
 
-    def test_disconnect_cancels_running_jobs(self, graph):
+    @pytest.mark.parametrize("front", FRONT_ENDS)
+    def test_disconnect_cancels_running_jobs(self, graph, front):
         queries = [[i, 100 + i, 2] for i in range(30)]
 
         async def runner():
-            service = QueryService(graph, algorithm=_SlowAlgorithm(0.03), threads=1)
-            server = QueryServer(service, port=0)
-            await server.start()
-            try:
+            async with _front_end(
+                graph, front, algorithm=_SlowAlgorithm(0.03), threads=1
+            ) as (server, service):
                 client = await QueryClient.connect(port=server.port)
                 await client.submit(queries)
                 await asyncio.sleep(0.1)
                 await client.close()  # vanish mid-job
+                # Behind a router the shard's job must drain too: the router
+                # forwards the cancel over its own, still open, connection.
                 deadline = asyncio.get_running_loop().time() + 5.0
                 while service.stats()["jobs_active"]:
                     if asyncio.get_running_loop().time() > deadline:
                         raise AssertionError("job survived its client")
                     await asyncio.sleep(0.05)
                 return service.stats()
-            finally:
-                await server.close()
-                await service.close()
 
         stats = asyncio.run(runner())
         assert stats["jobs_cancelled"] == 1
