@@ -2,8 +2,8 @@
 
 ``core/_cfill.c`` holds every compiled loop of the package: the IDX-DFS and
 IDX-JOIN inner loops of :mod:`repro.core.native`, the bounded BFS sweep of
-:mod:`repro.graph.traversal` and the CSR fill of
-:class:`repro.core.index.LightWeightIndex`.  On first use the source is
+:mod:`repro.graph.traversal` and Algorithm 3 (the pruned forward sweep and
+the CSR fill) of :class:`repro.core.index.LightWeightIndex`.  On first use the source is
 compiled with ``cc -O2 -shared -fPIC`` into
 ``$XDG_CACHE_HOME/repro/_cfill-<hash>.so`` (``~/.cache/repro`` by default;
 the hash covers the source, so an edited source rebuilds) and loaded through
@@ -27,12 +27,13 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["jit_ready", "int64_ready"]
+__all__ = ["jit_ready", "int64_ready", "ThreadScratch"]
 
 # The tier's records keep the logger name they have always had.
 logger = logging.getLogger("repro.core.native")
@@ -48,12 +49,16 @@ _SIGNATURES = {
     "repro_join_tails": (None, [_P, _I, _I, _I, _P]),
     "repro_join_pair": (_I, [_P, _I, _I, _P, _I, _P, _P, _P, _I, _I, _P, _P, _P, _I, _P, _I, _I]),
     "repro_sweep": (_I, [_P, _P, _I, _I, _I, _I, _I, _I, _P, _P]),
-    "repro_index_build": (_I, [_P, _P, _I, _I, _P, _P, _I, _I, _I] + [_P] * 10),
+    "repro_prepare": (_I, [_P, _P, _I, _I, _P, _P, _I, _I, _I] + [_P] * 8
+                      + [_I, _P, _P, _I, _P, _I, _P]),
 }
 
-#: Status returned by ``repro_sweep`` / ``repro_index_build`` when a CSR
-#: array holds an offset or a neighbour id outside the graph.
+#: Status returned by ``repro_sweep`` / ``repro_prepare`` when a CSR array
+#: holds an offset or a neighbour id outside the graph.
 CORRUPT = 3
+#: Status returned by ``repro_prepare`` when the caller's scratch is too
+#: small for the index; the sizes it needs are in its ``sizes`` output.
+NEED = 4
 
 
 def _cache_dir() -> Path:
@@ -130,3 +135,29 @@ def int64_ready(*arrays) -> bool:
         isinstance(a, np.ndarray) and a.dtype == np.int64 and a.flags.c_contiguous
         for a in arrays
     )
+
+
+class ThreadScratch:
+    """Per-thread scratch objects, lent to one call at a time.
+
+    :meth:`take` hands the calling thread its idle scratch (``factory()``
+    the first time) and :meth:`give` returns it.  Scratch is never shared
+    between threads, and a nested call on the same thread (a callback that
+    runs another query) finds none idle and gets a fresh one, so no two
+    live calls ever write the same buffers.  A scratch holds only its own
+    buffers and their pointers, never a graph's.
+    """
+
+    def __init__(self, factory) -> None:
+        self._factory = factory
+        self._local = threading.local()
+
+    def take(self):
+        held = getattr(self._local, "idle", None)
+        if held is None:
+            return self._factory()
+        self._local.idle = None
+        return held
+
+    def give(self, scratch) -> None:
+        self._local.idle = scratch

@@ -4,7 +4,9 @@
  * reference in the same package:
  *
  *   repro_sweep         bounded BFS             <- traversal._bfs_levels_vectorised
- *   repro_index_build   Algorithm 3's CSR fill  <- index.LightWeightIndex.build
+ *   repro_prepare       Algorithm 3: the forward sweep pruned to X, then the
+ *                       index fill              <- index._pruned_forward_rows
+ *                                                  + index._build_arrays_numpy
  *   repro_dfs_fill      IDX-DFS (Algorithm 4)   <- native._dfs_fill
  *   repro_walks_fill    sub-query walks         <- kernels.run_subquery_kernel
  *   repro_join_pair     IDX-JOIN pairing        <- kernels.run_join_kernel
@@ -17,7 +19,8 @@
  * result-limit and deadline interruption land on the same search-tree step
  * as the Python kernels.  The sweep and the index build read graph CSR
  * arrays straight from a store, so they bounds-check every offset and
- * neighbour id they read and return CORRUPT instead of reading past them.
+ * neighbour id they read and return CORRUPT instead of reading past them;
+ * repro_prepare returns NEED when its caller's scratch is too small.
  * Built with `cc -O2 -shared -fPIC` and loaded through ctypes, which
  * releases the GIL for the call.
  */
@@ -36,14 +39,18 @@
  * unreachable.  A vertex at distance < cutoff is expanded unless it is
  * `no_expand` (the source itself always is); `excluded` never receives a
  * distance, and an excluded source leaves every vertex unreachable.  Pass -1
- * for no excluded / no_expand vertex.  `queue` holds n entries. */
-int64_t repro_sweep(
+ * for no excluded / no_expand vertex.  With `prune` (distances to t), a
+ * vertex w reached from depth d is recorded, and so later expanded, only if
+ * prune[w] >= 0 and d + 1 + prune[w] <= cutoff.  `queue` holds n entries.
+ * Returns the number of vertices given a distance, or -1 for a corrupt
+ * CSR. */
+static int64_t bfs(
     const int64_t *indptr, const int64_t *indices, int64_t n, int64_t nnz,
     int64_t source, int64_t cutoff, int64_t excluded, int64_t no_expand,
-    int64_t *dist, int64_t *queue)
+    const int64_t *prune, int64_t *dist, int64_t *queue)
 {
     for (int64_t v = 0; v < n; v++) dist[v] = -1;
-    if (source == excluded) return DONE;
+    if (source == excluded) return 0;
     int64_t head = 0, tail = 0;
     dist[source] = 0;
     queue[tail++] = source;
@@ -52,21 +59,30 @@ int64_t repro_sweep(
         if (d >= cutoff) break; /* FIFO order: every later vertex is as deep */
         if (v == no_expand && v != source) continue;
         int64_t lo = indptr[v], hi = indptr[v + 1];
-        if (lo < 0 || hi < lo || hi > nnz) return CORRUPT;
+        if (lo < 0 || hi < lo || hi > nnz) return -1;
         for (int64_t i = lo; i < hi; i++) {
             int64_t w = indices[i];
-            if ((uint64_t)w >= (uint64_t)n) return CORRUPT;
-            if (dist[w] < 0 && w != excluded) {
-                dist[w] = d + 1;
-                queue[tail++] = w;
-            }
+            if ((uint64_t)w >= (uint64_t)n) return -1;
+            if (dist[w] >= 0 || w == excluded) continue;
+            if (prune != NULL && (prune[w] < 0 || prune[w] > cutoff - 1 - d)) continue;
+            dist[w] = d + 1;
+            queue[tail++] = w;
         }
     }
-    return DONE;
+    return tail;
+}
+
+int64_t repro_sweep(
+    const int64_t *indptr, const int64_t *indices, int64_t n, int64_t nnz,
+    int64_t source, int64_t cutoff, int64_t excluded, int64_t no_expand,
+    int64_t *dist, int64_t *queue)
+{
+    return bfs(indptr, indices, n, nnz, source, cutoff, excluded, no_expand,
+               NULL, dist, queue) < 0 ? CORRUPT : DONE;
 }
 
 /* ------------------------------------------------------------------ */
-/* The light-weight index (Algorithm 3) from the two distance arrays  */
+/* Algorithm 3: forward sweep and light-weight index in one call      */
 /* ------------------------------------------------------------------ */
 /* X = {v : v.s + v.t <= k}; row r of the index is the r-th vertex of X in
  * ascending id order.  Row v keeps the out-neighbours w != s with
@@ -78,70 +94,80 @@ int64_t repro_sweep(
  * candidates at position i, summed in ascending row order as np.bincount
  * sums it, so the doubles are bit-identical to the NumPy build.
  *
- * Two calls.  The count call (rows == NULL) writes row_of[0..n) (-1
- * outside X), part_indptr[0..k+1] and sizes = {|X|, index edges}.  The fill
- * call, handed the count call's row_of, part_indptr and sizes and output
- * arrays of exactly those sizes, writes rows, out_indptr, out_indices,
- * offsets, part_members and gamma.  It never writes past those sizes: a
- * neighbour array that changed between the two calls (a store mapped from a
- * file someone rewrote) returns CORRUPT.  scratch holds 2 * (k + 1)
- * entries. */
+ * dt holds v.t.  When fwd is NULL the call first sweeps v.s from s into ds
+ * (no_expand = t), pruned by dt: X is closed under shortest-path prefixes,
+ * so the pruned sweep reaches exactly X with exact distances, and ds[s] is
+ * reset to -1 when s itself is outside X.  Otherwise fwd is the caller's
+ * forward array, pruned or full.
+ *
+ * The caller hands n entries each of ds, row_of and queue, k + 2 of
+ * part_indptr, k of gamma and 2 * (k + 1) of bucket; the other outputs are
+ * per-thread scratch of the given capacities: row_cap rows (row_cap + 1
+ * out_indptr entries), cell_cap offsets and part_members entries and
+ * edge_cap out_indices entries.  sizes := {|X|, index edges, partition
+ * members}.  A call whose scratch is too small still counts everything and
+ * returns NEED; the caller grows the scratch and calls again (with ds as
+ * fwd, so the sweep is not repeated).  Every offset and neighbour id read
+ * is bounds-checked (CORRUPT), and a neighbour list that changes between
+ * its two reads within one row returns CORRUPT rather than writing past
+ * the row. */
+#define NEED 4
+
 static inline int kept(const int64_t *dt, int64_t w, int64_t s, int64_t budget)
 {
     return w != s && dt[w] >= 0 && dt[w] <= budget;
 }
 
-int64_t repro_index_build(
+int64_t repro_prepare(
     const int64_t *indptr, const int64_t *indices, int64_t n, int64_t nnz,
-    const int64_t *ds, const int64_t *dt, int64_t s, int64_t t, int64_t k,
-    int64_t *row_of, int64_t *part_indptr, int64_t *sizes,
-    int64_t *rows, int64_t *out_indptr, int64_t *out_indices, int64_t *offsets,
-    int64_t *part_members, double *gamma, int64_t *scratch)
+    const int64_t *dt, const int64_t *fwd, int64_t s, int64_t t, int64_t k,
+    int64_t *ds, int64_t *row_of, int64_t *queue, int64_t *part_indptr,
+    double *gamma, int64_t *bucket,
+    int64_t *rows, int64_t *out_indptr, int64_t row_cap,
+    int64_t *offsets, int64_t *part_members, int64_t cell_cap,
+    int64_t *out_indices, int64_t edge_cap, int64_t *sizes)
 {
     const int64_t stride = k + 1;
-    int64_t *cursor = scratch, *bucket = scratch + stride;
+    int64_t *cursor = bucket + stride;
 
-    if (rows == NULL) {
-        int64_t nx = 0, ne = 0;
-        for (int64_t p = 0; p <= k; p++) cursor[p] = 0;
-        for (int64_t v = 0; v < n; v++) {
-            int64_t a = ds[v], b = dt[v];
-            if (a < 0 || b < 0 || a > k || b > k - a) {
-                row_of[v] = -1;
-                continue;
-            }
-            row_of[v] = nx++;
-            for (int64_t p = a; p <= k - b; p++) cursor[p]++;
-            if (v == t) {
-                ne++;
-                continue;
-            }
-            int64_t lo = indptr[v], hi = indptr[v + 1];
-            if (lo < 0 || hi < lo || hi > nnz) return CORRUPT;
-            for (int64_t i = lo; i < hi; i++) {
-                int64_t w = indices[i];
-                if ((uint64_t)w >= (uint64_t)n) return CORRUPT;
-                ne += kept(dt, w, s, k - 1 - a);
-            }
-        }
-        part_indptr[0] = 0;
-        for (int64_t p = 0; p <= k; p++) part_indptr[p + 1] = part_indptr[p] + cursor[p];
-        sizes[0] = nx;
-        sizes[1] = ne;
-        return DONE;
+    if (fwd == NULL) {
+        if (bfs(indptr, indices, n, nnz, s, k, -1, t, dt, ds, queue) < 0) return CORRUPT;
+        if (dt[s] < 0 || dt[s] > k) ds[s] = -1;
+        fwd = ds;
     }
 
-    const int64_t num_rows = sizes[0], num_edges = sizes[1];
-    int64_t r = 0, e = 0;
+    /* Pass 1: X, its rows and the partition sizes. */
+    int64_t nx = 0;
+    for (int64_t p = 0; p <= k; p++) cursor[p] = 0;
+    for (int64_t v = 0; v < n; v++) {
+        int64_t a = fwd[v], b = dt[v];
+        if (a < 0 || b < 0 || a > k || b > k - a) {
+            row_of[v] = -1;
+            continue;
+        }
+        if (nx < row_cap) rows[nx] = v;
+        row_of[v] = nx++;
+        for (int64_t p = a; p <= k - b; p++) cursor[p]++;
+    }
+    part_indptr[0] = 0;
+    for (int64_t p = 0; p <= k; p++) part_indptr[p + 1] = part_indptr[p] + cursor[p];
     for (int64_t p = 0; p <= k; p++) cursor[p] = part_indptr[p];
     for (int64_t p = 0; p < k; p++) gamma[p] = 0.0;
-    out_indptr[0] = 0;
-    for (int64_t v = 0; v < n; v++) {
-        if (row_of[v] < 0) continue;
-        int64_t a = ds[v], b = dt[v], budget = k - 1 - a;
-        if (r >= num_rows || a < 0 || b < 0 || a > k || b > k - a) return CORRUPT;
-        int64_t lo = 0, hi = 0, *off = offsets + r * stride;
-        rows[r] = v;
+    const int have_rows = nx <= row_cap;
+    int write = have_rows && nx <= cell_cap / stride;
+
+    /* Pass 2: each row's kept neighbours, counting-sorted by w.t. */
+    int64_t e = 0, v = -1;
+    if (write) out_indptr[0] = 0;
+    for (int64_t r = 0; r < nx; r++) {
+        if (have_rows) {
+            v = rows[r];
+        } else {
+            do v++; while (row_of[v] < 0);
+        }
+        int64_t a = fwd[v], b = dt[v], budget = k - 1 - a;
+        int64_t lo = 0, hi = 0;
+        if (a < 0 || b < 0 || a > k || b > k - a) return CORRUPT;
         for (int64_t j = 0; j <= k; j++) bucket[j] = 0;
         if (v == t) {
             bucket[b]++;
@@ -155,16 +181,22 @@ int64_t repro_index_build(
                 if (kept(dt, w, s, budget)) bucket[dt[w]]++;
             }
         }
-        /* Counting sort: bucket[j] becomes the first slot of distance j. */
         int64_t total = 0;
+        for (int64_t j = 0; j <= k; j++) total += bucket[j];
+        if (total > edge_cap - e) write = 0;
+        if (!write) {
+            e += total;
+            continue;
+        }
+        /* bucket[j] becomes the first slot of distance j. */
+        int64_t *off = offsets + r * stride, end = e + total, written = 0;
+        total = 0;
         for (int64_t j = 0; j <= k; j++) {
             int64_t c = bucket[j];
             bucket[j] = e + total;
             total += c;
             off[j] = total;
         }
-        if (total > num_edges - e) return CORRUPT;
-        int64_t end = e + total, written = 0;
         if (v == t) {
             out_indices[bucket[b]++] = t;
             written++;
@@ -180,14 +212,17 @@ int64_t repro_index_build(
         }
         if (written != total) return CORRUPT;
         e = end;
-        out_indptr[++r] = e;
+        out_indptr[r + 1] = e;
         for (int64_t p = a; p <= k - b; p++) {
             if (cursor[p] >= part_indptr[p + 1]) return CORRUPT;
             part_members[cursor[p]++] = v;
             if (p < k) gamma[p] += (double)off[k - 1 - p];
         }
     }
-    if (r != num_rows || e != num_edges) return CORRUPT;
+    sizes[0] = nx;
+    sizes[1] = e;
+    sizes[2] = part_indptr[k + 1];
+    if (!write) return NEED;
     for (int64_t p = 0; p <= k; p++)
         if (cursor[p] != part_indptr[p + 1]) return CORRUPT;
     for (int64_t p = 0; p < k; p++) {

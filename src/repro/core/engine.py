@@ -50,7 +50,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import multiprocessing
 import os
@@ -65,7 +65,7 @@ from repro.core import result_segments
 from repro.core.algorithm import Algorithm, timed_run
 from repro.core.constraints import PathConstraint
 from repro.core.dfs import run_idx_dfs
-from repro.core.index import LightWeightIndex
+from repro.core.index import LightWeightIndex, _native_builder, _swept
 from repro.core.join import run_idx_join
 from repro.core.listener import RunConfig
 from repro.core.native import run_dfs_native, run_join_native, warmup as native_warmup
@@ -76,11 +76,7 @@ from repro.core.reverse import IdxDfsReverse
 from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
 from repro.graph.store import SharedMemoryStore, StoreHandle, _open_untracked
-from repro.graph.traversal import (
-    DEFAULT_SOURCE_CHUNK,
-    bfs_distances_bounded,
-    multi_source_bfs_distances_bounded,
-)
+from repro.graph.traversal import DEFAULT_SOURCE_CHUNK, bfs_distances_bounded
 from repro.testing.faults import maybe_fail_task
 
 __all__ = [
@@ -108,17 +104,14 @@ class _IndexedAlgorithm(Algorithm):
         config: Optional[RunConfig] = None,
         *,
         dist_to_t: Optional[np.ndarray] = None,
-        dist_from_s: Optional[np.ndarray] = None,
         index: Optional[LightWeightIndex] = None,
     ) -> QueryResult:
         """Evaluate ``query`` on ``graph``.
 
         ``dist_to_t`` optionally injects a precomputed reverse-BFS distance
-        array (the :class:`QuerySession` cache path); ``dist_from_s`` a
-        precomputed forward array (the sharded executor's multi-source
-        sweep); ``index`` a fully prebuilt light-weight index (the sharded
-        executor's group-fused build).  Single-query callers leave all
-        three unset.
+        array (the :class:`QuerySession` cache path); ``index`` a fully
+        prebuilt light-weight index (the sharded executor's group-fused
+        build).  Single-query callers leave both unset.
         """
         config = config if config is not None else RunConfig()
         constraint = config.constraint
@@ -139,7 +132,6 @@ class _IndexedAlgorithm(Algorithm):
                     deadline=deadline,
                     stats=stats,
                     dist_to_t=dist_to_t,
-                    dist_from_s=dist_from_s,
                 )
             plan = choose_plan(
                 index, tau=config.tau, deadline=deadline, stats=stats, force=self._force
@@ -228,16 +220,12 @@ class PathEnum(_IndexedAlgorithm):
         config: Optional[RunConfig] = None,
         *,
         dist_to_t: Optional[np.ndarray] = None,
-        dist_from_s: Optional[np.ndarray] = None,
         index: Optional[LightWeightIndex] = None,
     ) -> QueryResult:
         config = config if config is not None else RunConfig()
         if config.tau == DEFAULT_TAU and self._tau != DEFAULT_TAU:
             config = config.replace(tau=self._tau)
-        return super().run(
-            graph, query, config,
-            dist_to_t=dist_to_t, dist_from_s=dist_from_s, index=index,
-        )
+        return super().run(graph, query, config, dist_to_t=dist_to_t, index=index)
 
     def explain(self, graph: DiGraph, query: Query, *, tau: Optional[float] = None) -> Plan:
         """Return the plan PathEnum would choose for ``query`` without running it."""
@@ -374,25 +362,26 @@ class QuerySession:
             if num_keys > self._max_cached:
                 self._max_cached = int(num_keys)
 
-    def prepare(self, queries: Iterable[Query]) -> Set[int]:
+    def prepare(self, queries: Iterable[Query]) -> Dict[int, int]:
         """Warm the unconstrained distance cache for ``queries``.
 
         Returns the positions of the queries whose reverse BFS was actually
-        computed (cache misses): the first query, in workload order, of each
-        uncached key.  Used by :class:`ExecutorCore` before fanning out to
-        its pool — the cache is read-only during parallel execution, and the
-        returned positions let the run charge each fresh BFS to the query a
+        computed (cache misses), each with the number of vertices that sweep
+        reached: the first query, in workload order, of each uncached key.
+        Used by :class:`ExecutorCore` before fanning out to its pool — the
+        cache is read-only during parallel execution, and the returned
+        positions let the run charge each fresh BFS to the query a
         sequential session would have charged, instead of counting every
         pool query as a hit.
         """
-        paying: Set[int] = set()
+        paying: Dict[int, int] = {}
         for position, query in enumerate(queries):
             key = self._key(query, None)
             with self._lock:
                 known = key in self._distances
+            distances = self.distances_to_target(query.target, query.k)
             if not known:
-                paying.add(position)
-            self.distances_to_target(query.target, query.k)
+                paying[position] = _swept(distances)
         return paying
 
     def export_distances(self) -> Dict[Tuple[int, int], np.ndarray]:
@@ -469,6 +458,8 @@ class QuerySession:
         # hit; only the session knows whether this query actually paid for
         # the reverse BFS (first sight of its target) or skipped it.
         result.stats.bfs_cache_hit = hit
+        if not hit:
+            result.stats.swept_vertices += _swept(distances)
         return result
 
     def run_external(
@@ -723,13 +714,17 @@ def _iter_shard_results_raw(
 
     Queries are grouped by ``(target, k)``: the group shares one reverse-BFS
     array (from the shared cache, by construction warm for every key of the
-    shard) and its forward BFS trees are grown together in one multi-source
-    sweep.  Injected arrays equal the per-query ones exactly, so results —
-    path lists included, in order — are identical to sequential session
-    evaluation.  Being a generator is the streaming seam: the worker loops
-    that drain it ship results as they appear instead of one blob per shard.
-    Shared by the worker processes, the thread backend and the inline path,
-    which is what makes the equivalence testable in-process.
+    shard).  With the C library loaded each query then builds its index in
+    one ``repro_prepare`` call from that array, as a sequential session
+    does.  Without it, an unconstrained group's indexes are built together
+    (:meth:`LightWeightIndex.build_group`), their pruned forward sweeps
+    grown level by level in one pass; the indexes equal the per-query ones,
+    so results — path lists included, in order — are identical to
+    sequential session evaluation.  Being a generator is the streaming
+    seam: the worker loops that drain it ship results as they appear
+    instead of one blob per shard.  Shared by the worker processes, the
+    thread backend and the inline path, which is what makes the
+    equivalence testable in-process.
     """
     if not isinstance(algorithm, _DISTANCE_AWARE):
         # Baselines: no index build, no distance reuse — plain evaluation.
@@ -739,42 +734,32 @@ def _iter_shard_results_raw(
     groups: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
     for position, (s, t, k) in shard:
         groups.setdefault((t, k), []).append((position, s))
+    fuse_builds = (
+        isinstance(algorithm, _IndexedAlgorithm)
+        and config.constraint is None
+        and _native_builder(graph) is None
+    )
     for (t, k), members in groups.items():
         dist_to_t = distances.get((t, k))
         if dist_to_t is None:
             dist_to_t = bfs_distances_bounded(graph, t, cutoff=k, reverse=True)
-        # Sweep (and hold) the forward distance matrix one source chunk at a
-        # time: peak extra memory stays at O(chunk * |V|) however many
-        # queries share the target, and chunking cannot change any row.
-        fuse_builds = isinstance(algorithm, _IndexedAlgorithm) and config.constraint is None
+        # Fused builds hold one chunk's forward matrix at a time: peak
+        # extra memory stays at O(chunk * |V|) however many queries share
+        # the target, and chunking cannot change any index.
         for start in range(0, len(members), DEFAULT_SOURCE_CHUNK):
             chunk = members[start : start + DEFAULT_SOURCE_CHUNK]
-            forward = None
-            if len(chunk) > 1:
-                forward = multi_source_bfs_distances_bounded(
-                    graph, [s for _, s in chunk], cutoff=k, no_expand=t
-                )
-            if forward is not None and fuse_builds:
-                # Group-fused index construction: one candidate sweep, one
-                # edge sort for the whole chunk.  Each query's index — and
-                # therefore its result — is byte-identical to a per-query
-                # build from the same distance rows.
+            if fuse_builds and len(chunk) > 1:
                 chunk_queries = [Query(s, t, k) for _, s in chunk]
                 indexes = LightWeightIndex.build_group(
-                    graph, chunk_queries, dist_from_s_rows=forward, dist_to_t=dist_to_t
+                    graph, chunk_queries, dist_to_t=dist_to_t
                 )
                 for (position, _), query, index in zip(chunk, chunk_queries, indexes):
                     yield position, algorithm.run(graph, query, config, index=index)
                 continue
-            for row, (position, s) in enumerate(chunk):
-                result = algorithm.run(
-                    graph,
-                    Query(s, t, k),
-                    config,
-                    dist_to_t=dist_to_t,
-                    dist_from_s=None if forward is None else forward[row],
+            for position, s in chunk:
+                yield position, algorithm.run(
+                    graph, Query(s, t, k), config, dist_to_t=dist_to_t
                 )
-                yield position, result
 
 
 #: Queries per streamed result chunk when nobody needs per-query latency:
@@ -926,14 +911,15 @@ class StreamRun:
         run_id: int,
         num_queries: int,
         num_shards: int,
-        paying: Optional[Set[int]],
+        paying: Optional[Dict[int, int]],
     ) -> None:
         self._core = core
         self.run_id = run_id
         self.num_queries = num_queries
         self.num_shards = num_shards
-        #: Positions charged with a warm-phase reverse BFS (``None`` when
-        #: the algorithm shares no distance cache); see :meth:`_charge`.
+        #: Positions charged with a warm-phase reverse BFS, each with the
+        #: vertices it swept (``None`` when the algorithm shares no
+        #: distance cache); see :meth:`_charge`.
         self._paying = paying
         self.cancelled = threading.Event()
         self._queue: "queue_module.Queue" = queue_module.Queue()
@@ -1070,13 +1056,15 @@ class StreamRun:
         """Set each result's cache-hit flag as a sequential session would.
 
         Workers read every distance array from the warm cache, so each
-        warm-phase reverse BFS is charged here to the first query (in
-        workload order) of its key, and every other query is a hit.
+        warm-phase reverse BFS, and the vertices it swept, is charged here
+        to the first query (in workload order) of its key, and every other
+        query is a hit.
         """
         paying = self._paying
         if paying is not None:
             for position, result in chunk:
                 result.stats.bfs_cache_hit = position not in paying
+                result.stats.swept_vertices += paying.get(position, 0)
         return chunk
 
     def _release_epoch(self) -> None:
@@ -1560,7 +1548,7 @@ class ExecutorCore:
                 "evaluate constrained workloads on the inline Database(graph)"
             )
 
-    def _warm_distances(self, queries: Sequence[Query]) -> Set[int]:
+    def _warm_distances(self, queries: Sequence[Query]) -> Dict[int, int]:
         """Run the reverse BFS once per distinct ``(target, k)`` key.
 
         Delegates to :meth:`QuerySession.prepare` (after growing the cache

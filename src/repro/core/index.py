@@ -52,13 +52,20 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro._clib import CORRUPT, _library, int64_ready
+from repro._clib import CORRUPT, NEED, ThreadScratch, _library, int64_ready
 from repro.core.listener import Deadline
 from repro.core.query import Query
 from repro.core.result import EnumerationStats, Phase
 from repro.errors import GraphError
 from repro.graph.digraph import DiGraph, ragged_gather
-from repro.graph.traversal import UNREACHABLE, _corrupt_csr, bfs_distances_bounded
+from repro.graph.traversal import (
+    UNREACHABLE,
+    _bfs_levels_vectorised,
+    _check_ids,
+    _corrupt_csr,
+    _multi_source_sweep,
+    bfs_distances_bounded,
+)
 
 __all__ = ["LightWeightIndex"]
 
@@ -68,7 +75,13 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 
 class LightWeightIndex:
-    """Query-dependent index over the vertices that can appear on a result."""
+    """Query-dependent index over the vertices that can appear on a result.
+
+    ``dist_from_s`` (``v.s``) is exact on ``X = {v : v.s + v.t <= k}`` and
+    :data:`~repro.graph.traversal.UNREACHABLE` outside it when the build
+    swept it itself; an injected forward array, pruned or full, is kept as
+    given.  Every other array depends only on ``v.s`` over ``X``.
+    """
 
     __slots__ = (
         "graph",
@@ -87,11 +100,13 @@ class LightWeightIndex:
         "_flat",
         "_kernel",
         "_native",
+        "_native_ptrs",
         "_in_csr",
         "num_index_edges",
         "build_seconds",
         "bfs_seconds",
         "used_cached_distances",
+        "swept_vertices",
     )
 
     def __init__(
@@ -111,6 +126,7 @@ class LightWeightIndex:
         build_seconds: float,
         bfs_seconds: float,
         used_cached_distances: bool = False,
+        swept_vertices: int = 0,
     ) -> None:
         self.graph = graph
         self.query = query
@@ -128,11 +144,13 @@ class LightWeightIndex:
         self._flat: Optional[tuple] = None
         self._kernel: Optional[tuple] = None
         self._native: Optional[tuple] = None
+        self._native_ptrs: Optional[tuple] = None
         self._in_csr: Optional[tuple] = None
         self.num_index_edges = int(len(indices))
         self.build_seconds = build_seconds
         self.bfs_seconds = bfs_seconds
         self.used_cached_distances = used_cached_distances
+        self.swept_vertices = swept_vertices
 
     # ------------------------------------------------------------------ #
     # construction (Algorithm 3, vectorised)
@@ -163,33 +181,54 @@ class LightWeightIndex:
         pruning.  When provided, the reverse BFS is skipped entirely, which
         removes roughly half of the build cost for target-sharing workloads.
 
-        ``dist_from_s`` likewise injects the forward distances.  Unlike the
-        reverse array it must equal the restricted forward BFS exactly
-        (``no_expand=t``, same edge filter) — the sharded batch executor
-        obtains it from a multi-source sweep over every query of a shard,
-        which produces the same unique BFS distances level for level.
+        Without ``dist_from_s`` an unconstrained build sweeps forward from
+        ``s`` pruned by ``dist_to_t``: a vertex ``w`` reached at depth
+        ``d + 1`` is recorded and expanded only if ``w.t + d + 1 <= k``, so
+        the sweep visits ``X = {v : v.s + v.t <= k}`` and nothing else.  The
+        index's ``dist_from_s`` is then exact on ``X`` and
+        :data:`~repro.graph.traversal.UNREACHABLE` outside it.  With the C
+        library loaded that sweep and the whole index fill are one
+        ``repro_prepare`` call, and the sweep's time counts as index
+        construction, not BFS.  A constrained build sweeps the filtered
+        graph unpruned.  An injected ``dist_from_s`` may be pruned like that
+        or full (the restricted forward BFS, ``no_expand=t``, same edge
+        filter); it is kept as given, and every other index array is the
+        same either way.
         """
         query.validate(graph)
         started = time.perf_counter()
         s, t, k = query.source, query.target, query.k
+        n = graph.num_vertices
+        _checked_out_csr(graph)
+        swept = 0
 
         bfs_started = time.perf_counter()
-        if dist_from_s is None:
-            dist_from_s = bfs_distances_bounded(
-                graph, s, cutoff=k, no_expand=t, edge_filter=edge_filter
-            )
         used_cache = dist_to_t is not None
         if dist_to_t is None:
             dist_to_t = bfs_distances_bounded(
                 graph, t, cutoff=k, reverse=True, no_expand=s, edge_filter=edge_filter
             )
+            swept += _swept(dist_to_t)
+        if len(dist_to_t) != n or (dist_from_s is not None and len(dist_from_s) != n):
+            raise GraphError("distance arrays do not match the graph's vertex count")
+        lib = _native_builder(graph) if edge_filter is None else None
+        if lib is None and dist_from_s is None:
+            if edge_filter is None:
+                dist_from_s = _pruned_forward_rows(graph, [s], t, k, dist_to_t)[0]
+            else:
+                dist_from_s = bfs_distances_bounded(
+                    graph, s, cutoff=k, no_expand=t, edge_filter=edge_filter
+                )
+            swept += _swept(dist_from_s)
         bfs_seconds = time.perf_counter() - bfs_started
         if deadline is not None:
             deadline.check()
 
-        lib = _native_builder(graph) if edge_filter is None else None
         if lib is not None:
-            arrays = _build_arrays_native(lib, graph, query, dist_from_s, dist_to_t)
+            dist_from_s, forward_swept, arrays = _prepare_native(
+                lib, graph, query, dist_to_t, dist_from_s
+            )
+            swept += forward_swept
         else:
             arrays = _build_arrays_numpy(
                 graph, query, dist_from_s, dist_to_t, edge_filter, deadline
@@ -203,6 +242,7 @@ class LightWeightIndex:
             time.perf_counter() - started,
             bfs_seconds,
             used_cached_distances=used_cache,
+            swept_vertices=swept,
         )
         if stats is not None:
             index.record_stats(stats)
@@ -214,22 +254,24 @@ class LightWeightIndex:
         graph: DiGraph,
         queries: Sequence[Query],
         *,
-        dist_from_s_rows: np.ndarray,
         dist_to_t: np.ndarray,
+        dist_from_s_rows: Optional[np.ndarray] = None,
     ) -> List["LightWeightIndex"]:
         """Build the indexes of a target-sharing query group in one fused sweep.
 
         All ``queries`` must share the same target ``t`` and hop constraint
-        ``k``.  ``dist_from_s_rows`` is the ``(len(queries), |V|)`` forward
-        restricted-distance matrix — one multi-source sweep row per query,
-        computed exactly like :meth:`build`'s forward BFS — and ``dist_to_t``
-        the shared reverse distances.  The candidate masks, the ragged
-        neighbour gather, the edge filtering and the ``(source, distance)``
-        sort all run once over the whole group with a query-id sort column;
-        each query's segment then assembles into an index byte-identical to
-        what :meth:`build` would have produced from the same distances.  With
-        the C library loaded each query is instead one compiled build from
-        its own row, which costs less than the fused NumPy pass.
+        ``k``, and ``dist_to_t`` is their shared reverse distances.  Without
+        ``dist_from_s_rows`` the forward sweeps of every query run together,
+        level by level, pruned to each query's ``X`` as in :meth:`build`.
+        Given, it is the ``(len(queries), |V|)`` forward matrix, each row
+        pruned or full.  The candidate masks, the ragged neighbour gather,
+        the edge filtering and the ``(source, distance)`` sort all run once
+        over the whole group with a query-id sort column; each query's
+        segment then assembles into an index equal to what :meth:`build`
+        produces from the same ``dist_to_t``, every array but
+        ``dist_from_s`` outside ``X`` byte for byte.  This is the NumPy
+        reference of a batch; with the C library loaded a batch builds
+        each query through :meth:`build` instead.
         """
         if not len(queries):
             return []
@@ -239,16 +281,19 @@ class LightWeightIndex:
             if query.target != t or query.k != k:
                 raise ValueError("build_group requires a target- and k-sharing group")
             query.validate(graph)
-        if _native_builder(graph) is not None:
-            return [
-                cls.build(graph, query, dist_from_s=row, dist_to_t=dist_to_t)
-                for query, row in zip(queries, dist_from_s_rows)
-            ]
         started = time.perf_counter()
         m = len(queries)
-        ds_m = dist_from_s_rows
         dt = dist_to_t
         sources = np.asarray([q.source for q in queries], dtype=np.int64)
+        out_indptr, out_indices = _checked_out_csr(graph)
+        if len(dt) != graph.num_vertices:
+            raise GraphError("distance arrays do not match the graph's vertex count")
+        if dist_from_s_rows is None:
+            ds_m = _pruned_forward_rows(graph, sources, t, k, dt)
+            swept = [_swept(row) for row in ds_m]
+        else:
+            ds_m = dist_from_s_rows
+            swept = [0] * m
 
         # Partition X per query, as one boolean matrix.
         in_x = (
@@ -270,7 +315,6 @@ class LightWeightIndex:
 
         # Fused candidate-edge gather: every query's member sources in one
         # ragged expansion, tagged with a per-edge query id.
-        out_indptr, out_indices = graph.out_csr()
         src_sel = rows_flat != t
         gather_src = rows_flat[src_sel]
         gather_qid = q_of_row[src_sel]
@@ -278,6 +322,7 @@ class LightWeightIndex:
         edge_src, edge_dst = ragged_gather(out_indptr, out_indices, gather_src)
         edge_qid = np.repeat(gather_qid, widths)
         if len(edge_src):
+            _check_ids(edge_dst, graph.num_vertices)
             dt_dst = dt[edge_dst]
             keep = (
                 (edge_dst != sources[edge_qid])
@@ -327,7 +372,7 @@ class LightWeightIndex:
             indexes.append(cls(
                 graph, query, ds_m[i], dt, *arrays,
                 time.perf_counter() - q_started + shared_share, 0.0,
-                used_cached_distances=True,
+                used_cached_distances=True, swept_vertices=swept[i],
             ))
         return indexes
 
@@ -343,6 +388,7 @@ class LightWeightIndex:
         stats.index_vertices = self.num_index_vertices
         stats.index_bytes = self.estimated_bytes()
         stats.bfs_cache_hit = self.used_cached_distances
+        stats.swept_vertices = self.swept_vertices
 
     # ------------------------------------------------------------------ #
     # lookups
@@ -507,6 +553,17 @@ class LightWeightIndex:
             )
         return self._native
 
+    def native_pointers(self) -> tuple:
+        """Raw addresses ``(vertex_of, neighbor_rows, indptr, offsets)`` of
+        :meth:`native_csr`'s arrays, taken once per index.  The arrays
+        belong to the index, so the addresses hold as long as it lives."""
+        if self._native_ptrs is None:
+            vertex_of, _, neighbor_rows, indptr, offsets = self.native_csr()
+            self._native_ptrs = tuple(
+                a.ctypes.data for a in (vertex_of, neighbor_rows, indptr, offsets)
+            )
+        return self._native_ptrs
+
     def partition_indptr(self) -> np.ndarray:
         """CSR bounds of the flat partition array: ``C_i`` spans
         ``partition_rows()[indptr[i] : indptr[i + 1]]``."""
@@ -630,47 +687,146 @@ def _native_builder(graph: DiGraph):
     return lib if lib is not None and int64_ready(*graph.out_csr()) else None
 
 
-def _build_arrays_native(lib, graph: DiGraph, query: Query, ds, dt) -> tuple:
-    """Algorithm 3 in two ``repro_index_build`` calls.
+def _swept(distances: np.ndarray) -> int:
+    """The vertices a sweep gave a distance, as ``swept_vertices`` counts."""
+    return int(np.count_nonzero(distances >= 0))
 
-    The first sizes ``X``, the edge set and the partitions, the second
-    fills arrays of exactly those sizes, so no array is a view of a larger
-    buffer.  Lengths are checked once here; the C loop checks every offset
-    and neighbour id it reads.
-    """
+
+def _checked_out_csr(graph: DiGraph) -> tuple:
+    """``graph``'s out-CSR after the O(1) shape checks both tiers make: one
+    offset per vertex plus one, and no more edges promised than stored."""
     indptr, indices = graph.out_csr()
     n = graph.num_vertices
-    ds = np.ascontiguousarray(ds, dtype=np.int64)
+    if len(indptr) != n + 1 or int(indptr[n]) > len(indices):
+        raise _corrupt_csr()
+    return indptr, indices
+
+
+def _pruned_forward_rows(graph: DiGraph, sources, t: int, k: int, dt: np.ndarray) -> np.ndarray:
+    """The NumPy reference of ``repro_prepare``'s forward sweep, one row per
+    source: ``no_expand=t``, pruned by ``dt`` to ``X``, and ``UNREACHABLE``
+    at a source outside ``X``."""
+    indptr, indices = graph.out_csr()
+    sources = np.asarray(sources, dtype=np.int64)
+    if len(sources) == 1:
+        rows = _bfs_levels_vectorised(
+            indptr, indices, graph.num_vertices, int(sources[0]),
+            cutoff=k, excluded=None, no_expand=t, prune=dt,
+        )[None, :]
+    else:
+        rows = np.full((len(sources), graph.num_vertices), UNREACHABLE, dtype=np.int64)
+        _multi_source_sweep(indptr, indices, rows, sources, cutoff=k, no_expand=t, prune=dt)
+    outside = (dt[sources] < 0) | (dt[sources] > k)
+    rows[np.flatnonzero(outside), sources[outside]] = UNREACHABLE
+    return rows
+
+
+class _PrepareScratch:
+    """One thread's output buffers for ``repro_prepare``, grown on demand.
+
+    ``bound`` is the call's scratch arguments with the pointers taken once
+    per allocation: ``ds``, ``row_of`` and the sweep queue (``n`` entries
+    each), ``part_indptr``, ``gamma`` and the bucket scratch (sized by
+    ``k``), then the row, cell and edge buffers with their capacities, and
+    ``sizes``.  The results are copied out of it into exact-size arrays.
+    """
+
+    def __init__(self) -> None:
+        self.n = self.k = -1
+        self.row_cap, self.cell_cap, self.edge_cap = 256, 1024, 2048
+        self.sizes = np.zeros(3, dtype=np.int64)
+        self.vertex = self.small = self.gamma = None
+        self.rowbuf = self.cellbuf = self.edgebuf = None
+        self.bound: tuple = ()
+
+    def fit(self, n: int, k: int) -> None:
+        """Make room for a graph of ``n`` vertices and hop bound ``k``."""
+        if n > self.n or k > self.k:
+            self.n, self.k = max(n, self.n), max(k, self.k)
+            self.vertex = np.empty((3, self.n), dtype=np.int64)
+            self.small = np.empty(3 * self.k + 4, dtype=np.int64)
+            self.gamma = np.empty(max(self.k, 1), dtype=np.float64)
+            self._allocate()
+
+    def grow(self, k: int) -> None:
+        """Make room for the sizes the last call reported."""
+        rows, edges, members = (int(x) for x in self.sizes)
+        self.row_cap = max(rows, 2 * self.row_cap)
+        self.cell_cap = max(rows * (k + 1), members, 2 * self.cell_cap)
+        self.edge_cap = max(edges, 2 * self.edge_cap)
+        self._allocate()
+
+    def _allocate(self) -> None:
+        self.rowbuf = np.empty(2 * self.row_cap + 1, dtype=np.int64)
+        self.cellbuf = np.empty(2 * self.cell_cap, dtype=np.int64)
+        self.edgebuf = np.empty(self.edge_cap, dtype=np.int64)
+        vertex, small, row, cell = (
+            a.ctypes.data for a in (self.vertex, self.small, self.rowbuf, self.cellbuf)
+        )
+        self.bound = (
+            vertex, vertex + 8 * self.n, vertex + 16 * self.n,
+            small, self.gamma.ctypes.data, small + 8 * (self.k + 2),
+            row, row + 8 * self.row_cap, self.row_cap,
+            cell, cell + 8 * self.cell_cap, self.cell_cap,
+            self.edgebuf.ctypes.data, self.edge_cap, self.sizes.ctypes.data,
+        )
+
+    def arrays(self, n: int, k: int) -> tuple:
+        """Exact-size copies of the index arrays the last call wrote."""
+        rows, edges, members = (int(x) for x in self.sizes)
+        return (
+            self.rowbuf[:rows].copy(),
+            self.vertex[1, :n].copy(),
+            self.rowbuf[self.row_cap : self.row_cap + rows + 1].copy(),
+            self.edgebuf[:edges].copy(),
+            self.cellbuf[: rows * (k + 1)].reshape(rows, k + 1).copy(),
+            self.small[: k + 2].copy(),
+            self.cellbuf[self.cell_cap : self.cell_cap + members].copy(),
+            self.gamma[:k].copy(),
+        )
+
+
+_PREPARE_SCRATCH = ThreadScratch(_PrepareScratch)
+
+
+def _prepare_native(lib, graph: DiGraph, query: Query, dt, ds) -> tuple:
+    """Algorithm 3 in one ``repro_prepare`` call: the forward sweep pruned to
+    ``X`` (unless ``ds`` injects it) and the index fill.
+
+    A call whose scratch is too small reports the sizes it needs and is
+    issued once more on grown scratch, reusing its sweep; a second shortfall
+    means the CSR changed under the build.  Returns ``(dist_from_s,
+    vertices swept, arrays)``.  The C loop checks every offset and
+    neighbour id it reads.
+    """
+    indptr, indices = graph.out_csr()
+    n, k = graph.num_vertices, int(query.k)
     dt = np.ascontiguousarray(dt, dtype=np.int64)
-    if len(ds) != n or len(dt) != n or len(indptr) != n + 1:
-        raise GraphError("distance arrays do not match the graph's vertex count")
-    k = int(query.k)
-    row_of = np.empty(n, dtype=np.int64)
-    part_indptr = np.empty(k + 2, dtype=np.int64)
-    sizes = np.empty(2, dtype=np.int64)
-    scratch = np.empty(2 * (k + 1), dtype=np.int64)
-    head = (
-        indptr.ctypes.data, indices.ctypes.data, n, len(indices),
-        ds.ctypes.data, dt.ctypes.data, int(query.source), int(query.target), k,
-        row_of.ctypes.data, part_indptr.ctypes.data, sizes.ctypes.data,
-    )
-    if lib.repro_index_build(*head, *(None,) * 6, scratch.ctypes.data) == CORRUPT:
-        raise _corrupt_csr()
-    num_rows, num_edges = int(sizes[0]), int(sizes[1])
-    rows = np.empty(num_rows, dtype=np.int64)
-    csr_indptr = np.empty(num_rows + 1, dtype=np.int64)
-    csr_indices = np.empty(num_edges, dtype=np.int64)
-    offsets = np.empty((num_rows, k + 1), dtype=np.int64)
-    part_members = np.empty(int(part_indptr[-1]), dtype=np.int64)
-    gamma = np.empty(k, dtype=np.float64)
-    status = lib.repro_index_build(
-        *head, rows.ctypes.data, csr_indptr.ctypes.data, csr_indices.ctypes.data,
-        offsets.ctypes.data, part_members.ctypes.data, gamma.ctypes.data,
-        scratch.ctypes.data,
-    )
-    if status == CORRUPT:
-        raise _corrupt_csr()
-    return rows, row_of, csr_indptr, csr_indices, offsets, part_indptr, part_members, gamma
+    fwd = None if ds is None else np.ascontiguousarray(ds, dtype=np.int64)
+    scratch = _PREPARE_SCRATCH.take()
+    try:
+        scratch.fit(n, k)
+        head = (indptr.ctypes.data, indices.ctypes.data, n, len(indices), dt.ctypes.data)
+        tail = (int(query.source), int(query.target), k)
+        status = lib.repro_prepare(
+            *head, None if fwd is None else fwd.ctypes.data, *tail, *scratch.bound
+        )
+        if status == NEED:
+            scratch.grow(k)
+            swept_into = scratch.bound[0] if fwd is None else fwd.ctypes.data
+            status = lib.repro_prepare(*head, swept_into, *tail, *scratch.bound)
+            if status == NEED:
+                raise GraphError(
+                    "corrupt graph store: its neighbour arrays changed during an index build"
+                )
+        if status == CORRUPT:
+            raise _corrupt_csr()
+        arrays = scratch.arrays(n, k)
+        if fwd is None:
+            return scratch.vertex[0, :n].copy(), len(arrays[0]), arrays
+        return ds, 0, arrays
+    finally:
+        _PREPARE_SCRATCH.give(scratch)
 
 
 def _build_arrays_numpy(
@@ -681,8 +837,8 @@ def _build_arrays_numpy(
     edge_filter: Optional[EdgeFilter],
     deadline: Optional[Deadline],
 ) -> tuple:
-    """Algorithm 3 vectorised: the reference of :func:`_build_arrays_native`
-    and the only path for edge-filtered (constrained) builds."""
+    """Algorithm 3 vectorised: the reference of :func:`_prepare_native`'s
+    index fill and the only path for edge-filtered (constrained) builds."""
     s, t, k = query.source, query.target, query.k
 
     # Partition X: vertices with v.s + v.t <= k (Lines 2-4 of Algorithm 3).
@@ -696,6 +852,7 @@ def _build_arrays_numpy(
     out_indptr, out_indices = graph.out_csr()
     edge_src, edge_dst = ragged_gather(out_indptr, out_indices, rows[rows != t])
     if len(edge_src):
+        _check_ids(edge_dst, graph.num_vertices)
         dt_dst = dt[edge_dst]
         keep = (
             (edge_dst != s)

@@ -36,7 +36,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro._clib import _LIB, _library, jit_ready
+from repro._clib import _LIB, ThreadScratch, _library, jit_ready
 from repro.core.index import LightWeightIndex
 from repro.core.kernels import (
     KERNEL_CHECK_TICKS,
@@ -80,6 +80,52 @@ def _max_ticks(deadline: Optional[Deadline], ticks: int) -> int:
     return _NO_TICKS if deadline is None or deadline.units_until_poll() is None else ticks
 
 
+class _FillScratch:
+    """One thread's buffers for the DFS and pairing loops, reused query
+    after query.
+
+    ``state``, one output block (``out_data`` / ``out_bounds``) and, for
+    the DFS, ``on_path`` and the five ``k + 2``-entry search stacks, with
+    their pointers taken once per allocation (``block``, ``dfs``).  Emitted
+    blocks are copies, so nothing a query returns aliases these buffers.
+    :data:`_FILL_SCRATCH` lends one to each call on its own thread.
+    """
+
+    def __init__(self) -> None:
+        self.state = np.zeros(_STATE_SLOTS, dtype=np.int64)
+        self.out_bounds = np.empty(NATIVE_FLUSH_PATHS, dtype=np.int64)
+        self.out_data = np.empty(0, dtype=np.int64)
+        self.on_path = np.zeros(0, dtype=np.uint8)
+        self.stacks = np.zeros((5, 0), dtype=np.int64)
+        self.block = self.dfs = None
+
+    def fit(self, data_cap: int) -> None:
+        """Zero the state and make room for an output block of ``data_cap``."""
+        if data_cap > len(self.out_data) or self.block is None:
+            self.out_data = np.empty(max(data_cap, len(self.out_data)), dtype=np.int64)
+            self.block = (
+                self.state.ctypes.data, self.out_data.ctypes.data, self.out_bounds.ctypes.data
+            )
+        self.state.fill(0)
+
+    def fit_dfs(self, k: int, rows: int) -> None:
+        """Also make room for a ``k``-hop search over ``rows`` index rows,
+        with ``on_path`` cleared."""
+        width = self.stacks.shape[1]
+        if k + 2 > width or rows > len(self.on_path) or self.dfs is None:
+            if k + 2 > width:
+                self.stacks = np.zeros((5, k + 2), dtype=np.int64)
+            if rows > len(self.on_path):
+                self.on_path = np.zeros(max(rows, 2 * len(self.on_path)), dtype=np.uint8)
+            stride = 8 * self.stacks.shape[1]
+            base = self.stacks.ctypes.data
+            self.dfs = (self.on_path.ctypes.data, *(base + i * stride for i in range(5)))
+        self.on_path[:rows] = 0
+
+
+_FILL_SCRATCH = ThreadScratch(_FillScratch)
+
+
 # --------------------------------------------------------------------- #
 # sub-queries and join (IDX-JOIN, Algorithm 6)
 # --------------------------------------------------------------------- #
@@ -87,7 +133,6 @@ def _max_ticks(deadline: Optional[Deadline], ticks: int) -> int:
 # drivers read (the full layouts are the enums in ``_cfill.c``).
 _W_SLOTS = 14
 _W_EDGES, _W_PARTIAL, _W_TICKS, _W_OUT_LEN = 6, 7, 8, 9
-_P_SLOTS = 12
 _P_INVALID, _P_USED, _P_EMITTED, _P_TICKS, _P_OUT_LEN, _P_OUT_PATHS = 6, 7, 8, 9, 10, 11
 
 
@@ -99,7 +144,7 @@ def _walks(lib, index, start_rows, offset, length, deadline, stats):
     and ``seg[i]`` = the number of walks before start ``i``.  Counters and
     deadline polls match one kernel call per start.
     """
-    vertex_of, _, nbr, indptr, off = index.native_csr()
+    vertex_of, nbr, indptr, off = index.native_pointers()
     k = index.k
     width = length + 1
     starts = np.ascontiguousarray(start_rows, dtype=np.int64)
@@ -111,8 +156,7 @@ def _walks(lib, index, start_rows, offset, length, deadline, stats):
     try:
         while True:
             status = lib.repro_walks_fill(
-                nbr.ctypes.data, indptr.ctypes.data, off.ctypes.data, k + 1,
-                vertex_of.ctypes.data, starts.ctypes.data, len(starts),
+                nbr, indptr, off, k + 1, vertex_of, starts.ctypes.data, len(starts),
                 k - offset - 1, length, walk.ctypes.data, stack_cur.ctypes.data,
                 stack_end.ctypes.data, seg.ctypes.data, state.ctypes.data,
                 out.ctypes.data, len(out), max_ticks,
@@ -207,19 +251,22 @@ def run_join_native(
     plen = np.empty(right_count, dtype=np.int64)
     lib.repro_join_tails(right.ctypes.data, right_count, rw, t, plen.ctypes.data)
     used = np.zeros(right_count, dtype=np.uint8)
-    state = np.zeros(_P_SLOTS, dtype=np.int64)
-    out_data = np.empty(NATIVE_FLUSH_PATHS * (k + 1), dtype=np.int64)
-    out_bounds = np.empty(NATIVE_FLUSH_PATHS, dtype=np.int64)
+    head = (
+        left.ctypes.data, left_count, lw, right.ctypes.data, rw, plen.ctypes.data,
+        heads.ctypes.data, seg.ctypes.data, len(heads), t, used.ctypes.data,
+    )
+    data_cap = NATIVE_FLUSH_PATHS * (k + 1)
+    scratch = _FILL_SCRATCH.take()
+    scratch.fit(data_cap)
+    state, out_data, out_bounds = scratch.state, scratch.out_data, scratch.out_bounds
+    state_p, data_p, bounds_p = scratch.block
     try:
         while True:
             cap = collector.remaining_before_flush()
             max_paths = NATIVE_FLUSH_PATHS if cap is None else min(NATIVE_FLUSH_PATHS, cap)
             polls = None if deadline is None else deadline.units_until_poll()
             status = lib.repro_join_pair(
-                left.ctypes.data, left_count, lw, right.ctypes.data, rw,
-                plen.ctypes.data, heads.ctypes.data, seg.ctypes.data, len(heads), t,
-                used.ctypes.data, state.ctypes.data, out_data.ctypes.data,
-                len(out_data), out_bounds.ctypes.data, max_paths,
+                *head, state_p, data_p, data_cap, bounds_p, max_paths,
                 _NO_TICKS if polls is None else polls,
             )
             out_paths = int(state[_P_OUT_PATHS])
@@ -234,8 +281,9 @@ def run_join_native(
                 break
     finally:
         stats.invalid_partial_results += int(state[_P_INVALID])
-    emitted = int(state[_P_EMITTED])
-    stats.invalid_partial_results += right_count - int(state[_P_USED])
+        emitted, used_rights = int(state[_P_EMITTED]), int(state[_P_USED])
+        _FILL_SCRATCH.give(scratch)
+    stats.invalid_partial_results += right_count - used_rights
     stats.results_emitted += emitted
     return emitted
 
@@ -269,32 +317,13 @@ _ST_I_FOUND = 17
 _STATE_SLOTS = 18
 
 
-def _dfs_fill(
-    nbr,
-    indptr,
-    off,
-    stride,
-    vertex_of,
-    t_row,
-    t_vertex,
-    k,
-    on_path,
-    stack_row,
-    stack_cur,
-    stack_end,
-    stack_found,
-    path_verts,
-    state,
-    out_data,
-    out_bounds,
-    max_paths,
-    max_ticks,
-):
+def _dfs_fill(index, scratch, data_cap, t_row, t_vertex, max_paths, max_ticks):
     """Resumable scalar IDX-DFS core, in Python.
 
     Mirrors the iterative kernel's generic loop (including the budget-1
-    inline scan) but fills preallocated ``out_data`` / ``out_bounds``
-    arrays instead of calling into the collector, and *returns a status
+    inline scan) over ``index``'s :meth:`~LightWeightIndex.native_csr`
+    arrays, but fills the ``scratch`` output block (its first ``data_cap``
+    entries) instead of calling into the collector, and *returns a status
     code* instead of raising:
 
     * ``DFS_DONE`` — search exhausted;
@@ -313,6 +342,13 @@ def _dfs_fill(
     ``_cfill.c`` is a line-for-line C port; this version is the reference
     the tests drive it against.
     """
+    vertex_of, _, nbr, indptr, off = index.native_csr()
+    off = off.ravel()
+    k = index.k
+    stride = k + 1
+    on_path, state = scratch.on_path, scratch.state
+    out_data, out_bounds = scratch.out_data, scratch.out_bounds
+    stack_row, stack_cur, stack_end, stack_found, path_verts = scratch.stacks
     depth = state[_ST_DEPTH]
     row = state[_ST_ROW]
     cur = state[_ST_CUR]
@@ -331,7 +367,6 @@ def _dfs_fill(
     i_found = state[_ST_I_FOUND]
     out_len = 0
     out_paths = 0
-    data_cap = out_data.shape[0]
     status = DFS_DONE
     while True:
         if in_inline == 1:
@@ -464,18 +499,13 @@ def _c_dfs_filler(lib):
     """``repro_dfs_fill`` behind the calling convention of :func:`_dfs_fill`."""
     fill = lib.repro_dfs_fill
 
-    def filler(
-        nbr, indptr, off, stride, vertex_of, t_row, t_vertex, k, on_path,
-        stack_row, stack_cur, stack_end, stack_found, path_verts, state,
-        out_data, out_bounds, max_paths, max_ticks,
-    ):
+    def filler(index, scratch, data_cap, t_row, t_vertex, max_paths, max_ticks):
+        vertex_of, nbr, indptr, off = index.native_pointers()
+        k = index.k
+        state, out_data, out_bounds = scratch.block
         return fill(
-            nbr.ctypes.data, indptr.ctypes.data, off.ctypes.data, stride,
-            vertex_of.ctypes.data, t_row, t_vertex, k, on_path.ctypes.data,
-            stack_row.ctypes.data, stack_cur.ctypes.data, stack_end.ctypes.data,
-            stack_found.ctypes.data, path_verts.ctypes.data, state.ctypes.data,
-            out_data.ctypes.data, len(out_data), out_bounds.ctypes.data,
-            max_paths, max_ticks,
+            nbr, indptr, off, k + 1, vertex_of, t_row, t_vertex, k, *scratch.dfs,
+            state, out_data, data_cap, out_bounds, max_paths, max_ticks,
         )
 
     return filler
@@ -486,56 +516,45 @@ def _run_dfs_fill_loop(index, collector, *, deadline, stats, filler):
 
     ``filler`` is either the compiled core (:func:`_c_dfs_filler`) or — in
     tests — :func:`_dfs_fill`, which executes the identical logic in plain
-    Python.
+    Python.  Both work in this thread's :class:`_FillScratch`.
     """
     if index.is_empty:
         return 0
     query = index.query
     s, t, k = query.source, query.target, query.k
-    vertex_of, row_of, nbr, indptr, off2 = index.native_csr()
-    off = off2.ravel()
-    stride = k + 1
+    vertex_of, row_of, _, indptr, off2 = index.native_csr()
     s_row = int(row_of[s])
-    on_path = np.zeros(len(vertex_of), dtype=np.uint8)
-    on_path[s_row] = 1
-    stack_row = np.zeros(k + 2, dtype=np.int64)
-    stack_cur = np.zeros(k + 2, dtype=np.int64)
-    stack_end = np.zeros(k + 2, dtype=np.int64)
-    stack_found = np.zeros(k + 2, dtype=np.int64)
-    path_verts = np.zeros(k + 2, dtype=np.int64)
-    state = np.zeros(_STATE_SLOTS, dtype=np.int64)
+    t_row = int(row_of[t])
     data_cap = max(NATIVE_FLUSH_PATHS * 4, (k + 4) * 4)
-    out_data = np.empty(data_cap, dtype=np.int64)
-    out_bounds = np.empty(NATIVE_FLUSH_PATHS, dtype=np.int64)
+    max_ticks = _max_ticks(deadline, NATIVE_CHECK_TICKS)
+    start_count = collector.count
+    scratch = _FILL_SCRATCH.take()
+    scratch.fit(data_cap)
+    scratch.fit_dfs(k, len(vertex_of))
+    state, out_data, out_bounds = scratch.state, scratch.out_data, scratch.out_bounds
+    scratch.on_path[s_row] = 1
     if k == 2:
         # The whole search is the root's inline scan over column 1.
         state[_ST_INLINE] = 1
         state[_ST_I_CHILD] = s_row
         state[_ST_I_CUR] = int(indptr[s_row])
-        state[_ST_I_END] = state[_ST_I_CUR] + int(off[s_row * stride + 1])
+        state[_ST_I_END] = state[_ST_I_CUR] + int(off2[s_row, 1])
         state[_ST_EDGES] = state[_ST_I_END] - state[_ST_I_CUR]
     else:
-        path_verts[0] = s
+        scratch.stacks[4, 0] = s  # path_verts
         state[_ST_PATH_LEN] = 1
         state[_ST_ROW] = s_row
         state[_ST_CUR] = int(indptr[s_row])
-        state[_ST_END] = state[_ST_CUR] + int(off[s_row * stride + (k - 1)])
+        state[_ST_END] = state[_ST_CUR] + int(off2[s_row, k - 1])
         state[_ST_EDGES] = state[_ST_END] - state[_ST_CUR]
         state[_ST_BUDGET] = k - 2
-    t_row = int(row_of[t])
-    max_ticks = _max_ticks(deadline, NATIVE_CHECK_TICKS)
-    start_count = collector.count
     try:
         while True:
             cap = collector.remaining_before_flush()
             max_paths = (
                 NATIVE_FLUSH_PATHS if cap is None else min(NATIVE_FLUSH_PATHS, cap)
             )
-            status = filler(
-                nbr, indptr, off, stride, vertex_of, t_row, t, k,
-                on_path, stack_row, stack_cur, stack_end, stack_found,
-                path_verts, state, out_data, out_bounds, max_paths, max_ticks,
-            )
+            status = filler(index, scratch, data_cap, t_row, t, max_paths, max_ticks)
             out_len = int(state[_ST_OUT_LEN])
             out_paths = int(state[_ST_OUT_PATHS])
             if out_paths:
@@ -551,6 +570,7 @@ def _run_dfs_fill_loop(index, collector, *, deadline, stats, filler):
         stats.edges_accessed += int(state[_ST_EDGES])
         stats.partial_results_generated += int(state[_ST_PARTIAL])
         stats.invalid_partial_results += int(state[_ST_INVALID])
+        _FILL_SCRATCH.give(scratch)
     emitted = collector.count - start_count
     stats.results_emitted += emitted
     return emitted

@@ -352,6 +352,10 @@ class EnumerationStats:
     index_vertices: int = 0
     #: Estimated bytes used by the index (Table 7).
     index_bytes: int = 0
+    #: Vertices the query's own BFS sweeps gave a distance: the forward
+    #: sweep (pruned to ``X`` on unconstrained builds) plus the reverse
+    #: sweep when this query paid for it rather than reading it cached.
+    swept_vertices: int = 0
     #: Search-space size predicted by the preliminary estimator (Eq. 5).
     preliminary_estimate: Optional[float] = None
     #: Result-count estimate from the full-fledged estimator.
@@ -433,6 +437,7 @@ class EnumerationStats:
         self.index_edges = max(self.index_edges, other.index_edges)
         self.index_vertices = max(self.index_vertices, other.index_vertices)
         self.index_bytes = max(self.index_bytes, other.index_bytes)
+        self.swept_vertices += other.swept_vertices
         self.timed_out = self.timed_out or other.timed_out
         self.truncated = self.truncated or other.truncated
         for name, seconds in other.phase_seconds.items():

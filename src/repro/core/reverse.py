@@ -123,13 +123,12 @@ class IdxDfsReverse(Algorithm):
         config: Optional[RunConfig] = None,
         *,
         dist_to_t: Optional[np.ndarray] = None,
-        dist_from_s: Optional[np.ndarray] = None,
         index: Optional[LightWeightIndex] = None,
     ) -> QueryResult:
         """Evaluate ``query`` backwards.
 
-        ``dist_to_t`` / ``dist_from_s`` optionally inject precomputed
-        distance arrays, and ``index`` a fully prebuilt light-weight index,
+        ``dist_to_t`` optionally injects a precomputed reverse distance
+        array, and ``index`` a fully prebuilt light-weight index,
         mirroring the forward algorithms — this is what lets a
         :class:`~repro.core.engine.QuerySession` (and therefore the batch
         executors, including the sharded group-fused build path) drive the
@@ -154,7 +153,6 @@ class IdxDfsReverse(Algorithm):
                     deadline=deadline,
                     stats=stats,
                     dist_to_t=dist_to_t,
-                    dist_from_s=dist_from_s,
                 )
             enumeration_started = time.perf_counter()
             try:

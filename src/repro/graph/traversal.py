@@ -174,8 +174,14 @@ def _bfs_levels_vectorised(
     cutoff: Optional[int],
     excluded: Optional[int],
     no_expand: Optional[int],
+    prune: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Level-synchronous BFS over the CSR arrays (no per-edge Python loop)."""
+    """Level-synchronous BFS over the CSR arrays (no per-edge Python loop).
+
+    ``prune`` (distances to ``t``, with a ``cutoff``) records a vertex ``w``
+    reached from depth ``d`` only if ``prune[w] >= 0`` and
+    ``d + 1 + prune[w] <= cutoff``, as ``repro_prepare``'s sweep does.
+    """
     dist = np.full(n, UNREACHABLE, dtype=np.int64)
     if excluded is not None and excluded == source:
         return dist
@@ -194,6 +200,9 @@ def _bfs_levels_vectorised(
         reached = reached[dist[reached] == UNREACHABLE]
         if excluded is not None:
             reached = reached[reached != excluded]
+        if prune is not None:
+            to_t = prune[reached]
+            reached = reached[(to_t >= 0) & (to_t <= cutoff - 1 - depth)]
         frontier = np.unique(reached)
         depth += 1
         dist[frontier] = depth
@@ -230,10 +239,10 @@ def multi_source_bfs_distances_bounded(
     no_expand=no_expand)`` exactly — BFS distances are unique, so the level
     order cannot differ.  All sources advance level by level through *one*
     set of numpy operations per level, which amortises the per-call numpy
-    overhead that dominates single-source BFS on small frontiers.  This is
-    the group preprocessing step of the target-sharded batch executor: every
-    query of a shard shares ``(target, k)``, so their forward BFS trees
-    (``no_expand=target``) can be grown together.
+    overhead that dominates single-source BFS on small frontiers.  Its
+    level loop (pruned to each query's ``X``) is how
+    :meth:`~repro.core.index.LightWeightIndex.build_group` grows the forward
+    sweeps of a target-sharing group together.
 
     Sweeps run over ``chunk_sources`` rows at a time (rows are mutually
     independent, so chunking cannot change any row); ``None`` disables
@@ -277,8 +286,10 @@ def _multi_source_sweep(
     *,
     cutoff: int,
     no_expand: Optional[int],
+    prune: Optional[np.ndarray] = None,
 ) -> None:
-    """Level-synchronous sweep filling one chunk of the distance matrix."""
+    """Level-synchronous sweep filling one chunk of the distance matrix
+    (``prune`` as in :func:`_bfs_levels_vectorised`)."""
     dist[np.arange(len(sources), dtype=np.int64), sources] = 0
     # The frontier is re-derived from the distance matrix each level
     # (``dist == depth``), which both deduplicates (source, vertex) pairs
@@ -302,6 +313,9 @@ def _multi_source_sweep(
         reached_cols = indices[positions]
         _check_ids(reached_cols, dist.shape[1])
         unvisited = dist[reached_rows, reached_cols] == UNREACHABLE
+        if prune is not None:
+            to_t = prune[reached_cols]
+            unvisited &= (to_t >= 0) & (to_t <= cutoff - 1 - depth)
         reached_rows = reached_rows[unvisited]
         reached_cols = reached_cols[unvisited]
         if not len(reached_cols):

@@ -2,25 +2,22 @@
 
 from __future__ import annotations
 
-import ctypes
-
 import numpy as np
 import pytest
 
-from repro._clib import _library, jit_ready
+from repro._clib import jit_ready
 from repro.core import index as index_module
 from repro.core.index import LightWeightIndex
 from repro.core.query import Query
 from repro.core.relations import build_relations
 from repro.core.result import EnumerationStats, Phase
-from repro.errors import GraphError
 from repro.graph import traversal
 from repro.graph.builder import from_edges
 from repro.graph.generators import erdos_renyi
 from repro.graph.snapshot import load_snapshot, save_snapshot
 from repro.graph.traversal import bfs_distances_bounded, multi_source_bfs_distances_bounded
 
-from tests.helpers import assert_same_arrays, paper_figure1_graph
+from tests.helpers import assert_same_arrays, assert_same_index_on_x, paper_figure1_graph
 
 
 @pytest.fixture()
@@ -210,10 +207,16 @@ class TestTiers:
         group = LightWeightIndex.build_group(
             graph, queries, dist_from_s_rows=rows, dist_to_t=dist_to_t
         )
-        assert len(group) == len(queries)
-        for query, grouped in zip(queries, group):
-            assert grouped.query == query
-            assert_same_arrays(grouped, LightWeightIndex.build(graph, query, dist_to_t=dist_to_t))
+        swept = LightWeightIndex.build_group(graph, queries, dist_to_t=dist_to_t)
+        assert len(group) == len(swept) == len(queries)
+        for query, grouped, pruned in zip(queries, group, swept):
+            assert grouped.query == pruned.query == query
+            built = LightWeightIndex.build(graph, query, dist_to_t=dist_to_t)
+            # Injected full rows agree with the pruned build on X; the
+            # group's own sweep is the pruned one, array for array.
+            assert_same_index_on_x(grouped, built)
+            assert_same_arrays(pruned, built)
+            assert pruned.swept_vertices == built.swept_vertices == built.num_index_vertices
 
     @pytest.mark.skipif(not jit_ready(), reason="compiled C library not loaded")
     def test_compressed_store_takes_the_numpy_path(self, tmp_path, monkeypatch):
@@ -228,45 +231,9 @@ class TestTiers:
         def refuse(*args, **kwargs):
             raise AssertionError("compiled path taken over a compressed store")
 
-        monkeypatch.setattr(index_module, "_build_arrays_native", refuse)
+        monkeypatch.setattr(index_module, "_prepare_native", refuse)
         monkeypatch.setattr(traversal, "_sweep_native", refuse)
         try:
             assert_same_arrays(LightWeightIndex.build(compressed, query), expected)
         finally:
             compressed.close_store()
-
-    @pytest.mark.skipif(not jit_ready(), reason="compiled C library not loaded")
-    def test_fill_never_writes_past_the_counted_edges(self):
-        """A neighbour array rewritten between the count call and the fill
-        call (a store mapped from a file someone rewrote) raises instead of
-        overflowing the exact-size output arrays.  The fill call writes its
-        edges into a buffer with a guard region past the counted size, which
-        must come back untouched."""
-        graph = from_edges([(0, 1), (1, 2), (1, 4), (2, 3)])
-        s, t, isolated = (graph.to_internal(v) for v in (0, 3, 4))
-        query = Query(s, t, 3)
-        index = LightWeightIndex.build(graph, query)
-        indices = graph.out_csr()[1]
-        position = int(np.flatnonzero(indices == isolated)[0])
-        lib = _library()
-        sizes_arg, out_indices_arg = 11, 14
-        counted = {}
-
-        class RewriteAfterCount:
-            def repro_index_build(self, *args):
-                if args[out_indices_arg] is None:
-                    status = lib.repro_index_build(*args)
-                    counted["edges"] = ctypes.c_int64.from_address(args[sizes_arg] + 8).value
-                    indices[position] = t
-                    return status
-                guarded = np.full(counted["edges"] + 8, -7, dtype=np.int64)
-                args = list(args)
-                args[out_indices_arg] = guarded.ctypes.data
-                status = lib.repro_index_build(*args)
-                assert (guarded[counted["edges"]:] == -7).all(), "fill wrote past the counted edges"
-                return status
-
-        with pytest.raises(GraphError, match="corrupt graph store"):
-            index_module._build_arrays_native(
-                RewriteAfterCount(), graph, query, index.dist_from_s, index.dist_to_t
-            )

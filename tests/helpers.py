@@ -113,13 +113,22 @@ INDEX_ARRAYS = (
 )
 
 
-def assert_same_arrays(actual, expected) -> None:
+def assert_same_arrays(actual, expected, names=INDEX_ARRAYS) -> None:
     """Every array of two :class:`LightWeightIndex` objects is equal, dtype
     and shape included."""
-    for name in INDEX_ARRAYS:
+    for name in names:
         a, b = getattr(actual, name), getattr(expected, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert np.array_equal(a, b), name
+
+
+def assert_same_index_on_x(actual, expected) -> None:
+    """Like :func:`assert_same_arrays`, except that ``dist_from_s`` has to
+    agree only on ``X`` (the index rows): one index may hold the forward
+    sweep pruned to ``X``, the other a full one."""
+    assert_same_arrays(actual, expected, INDEX_ARRAYS[1:])
+    rows = expected.rows
+    assert np.array_equal(actual.dist_from_s[rows], expected.dist_from_s[rows])
 
 
 @contextlib.contextmanager
